@@ -123,7 +123,10 @@ def parse_config(doc: dict, seed: int = 0) -> SuperSystemDescriptor:
         raise ConfigError(f"bad group field: {exc}") from exc
     if "channels" not in doc:
         raise ConfigError("configuration is missing the 'channels' field")
-    channels = int(doc["channels"])
+    try:
+        channels = int(doc["channels"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad channels field: {exc}") from exc
 
     structured = [k for k in ("gabor", "wavelet", "wavepacket", "layers") if k in doc]
     if len(structured) != 1:
@@ -184,6 +187,8 @@ def _parse_layers(group: GroupSpec, channels: int, doc: Any, seed: int) -> Super
         raise ConfigError("'layers' must be a nonempty list")
     layers = []
     for j, layer_doc in enumerate(doc):
+        if not isinstance(layer_doc, dict):
+            raise ConfigError(f"layer {j}: expected an object")
         sub = _subgroup_from_doc(group, layer_doc.get("subgroup_generators"),
                                  f"layer {j} subgroup_generators")
         gens_doc = layer_doc.get("generators")
@@ -191,6 +196,8 @@ def _parse_layers(group: GroupSpec, channels: int, doc: Any, seed: int) -> Super
             raise ConfigError(f"layer {j}: 'generators' must be a nonempty list")
         gens = []
         for p, gen_doc in enumerate(gens_doc):
+            if not isinstance(gen_doc, dict):
+                raise ConfigError(f"layer {j} generator {p}: expected an object")
             weight = float(gen_doc.get("weight", 1.0))
             if weight < 0:
                 raise ConfigError(f"layer {j} generator {p}: negative weight {weight}")
@@ -288,6 +295,11 @@ def coefficients_from_json(doc: Any) -> CoefficientMap:
     covolumes = []
     weights = []
     for j, layer_doc in enumerate(doc["layers"]):
+        required = {"entries", "covolume", "weights"}
+        if not isinstance(layer_doc, dict) or not required <= layer_doc.keys():
+            raise ConfigError(
+                f"coefficients layer {j}: expected an object with keys {sorted(required)}"
+            )
         rows = layer_doc["entries"]
         if not rows:
             raise ConfigError(f"coefficients layer {j} has no entries")

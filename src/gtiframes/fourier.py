@@ -2,9 +2,10 @@
 
 Normalization is asymmetric: the forward transform is the plain character
 sum (counting measure on the group), the inverse carries the 1/|G| factor
-(so the dual group carries mass 1/|G| per point).  The fast path is a
-per-axis mixed-radix decomposition; a naive O(|G|^2) path evaluated straight
-from the character definition is kept as an independent reference.
+(so the dual group carries mass 1/|G| per point), which are the sign and
+scale conventions of numpy.fft.fftn/ifftn.  The fast path is numpy.fft; a
+naive O(|G|^2) path evaluated straight from the character definition is kept
+as the independent reference.
 """
 
 from __future__ import annotations
@@ -16,53 +17,35 @@ import numpy as np
 
 from .groups import GroupSpec, Subgroup
 
-_KERNEL_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
-# Largest axis length handled by a single dense kernel; prime factors above
-# this fall back to the chunked naive per-axis transform.
-_DENSE_LEAF = 64
+@dataclass(eq=False)
+class _GroupVector:
+    group: GroupSpec
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.values = np.asarray(self.values, dtype=np.complex128).reshape(-1)
+        if self.values.size != self.group.size:
+            kind = type(self).__name__.lower()
+            raise ValueError(
+                f"{kind} length {self.values.size} does not match group size {self.group.size}"
+            )
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.values))
+
+    def __getitem__(self, element: Sequence[int]) -> complex:
+        return complex(self.values[self.group.index_of(element)])
 
 
 @dataclass(eq=False)
-class Signal:
+class Signal(_GroupVector):
     """A complex vector indexed by group elements in lexicographic order."""
 
-    group: GroupSpec
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.complex128).reshape(-1)
-        if self.values.size != self.group.size:
-            raise ValueError(
-                f"signal length {self.values.size} does not match group size {self.group.size}"
-            )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    def __getitem__(self, element: Sequence[int]) -> complex:
-        return complex(self.values[self.group.index_of(element)])
-
 
 @dataclass(eq=False)
-class Spectrum:
+class Spectrum(_GroupVector):
     """A complex vector indexed by dual elements in lexicographic order."""
-
-    group: GroupSpec
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.complex128).reshape(-1)
-        if self.values.size != self.group.size:
-            raise ValueError(
-                f"spectrum length {self.values.size} does not match group size {self.group.size}"
-            )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    def __getitem__(self, element: Sequence[int]) -> complex:
-        return complex(self.values[self.group.index_of(element)])
 
 
 def inner(f: Signal, g: Signal) -> complex:
@@ -72,73 +55,14 @@ def inner(f: Signal, g: Signal) -> complex:
     return complex(np.vdot(g.values, f.values))
 
 
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
-
-
-def _kernel(n: int, sign: int) -> np.ndarray:
-    key = (n, sign)
-    mat = _KERNEL_CACHE.get(key)
-    if mat is None:
-        j = np.arange(n)
-        mat = np.exp((sign * 2j * np.pi / n) * np.outer(j, j))
-        _KERNEL_CACHE[key] = mat
-    return mat
-
-
-def _transform_last_axis(a: np.ndarray, sign: int) -> np.ndarray:
-    """Unnormalized length-n transform along the last axis of a 2-d batch."""
-    n = a.shape[-1]
-    if n == 1:
-        return a.copy()
-    if n <= _DENSE_LEAF:
-        return a @ _kernel(n, sign)
-    p = _smallest_prime_factor(n)
-    if p == n:
-        # Large prime axis: direct evaluation, chunked to bound memory.
-        out = np.empty(a.shape, dtype=np.complex128)
-        j = np.arange(n)
-        step = max(1, (1 << 20) // n)
-        for start in range(0, n, step):
-            cols = np.arange(start, min(start + step, n))
-            out[:, cols] = a @ np.exp((sign * 2j * np.pi / n) * np.outer(j, cols))
-        return out
-    m = n // p
-    k = np.arange(n)
-    kmod = k % m
-    out = np.zeros(a.shape, dtype=np.complex128)
-    for r in range(p):
-        sub = _transform_last_axis(np.ascontiguousarray(a[:, r::p]), sign)
-        out += np.exp((sign * 2j * np.pi * r / n) * k) * sub[:, kmod]
-    return out
-
-
-def _transform_all_axes(values: np.ndarray, orders: tuple[int, ...], sign: int) -> np.ndarray:
-    grid = values.reshape(orders)
-    for ax in range(len(orders)):
-        moved = np.moveaxis(grid, ax, -1)
-        shape = moved.shape
-        flat = _transform_last_axis(np.ascontiguousarray(moved.reshape(-1, shape[-1])), sign)
-        grid = np.moveaxis(flat.reshape(shape), -1, ax)
-    return grid.reshape(-1)
-
-
 def dft(f: Signal) -> Spectrum:
     """Forward transform F(xi) = sum_x f(x) * conj(<xi, x>)."""
-    return Spectrum(f.group, _transform_all_axes(f.values, f.group.orders, -1))
+    return Spectrum(f.group, np.fft.fftn(f.values.reshape(f.group.orders)))
 
 
 def idft(spec: Spectrum) -> Signal:
     """Inverse transform f(x) = (1/|G|) sum_xi F(xi) * <xi, x>."""
-    values = _transform_all_axes(spec.values, spec.group.orders, +1) / spec.group.size
-    return Signal(spec.group, values)
+    return Signal(spec.group, np.fft.ifftn(spec.values.reshape(spec.group.orders)))
 
 
 def _naive_phase_rows(group: GroupSpec, rows: np.ndarray) -> np.ndarray:
@@ -179,12 +103,18 @@ def apply_multiplier(symbol: Spectrum, f: Signal) -> Signal:
     return idft(Spectrum(f.group, symbol.values * dft(f).values))
 
 
+def _roll(values: np.ndarray, group: GroupSpec, offset: Sequence[int]) -> np.ndarray:
+    """out[..., x] = values[..., x + offset] for stacked flat vectors."""
+    lead = values.shape[:-1]
+    grid = values.reshape(lead + group.orders)
+    axes = tuple(range(len(lead), len(lead) + group.ndim))
+    rolled = np.roll(grid, shift=tuple(-int(r) for r in offset), axis=axes)
+    return rolled.reshape(lead + (group.size,))
+
+
 def shift_spectrum(spec: Spectrum, offset: Sequence[int]) -> Spectrum:
     """Return S with S(xi) = spec(xi + offset)."""
-    group = spec.group
-    shift = [-int(r) for r in group.reduce(offset)]
-    grid = np.roll(spec.values.reshape(group.orders), shift=shift, axis=tuple(range(group.ndim)))
-    return Spectrum(group, grid.reshape(-1))
+    return Spectrum(spec.group, _roll(spec.values, spec.group, spec.group.reduce(offset)))
 
 
 def delta_signal(group: GroupSpec, at: Sequence[int] | None = None) -> Signal:

@@ -37,7 +37,7 @@ class GroupSpec:
         if len(self.orders) == 0:
             raise ValueError("group needs at least one cyclic factor")
         for n in self.orders:
-            if not isinstance(n, int) or n < 1:
+            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                 raise ValueError(f"cyclic order must be a positive integer, got {n!r}")
         if self.size > ENUMERATION_CAP:
             raise ValueError(f"group size {self.size} exceeds cap {ENUMERATION_CAP}")
@@ -182,14 +182,7 @@ class Subgroup:
         values[T[i]] is then the translate by gamma_i of a signal stored as a
         flat vector, for every element of the subgroup at once.
         """
-        group = self.parent
-        res = group.residue_matrix()
-        orders = np.asarray(group.orders, dtype=np.int64)
-        gammas = res[self.indices]  # (|Gamma|, d)
-        shifted = (res[None, :, :] - gammas[:, None, :]) % orders
-        return np.ravel_multi_index(
-            tuple(shifted[:, :, k] for k in range(group.ndim)), group.orders
-        ).astype(np.int64)
+        return _difference_table(self.parent, self.indices)
 
     def __str__(self) -> str:
         gens = ",".join(str(g) for g in self.generators)
@@ -258,35 +251,29 @@ def trivial_subgroup(group: GroupSpec) -> Subgroup:
     return Subgroup(group, (), np.array([0], dtype=np.int64))
 
 
-_translation_table_cache: dict[tuple[int, ...], np.ndarray] = {}
+def _difference_table(group: GroupSpec, rows: np.ndarray | None = None) -> np.ndarray:
+    """T[i, y] = index(y - x_i) for the elements x_i at `rows` (all when None)."""
+    res = group.residue_matrix()
+    orders = np.asarray(group.orders, dtype=np.int64)
+    gammas = res if rows is None else res[rows]
+    shifted = (res[None, :, :] - gammas[:, None, :]) % orders
+    return np.ravel_multi_index(
+        tuple(shifted[:, :, k] for k in range(group.ndim)), group.orders
+    ).astype(np.int64)
 
 
 def translation_index_table(group: GroupSpec) -> np.ndarray:
     """Full (|G|, |G|) table T with T[x, y] = index(y - x).
 
     Row x is the coordinate permutation of the translation by x.  Only used
-    by dense capped operations; cached per group shape.
+    by dense capped operations.
     """
-    cached = _translation_table_cache.get(group.orders)
-    if cached is None:
-        res = group.residue_matrix()
-        orders = np.asarray(group.orders, dtype=np.int64)
-        shifted = (res[None, :, :] - res[:, None, :]) % orders
-        cached = np.ravel_multi_index(
-            tuple(shifted[:, :, k] for k in range(group.ndim)), group.orders
-        ).astype(np.int64)
-        _translation_table_cache[group.orders] = cached
-    return cached
+    return _difference_table(group)
 
 
 def negation_index_table(group: GroupSpec) -> np.ndarray:
     """Index of -x for every x."""
-    res = group.residue_matrix()
-    orders = np.asarray(group.orders, dtype=np.int64)
-    neg = (-res) % orders
-    return np.ravel_multi_index(
-        tuple(neg[:, k] for k in range(group.ndim)), group.orders
-    ).astype(np.int64)
+    return _perm_from_matrix(group, -np.eye(group.ndim, dtype=np.int64))
 
 
 def annihilator(group: GroupSpec, sub: Subgroup) -> Subgroup:

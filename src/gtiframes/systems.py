@@ -10,22 +10,18 @@ every member is a plain translate of a stored window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .errors import StructureMismatchError
-from .fourier import Signal
+from .fourier import Signal, _roll
 from .groups import Automorphism, Element, GroupSpec, Subgroup, character_column
 
 
 def translate(gamma: Sequence[int], f: Signal) -> Signal:
     """(T_gamma f)(x) = f(x - gamma)."""
-    group = f.group
-    shift = list(group.reduce(gamma))
-    grid = np.roll(f.values.reshape(group.orders), shift=shift, axis=tuple(range(group.ndim)))
-    return Signal(group, grid.reshape(-1))
+    return Signal(f.group, _roll(f.values, f.group, f.group.neg(gamma)))
 
 
 def modulate(chi: Sequence[int], f: Signal) -> Signal:
@@ -125,8 +121,12 @@ class Verdict:
         top_k: int = 10,
         bessel_bound: float | None = None,
     ) -> "Verdict":
-        ranked = sorted(witnesses, key=lambda w: -w.residual)
-        max_residual = ranked[0].residual if ranked else 0.0
+        # A non-finite residual ranks and fails as +inf, so NaN never passes.
+        def worst(w: Witness) -> float:
+            return w.residual if math.isfinite(w.residual) else math.inf
+
+        ranked = sorted(witnesses, key=worst, reverse=True)
+        max_residual = worst(ranked[0]) if ranked else 0.0
         return cls(
             passed=max_residual <= tolerance,
             max_residual=max_residual,

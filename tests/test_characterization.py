@@ -495,6 +495,16 @@ class TestVerdictProperties:
         assert residuals == sorted(residuals, reverse=True)
         assert verdict.max_residual == residuals[0]
 
+    def test_nan_window_fails_closed(self):
+        g = make_group([8])
+        f_sys, h_sys = dual_pair(np.random.default_rng(3), g, 2)
+        h_sys.layers[0].generators[0].windows[1].values[3] = np.nan
+        verdict = check_super_duality(f_sys, h_sys, tol=1e-9)
+        assert not verdict.passed
+        assert verdict.max_residual == np.inf
+        assert np.isnan(verdict.witnesses[0].residual)
+        assert not verdict.blocks[(1, 1)].passed
+
     def test_bessel_bound_recorded(self):
         g = make_group([4])
         verdict = check_super_duality(delta_system(g), delta_system(g))

@@ -209,6 +209,22 @@ class TestCheckCommand:
         assert code == 2
         assert "JSON" in err
 
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ({"group": [4], "channels": 1, "layers": [1]}, "layer 0"),
+            ({"group": [4], "channels": 1,
+              "layers": [{"subgroup_generators": [[1]], "generators": [1]}]}, "layer 0"),
+            ({"group": [4], "channels": [1], "layers": PARSEVAL_DOC["layers"]}, "channels"),
+        ],
+        ids=["layer", "generator", "channels"],
+    )
+    def test_malformed_config_exit_two(self, tmp_path, capsys, doc, where):
+        cfg = write_json(tmp_path / "m.json", doc)
+        code, report, err = run_cli(capsys, "check", "parseval", cfg)
+        assert code == 2 and report is None
+        assert err.startswith("error:") and where in err
+
     def test_deterministic_reports_with_seed(self, tmp_path, capsys):
         doc = {
             "group": [6],
@@ -345,6 +361,20 @@ class TestMultiplexCommand:
         for a, b in zip(original["channels"], recovered["channels"]):
             assert np.abs(np.array(a["re"]) - np.array(b["re"])).max() < 1e-9
             assert np.abs(np.array(a["im"]) - np.array(b["im"])).max() < 1e-9
+
+    @pytest.mark.parametrize(
+        "layer", [{"covolume": 1, "weights": [1.0]}, 1], ids=["no-entries", "not-an-object"]
+    )
+    def test_malformed_coefficients_exit_two(self, tmp_path, capsys, layer):
+        f_cfg, h_cfg, _ = self._dual_pair_files(tmp_path)
+        coeffs = write_json(
+            tmp_path / "bad_c.json", {"group": [8], "channels": 2, "layers": [layer]}
+        )
+        code, report, err = run_cli(
+            capsys, "multiplex", f_cfg, h_cfg, "--coeffs", coeffs, "--mode", "decode"
+        )
+        assert code == 2 and report is None
+        assert err.startswith("error:") and "coefficients layer 0" in err
 
     def test_broken_pair_refused_then_forced(self, tmp_path, capsys):
         rng = np.random.default_rng(13)

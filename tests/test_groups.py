@@ -15,7 +15,7 @@ from gtiframes import (
     trivial_subgroup,
     full_subgroup,
 )
-from gtiframes.groups import translation_index_table
+from gtiframes.groups import GroupSpec, translation_index_table
 
 from helpers import brute_annihilator, brute_character, brute_closure
 
@@ -43,6 +43,8 @@ class TestGroupSpec:
             make_group([0])
         with pytest.raises(ValueError):
             make_group([4, -2])
+        with pytest.raises(ValueError):
+            GroupSpec((True,))
 
     @given(small_orders, st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50, deadline=None)
