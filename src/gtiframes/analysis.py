@@ -1,11 +1,13 @@
-"""Direct, dense-matrix frame computations used as the oracle route.
+"""Frame computations: the dense-matrix oracle and the multiplexing codec.
 
-Everything here works in the time domain from translate tables: analysis and
-synthesis operators, the frame operator and its bounds, mixed dual Gramian
-matrices, the canonical Gabor dual window, and a multiplexing codec on top
-of a certified dual pair.  Synthesis carries the full measure weighting
-(covolume per layer, user mass per generator); analysis is the plain
-unweighted pairing, so the two compose to the weighted reproduction sum.
+The oracle works in the time domain from translate tables: the mixed dual
+Gramian, the frame operator and its bounds, and the canonical Gabor dual
+window.  Translate tables are read nowhere else.  Analysis and synthesis,
+and the multiplexing codec built on them for a certified dual pair, work by
+transforms over the group grid (correlation and convolution theorems).
+Synthesis carries the full measure weighting (covolume per layer, user mass
+per generator); analysis is the plain unweighted pairing, so the two compose
+to the weighted reproduction sum.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, NotAFrameError, UncertifiedPairError
-from .fourier import Signal
+from .fourier import Signal, _transform
 from .groups import GroupSpec, Subgroup
 from .systems import (
     SuperSystemDescriptor,
+    WeightedGenerator,
     gabor_system,
     require_matching_structure,
 )
@@ -112,51 +115,64 @@ def _check_signal_match(system: SuperSystemDescriptor, f: SuperSignal) -> None:
         )
 
 
+def _window_spectra(generators: list[WeightedGenerator], group: GroupSpec) -> np.ndarray:
+    """(P, N, |G|) transforms of every generator's channel windows, in one call."""
+    windows = np.stack([[w.values for w in gen.windows] for gen in generators])
+    return _transform(windows, group)
+
+
 def analysis_coeffs(system: SuperSystemDescriptor, f: SuperSignal) -> CoefficientMap:
-    """Plain pairings <f, T_gamma g> summed over channels, no weights applied."""
+    """Plain pairings <f, T_gamma g> summed over channels, no weights applied.
+
+    By the correlation theorem the pairing over all translates x of G is
+    idft(sum_n conj(ghat_n) * fhat_n)(x); the subgroup's entries are read off.
+    """
     _check_signal_match(system, f)
-    fmat = f.stacked()
+    group = system.group
+    f_hat = _transform(f.stacked(), group)
     entries = []
     covolumes = []
     weights = []
     for layer in system.layers:
-        table = layer.subgroup.translate_table
         rows = np.empty((len(layer.generators), layer.subgroup.order), dtype=np.complex128)
-        for p, gen in enumerate(layer.generators):
-            acc = np.zeros(layer.subgroup.order, dtype=np.complex128)
-            for n in range(system.channels):
-                translates = gen.windows[n].values[table]
-                acc += translates.conj() @ fmat[n]
-            rows[p] = acc
+        if layer.generators:
+            g_hat = _window_spectra(layer.generators, group)
+            pairing = np.einsum("png,ng->pg", g_hat.conj(), f_hat)
+            rows[:] = _transform(pairing, group, inverse=True)[:, layer.subgroup.indices]
         entries.append(rows)
         covolumes.append(layer.subgroup.covolume)
         weights.append(np.array([gen.weight for gen in layer.generators], dtype=float))
-    return CoefficientMap(system.group, system.channels, entries, covolumes, weights)
+    return CoefficientMap(group, system.channels, entries, covolumes, weights)
 
 
 def synthesis(system: SuperSystemDescriptor, coeffs: CoefficientMap) -> SuperSignal:
-    """Weighted reproduction sum: covolume per layer, mass per generator."""
+    """Weighted reproduction sum: covolume per layer, mass per generator.
+
+    Each coefficient row, scaled and placed on its subgroup, is convolved
+    with its windows by multiplying transforms; one inverse transform per
+    channel finishes all layers.  Zero-mass generators are skipped, so their
+    windows and coefficients never enter the sum.
+    """
     if coeffs.group.orders != system.group.orders:
         raise ValueError("coefficient group does not match system group")
     if len(coeffs.entries) != len(system.layers):
         raise ValueError("coefficient layer count does not match system")
-    out = np.zeros((system.channels, system.group.size), dtype=np.complex128)
+    group = system.group
+    out_hat = np.zeros((system.channels, group.size), dtype=np.complex128)
     for j, layer in enumerate(system.layers):
         rows = coeffs.entries[j]
         if rows.shape != (len(layer.generators), layer.subgroup.order):
             raise ValueError(f"coefficient block {j} has shape {rows.shape}, expected "
                              f"({len(layer.generators)}, {layer.subgroup.order})")
-        table = layer.subgroup.translate_table
-        vol = layer.subgroup.covolume
-        for p, gen in enumerate(layer.generators):
-            scale = vol * gen.weight
-            if scale == 0.0:
-                continue
-            row = rows[p]
-            for n in range(system.channels):
-                translates = gen.windows[n].values[table]
-                out[n] += scale * (row @ translates)
-    return SuperSignal.from_stacked(system.group, out)
+        scales = np.array([layer.subgroup.covolume * gen.weight for gen in layer.generators])
+        live = np.flatnonzero(scales != 0.0)
+        if live.size == 0:
+            continue
+        placed = np.zeros((live.size, group.size), dtype=np.complex128)
+        placed[:, layer.subgroup.indices] = scales[live, None] * rows[live]
+        g_hat = _window_spectra([layer.generators[p] for p in live], group)
+        out_hat += np.einsum("pg,png->ng", _transform(placed, group), g_hat)
+    return SuperSignal.from_stacked(group, _transform(out_hat, group, inverse=True))
 
 
 def _require_cap(system: SuperSystemDescriptor, cap: int) -> None:
@@ -264,21 +280,22 @@ def gabor_canonical_dual(
     return Signal(window.group, dual_values)
 
 
-def _certify_pair(
+def _require_certified(
     f_system: SuperSystemDescriptor,
     h_system: SuperSystemDescriptor,
     tol: float | None,
     cap: int,
-) -> float:
-    matrix = mixed_dual_gramian(f_system, h_system, cap=cap)
-    residual = gramian_identity_residual(matrix)
-    if tol is None:
-        tol, _ = default_tolerance(f_system, h_system, cap=cap)
-    if residual > tol:
+) -> None:
+    """Raise UncertifiedPairError unless the fiber verdict calls the pair dual."""
+    # characterization imports this module, so the verdict is imported here.
+    from .characterization import check_super_duality
+
+    verdict = check_super_duality(f_system, h_system, tol=tol, cap=cap)
+    if not verdict.passed:
         raise UncertifiedPairError(
-            f"pair is not a certified dual pair (residual {residual:.3e} > tol {tol:.3e})"
+            f"pair is not a certified dual pair (residual {verdict.max_residual:.3e} "
+            f"> tol {verdict.tolerance:.3e})"
         )
-    return residual
 
 
 def multiplex_encode(
@@ -291,7 +308,7 @@ def multiplex_encode(
     """Push N channels through one coefficient stream of the analysis system."""
     f_system, h_system = pair
     if not force:
-        _certify_pair(f_system, h_system, tol, cap)
+        _require_certified(f_system, h_system, tol, cap)
     return analysis_coeffs(f_system, signals)
 
 
@@ -305,5 +322,5 @@ def multiplex_decode(
     """Recover all N channels from one coefficient stream via the dual system."""
     f_system, h_system = pair
     if not force:
-        _certify_pair(f_system, h_system, tol, cap)
+        _require_certified(f_system, h_system, tol, cap)
     return synthesis(h_system, coeffs)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -50,7 +51,11 @@ def vector_from_json(doc: Any, expected_len: int, where: str) -> np.ndarray:
         raise ConfigError(
             f"{where}: vector length {len(re)}/{len(im)} does not match group size {expected_len}"
         )
-    return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    values = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ConfigError(f"{where}: non-finite value at index {int(bad[0])}")
+    return values
 
 
 def window_from_value(group: GroupSpec, value: Any, where: str, seed: int = 0) -> Signal:
@@ -198,7 +203,15 @@ def _parse_layers(group: GroupSpec, channels: int, doc: Any, seed: int) -> Super
         for p, gen_doc in enumerate(gens_doc):
             if not isinstance(gen_doc, dict):
                 raise ConfigError(f"layer {j} generator {p}: expected an object")
-            weight = float(gen_doc.get("weight", 1.0))
+            raw_weight = gen_doc.get("weight", 1.0)
+            try:
+                weight = float(raw_weight)
+            except (TypeError, ValueError, OverflowError):
+                weight = math.nan
+            if isinstance(raw_weight, bool) or not math.isfinite(weight):
+                raise ConfigError(
+                    f"layer {j} generator {p}: weight must be a finite number, got {raw_weight!r}"
+                )
             if weight < 0:
                 raise ConfigError(f"layer {j} generator {p}: negative weight {weight}")
             windows_doc = gen_doc.get("windows")

@@ -57,12 +57,12 @@ def inner(f: Signal, g: Signal) -> complex:
 
 def dft(f: Signal) -> Spectrum:
     """Forward transform F(xi) = sum_x f(x) * conj(<xi, x>)."""
-    return Spectrum(f.group, np.fft.fftn(f.values.reshape(f.group.orders)))
+    return Spectrum(f.group, _transform(f.values, f.group))
 
 
 def idft(spec: Spectrum) -> Signal:
     """Inverse transform f(x) = (1/|G|) sum_xi F(xi) * <xi, x>."""
-    return Signal(spec.group, np.fft.ifftn(spec.values.reshape(spec.group.orders)))
+    return Signal(spec.group, _transform(spec.values, spec.group, inverse=True))
 
 
 def _naive_phase_rows(group: GroupSpec, rows: np.ndarray) -> np.ndarray:
@@ -101,6 +101,16 @@ def apply_multiplier(symbol: Spectrum, f: Signal) -> Signal:
     if symbol.group.orders != f.group.orders:
         raise ValueError("group mismatch between symbol and signal")
     return idft(Spectrum(f.group, symbol.values * dft(f).values))
+
+
+def _transform(values: np.ndarray, group: GroupSpec, inverse: bool = False) -> np.ndarray:
+    """dft (or idft) of every flat vector stacked along the leading axes."""
+    lead = values.shape[:-1]
+    grid = values.reshape(lead + group.orders)
+    # Giving both s and axes skips numpy's own shape lookup (a cost per call).
+    axes = tuple(range(-group.ndim, 0))
+    fft = np.fft.ifftn if inverse else np.fft.fftn
+    return fft(grid, s=group.orders, axes=axes).reshape(lead + (group.size,))
 
 
 def _roll(values: np.ndarray, group: GroupSpec, offset: Sequence[int]) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -114,9 +115,27 @@ class GroupSpec:
         return "Z" + "xZ".join(str(n) for n in self.orders)
 
 
+def _cyclic_order(n: object) -> int:
+    # operator.index takes Python and numpy integers and refuses floats and
+    # strings; booleans are integers to it, so they are refused first.
+    if not isinstance(n, (bool, np.bool_)):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise ValueError(f"cyclic order must be a positive integer, got {n!r}")
+
+
 def make_group(orders: Sequence[int]) -> GroupSpec:
-    """Build the group Z_{orders[0]} x ... x Z_{orders[-1]}."""
-    return GroupSpec(tuple(int(n) for n in orders))
+    """Build the group Z_{orders[0]} x ... x Z_{orders[-1]}.
+
+    Raises ValueError for orders that are not integers (no truncation).
+    """
+    try:
+        items = tuple(orders)
+    except TypeError:
+        raise ValueError(f"group orders must be a list of integers, got {orders!r}") from None
+    return GroupSpec(tuple(_cyclic_order(n) for n in items))
 
 
 def character_eval(group: GroupSpec, xi: Sequence[int], x: Sequence[int]) -> complex:

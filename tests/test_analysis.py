@@ -24,8 +24,13 @@ from gtiframes import (
     subgroup_from_generators,
     synthesis,
 )
-from gtiframes.sweeps import dual_pair, matched_random_pair, random_super_signal
-from gtiframes.systems import GtiLayer, SuperSystemDescriptor
+from gtiframes.sweeps import (
+    _fiberwise_pair_layer,
+    dual_pair,
+    matched_random_pair,
+    random_super_signal,
+)
+from gtiframes.systems import GtiLayer, SuperSystemDescriptor, WeightedGenerator
 
 from helpers import channel_split_parseval, delta_system, loop_analysis_entry, random_super
 
@@ -81,6 +86,70 @@ class TestAnalysisSynthesis:
         f = random_super(rng, g, 2)
         applied = synthesis(sys, analysis_coeffs(sys, f)).flattened()
         assert np.abs(applied - matrix @ f.flattened()).max() < 1e-10 * np.abs(matrix).max()
+
+
+def _mixed_pair_with_dead_generator(rng, group, subgroup_gens, channels=2):
+    """A structure-matched mixed pair, plus the same pair with one extra
+    weight-0 generator per layer whose windows hold a NaN sample.
+
+    Returns (f, h, f_dead, h_dead); the dead generator must contribute
+    nothing to synthesis.
+    """
+    def window():
+        return Signal(group, rng.standard_normal(group.size) + 1j * rng.standard_normal(group.size))
+
+    def nan_window():
+        values = window().values
+        values[1] = np.nan
+        return Signal(group, values)
+
+    subgroups = [subgroup_from_generators(group, gens) for gens in subgroup_gens]
+    weights = [[float(rng.uniform(0.5, 2.0)) for _ in range(2)] for _ in subgroups]
+    pair, dead_pair = [], []
+    for _ in range(2):
+        layers, dead_layers = [], []
+        for sub, ws in zip(subgroups, weights):
+            gens = [WeightedGenerator(w, tuple(window() for _ in range(channels))) for w in ws]
+            dead = WeightedGenerator(0.0, tuple(nan_window() for _ in range(channels)))
+            layers.append(GtiLayer(sub, gens))
+            dead_layers.append(GtiLayer(sub, gens[:1] + [dead] + gens[1:]))
+        pair.append(SuperSystemDescriptor(group, channels, layers))
+        dead_pair.append(SuperSystemDescriptor(group, channels, dead_layers))
+    return pair[0], pair[1], dead_pair[0], dead_pair[1]
+
+
+# Product groups with subgroups off the coordinate axes, two layers each.
+CODEC_CASES = [
+    ((4, 6), [[(1, 2)], [(2, 3)]]),
+    ((2, 2, 3), [[(1, 1, 1)], [(1, 0, 0), (0, 0, 1)]]),
+]
+
+
+class TestTransformCodec:
+    @pytest.mark.parametrize("orders, subgroup_gens", CODEC_CASES)
+    def test_analysis_matches_independent_loop(self, orders, subgroup_gens):
+        g = make_group(orders)
+        rng = np.random.default_rng(61)
+        f_sys, _, _, _ = _mixed_pair_with_dead_generator(rng, g, subgroup_gens)
+        x = random_super(rng, g, 2)
+        coeffs = analysis_coeffs(f_sys, x)
+        for j, layer in enumerate(f_sys.layers):
+            for p in range(len(layer.generators)):
+                for i, gamma in enumerate(layer.subgroup.elements()):
+                    expected = loop_analysis_entry(f_sys, x, j, p, gamma)
+                    assert coeffs.entries[j][p, i] == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("orders, subgroup_gens", CODEC_CASES)
+    def test_mixed_pair_roundtrip_matches_oracle(self, orders, subgroup_gens):
+        g = make_group(orders)
+        rng = np.random.default_rng(67)
+        f_sys, h_sys, f_dead, h_dead = _mixed_pair_with_dead_generator(rng, g, subgroup_gens)
+        x = random_super(rng, g, 2)
+        oracle = mixed_dual_gramian(f_sys, h_sys) @ x.flattened()
+        for f, h in [(f_sys, h_sys), (f_dead, h_dead)]:
+            applied = synthesis(f, analysis_coeffs(h, x)).flattened()
+            assert np.all(np.isfinite(applied))
+            assert np.abs(applied - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 class TestFrameOperator:
@@ -241,6 +310,23 @@ class TestMultiplex:
             multiplex_encode((f_sys, h_sys), signals)
         coeffs = multiplex_encode((f_sys, h_sys), signals, force=True)
         assert coeffs.total_size() > 0
+
+    def test_certified_pair_above_dense_cap_needs_no_force(self):
+        g = make_group([144])  # 2 channels x 144 points is above the cap of 256
+        rng = np.random.default_rng(59)
+        # dual_pair would enumerate every subgroup of Z_144; build its layer directly.
+        f_layer, h_layer = _fiberwise_pair_layer(
+            rng, g, subgroup_from_generators(g, [(2,)]), 2, 0,
+            orthogonal=False, random_weights=True,
+        )
+        f_sys = SuperSystemDescriptor(g, 2, [f_layer])
+        h_sys = SuperSystemDescriptor(g, 2, [h_layer])
+        with pytest.raises(CapExceededError):
+            mixed_dual_gramian(f_sys, h_sys)
+        signals = random_super_signal(rng, g, 2)
+        back = multiplex_decode((f_sys, h_sys), multiplex_encode((f_sys, h_sys), signals))
+        for a, b in zip(signals.channels, back.channels):
+            assert np.abs(a.values - b.values).max() < 1e-9 * a.norm()
 
     def test_one_stream_carries_all_channels(self):
         g = make_group([8])

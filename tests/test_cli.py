@@ -216,14 +216,34 @@ class TestCheckCommand:
             ({"group": [4], "channels": 1,
               "layers": [{"subgroup_generators": [[1]], "generators": [1]}]}, "layer 0"),
             ({"group": [4], "channels": [1], "layers": PARSEVAL_DOC["layers"]}, "channels"),
+            *[({"group": [4], "channels": 1, "layers": [{"subgroup_generators": [[1]],
+                "generators": [{"weight": weight, "windows": ["delta"]}]}]},
+               "layer 0 generator 0: weight must be a finite number")
+              for weight in ([1], float("nan"), float("inf"))],
+            ({"group": [4.5], "channels": 1, "layers": [{"subgroup_generators": [[1]],
+              "generators": [{"windows": ["delta"]}]}]}, "group"),
+            ({"group": [True], "channels": 1, "layers": [{"subgroup_generators": [[0]],
+              "generators": [{"windows": ["delta"]}]}]}, "group"),
         ],
-        ids=["layer", "generator", "channels"],
+        ids=["layer", "generator", "channels", "weight-list", "weight-nan", "weight-inf",
+             "group-float", "group-bool"],
     )
     def test_malformed_config_exit_two(self, tmp_path, capsys, doc, where):
         cfg = write_json(tmp_path / "m.json", doc)
         code, report, err = run_cli(capsys, "check", "parseval", cfg)
         assert code == 2 and report is None
         assert err.startswith("error:") and where in err
+
+    def test_nan_window_sample_exit_two_naming_window(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        f_sys, h_sys = dual_pair(rng, make_group([8]), channels=2)
+        h_doc = descriptor_to_config(h_sys)
+        h_doc["layers"][0]["generators"][0]["windows"][1]["re"][5] = float("nan")
+        f_cfg = write_json(tmp_path / "f.json", descriptor_to_config(f_sys))
+        h_cfg = write_json(tmp_path / "h.json", h_doc)
+        code, report, err = run_cli(capsys, "check", "duality", f_cfg, h_cfg)
+        assert code == 2 and report is None
+        assert "layer 0 generator 0 window 1" in err and "non-finite" in err
 
     def test_deterministic_reports_with_seed(self, tmp_path, capsys):
         doc = {
@@ -375,6 +395,20 @@ class TestMultiplexCommand:
         )
         assert code == 2 and report is None
         assert err.startswith("error:") and "coefficients layer 0" in err
+
+    def test_non_integer_coefficients_group_exit_two(self, tmp_path, capsys):
+        f_cfg, h_cfg, sig = self._dual_pair_files(tmp_path)
+        coeffs = tmp_path / "c.json"
+        run_cli(capsys, "multiplex", f_cfg, h_cfg, "--signals", sig,
+                "--mode", "encode", "--coeffs-out", str(coeffs))
+        doc = json.loads(coeffs.read_text())
+        doc["group"] = [8.5]
+        bad = write_json(tmp_path / "bad_c.json", doc)
+        code, report, err = run_cli(
+            capsys, "multiplex", f_cfg, h_cfg, "--coeffs", bad, "--mode", "decode"
+        )
+        assert code == 2 and report is None
+        assert "cyclic order" in err
 
     def test_broken_pair_refused_then_forced(self, tmp_path, capsys):
         rng = np.random.default_rng(13)

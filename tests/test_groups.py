@@ -46,6 +46,17 @@ class TestGroupSpec:
         with pytest.raises(ValueError):
             GroupSpec((True,))
 
+    @pytest.mark.parametrize(
+        "orders", [[4.5], [4.0], [True], ["4"], [np.bool_(True)], 4],
+        ids=["float", "integral-float", "bool", "string", "numpy-bool", "not-a-list"],
+    )
+    def test_non_integer_orders_rejected(self, orders):
+        with pytest.raises(ValueError):
+            make_group(orders)
+
+    def test_numpy_integer_orders_accepted(self):
+        assert make_group(np.array([4, 6])).orders == (4, 6)
+
     @given(small_orders, st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50, deadline=None)
     def test_index_tuple_roundtrip(self, orders, raw):
