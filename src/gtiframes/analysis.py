@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, NotAFrameError, UncertifiedPairError
-from .fourier import Signal, _transform
+from .fourier import Signal, _spectra, _transform
 from .groups import GroupSpec, Subgroup
 from .systems import (
     SuperSystemDescriptor,
-    WeightedGenerator,
     gabor_system,
     require_matching_structure,
 )
@@ -72,15 +71,13 @@ class SuperSignal:
 class CoefficientMap:
     """Analysis coefficients indexed by (layer, generator, subgroup element).
 
-    entries[j] has shape (generators, subgroup order).  The measure data used
-    at synthesis time (covolume per layer, mass per generator) rides along.
+    entries[j] has shape (generators, subgroup order).  Synthesis takes the
+    measure data (covolume per layer, mass per generator) from its system.
     """
 
     group: GroupSpec
     channels: int
     entries: list[np.ndarray]
-    covolumes: list[int]
-    weights: list[np.ndarray]
 
     def total_size(self) -> int:
         return sum(e.size for e in self.entries)
@@ -115,12 +112,6 @@ def _check_signal_match(system: SuperSystemDescriptor, f: SuperSignal) -> None:
         )
 
 
-def _window_spectra(generators: list[WeightedGenerator], group: GroupSpec) -> np.ndarray:
-    """(P, N, |G|) transforms of every generator's channel windows, in one call."""
-    windows = np.stack([[w.values for w in gen.windows] for gen in generators])
-    return _transform(windows, group)
-
-
 def analysis_coeffs(system: SuperSystemDescriptor, f: SuperSignal) -> CoefficientMap:
     """Plain pairings <f, T_gamma g> summed over channels, no weights applied.
 
@@ -131,18 +122,14 @@ def analysis_coeffs(system: SuperSystemDescriptor, f: SuperSignal) -> Coefficien
     group = system.group
     f_hat = _transform(f.stacked(), group)
     entries = []
-    covolumes = []
-    weights = []
     for layer in system.layers:
         rows = np.empty((len(layer.generators), layer.subgroup.order), dtype=np.complex128)
         if layer.generators:
-            g_hat = _window_spectra(layer.generators, group)
+            g_hat = _spectra([gen.windows for gen in layer.generators], group)
             pairing = np.einsum("png,ng->pg", g_hat.conj(), f_hat)
             rows[:] = _transform(pairing, group, inverse=True)[:, layer.subgroup.indices]
         entries.append(rows)
-        covolumes.append(layer.subgroup.covolume)
-        weights.append(np.array([gen.weight for gen in layer.generators], dtype=float))
-    return CoefficientMap(group, system.channels, entries, covolumes, weights)
+    return CoefficientMap(group, system.channels, entries)
 
 
 def synthesis(system: SuperSystemDescriptor, coeffs: CoefficientMap) -> SuperSignal:
@@ -170,16 +157,21 @@ def synthesis(system: SuperSystemDescriptor, coeffs: CoefficientMap) -> SuperSig
             continue
         placed = np.zeros((live.size, group.size), dtype=np.complex128)
         placed[:, layer.subgroup.indices] = scales[live, None] * rows[live]
-        g_hat = _window_spectra([layer.generators[p] for p in live], group)
+        g_hat = _spectra([layer.generators[p].windows for p in live], group)
         out_hat += np.einsum("pg,png->ng", _transform(placed, group), g_hat)
     return SuperSignal.from_stacked(group, _transform(out_hat, group, inverse=True))
 
 
+def _above_cap(channels: int, group: GroupSpec, cap: int) -> bool:
+    """Whether a dense operator on N channels over the group exceeds the cap."""
+    return channels * group.size > cap
+
+
 def _require_cap(system: SuperSystemDescriptor, cap: int) -> None:
-    total = system.channels * system.group.size
-    if total > cap:
+    if _above_cap(system.channels, system.group, cap):
         raise CapExceededError(
-            f"dense operation needs {total} rows, above the cap of {cap}"
+            f"dense operation needs {system.channels * system.group.size} rows, "
+            f"above the cap of {cap}"
         )
 
 

@@ -17,6 +17,7 @@ adjoint pullbacks) without expanding the system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,28 +25,29 @@ import numpy as np
 
 from .analysis import (
     DEFAULT_CAP,
+    _above_cap,
     default_tolerance,
     mixed_dual_gramian,
 )
 from .errors import NotAMultiplierError
-from .fourier import Signal, Spectrum, _roll, dft
+from .fourier import Signal, Spectrum, _roll, _spectra, dft
 from .groups import (
     Automorphism,
     Element,
     GroupSpec,
     Subgroup,
     character_column,
+    identity_automorphism,
     negation_index_table,
     translation_index_table,
+    trivial_subgroup,
 )
 from .systems import (
     SuperSystemDescriptor,
     Verdict,
     Witness,
     _validate_windows,
-    gabor_system,
     require_matching_structure,
-    wavelet_system,
     wavepacket_system,
 )
 
@@ -85,12 +87,8 @@ def fiber_table(
     contributors: dict[int, list[int]] = {}
     for j, (lf, lh) in enumerate(zip(f_system.layers, h_system.layers)):
         if lf.generators:
-            f_hat = np.stack(
-                [[dft(w).values for w in gen.windows] for gen in lf.generators]
-            )  # (P, N, |G|)
-            h_hat = np.stack(
-                [[dft(w).values for w in gen.windows] for gen in lh.generators]
-            )
+            f_hat = _spectra([gen.windows for gen in lf.generators], group)
+            h_hat = _spectra([gen.windows for gen in lh.generators], group)
             weights = np.array([gen.weight for gen in lf.generators])
             weighted_h_conj = h_hat.conj() * weights[:, None, None]
         else:
@@ -112,59 +110,50 @@ def fiber_table(
     )
 
 
-def _residual_blocks(
-    group: GroupSpec, data: dict[int, np.ndarray], dual_target: bool
-) -> dict[int, np.ndarray]:
-    out = {}
-    for off_idx, block in data.items():
-        resid = np.abs(block).astype(float) if not (dual_target and off_idx == 0) else None
-        if resid is None:
-            target = np.eye(block.shape[0], dtype=np.complex128)[:, :, None]
-            resid = np.abs(block - target)
-        out[off_idx] = resid
-    return out
+def _residual_stack(
+    data: dict[int, np.ndarray], dual: bool
+) -> tuple[list[int], np.ndarray]:
+    """Sorted offsets and the (K, N, N, |G|) stack of |fiber - target|.
+
+    The target is the identity at offset 0 for duality and zero everywhere
+    else; offset 0 lies in every annihilator, so it is always the first row.
+    """
+    offsets = sorted(data)
+    fibers = np.stack([data[k] for k in offsets])
+    if dual:
+        fibers[0] -= np.eye(fibers.shape[1])[:, :, None]
+    return offsets, np.abs(fibers)
 
 
-def _collect_witnesses(
-    group: GroupSpec, residuals: dict[int, np.ndarray]
-) -> list[Witness]:
-    """Worst frequency per (channel pair, offset), in index order."""
-    witnesses = []
-    for off_idx in sorted(residuals):
-        offset = group.element_at(off_idx)
-        block = residuals[off_idx]
-        n = block.shape[0]
-        for n1 in range(n):
-            for n2 in range(n):
-                xi_idx = int(np.argmax(block[n1, n2]))
-                witnesses.append(
-                    Witness(
-                        channels=(n1, n2),
-                        offset=offset,
-                        frequency=group.element_at(xi_idx),
-                        residual=float(block[n1, n2, xi_idx]),
-                    )
-                )
-    return witnesses
-
-
-def _duality_verdict(
+def _fiber_verdict(
     group: GroupSpec,
-    channels: int,
     data: dict[int, np.ndarray],
     tol: float,
     top_k: int,
     bessel: float | None,
+    dual: bool,
 ) -> Verdict:
-    residuals = _residual_blocks(group, data, dual_target=True)
-    witnesses = _collect_witnesses(group, residuals)
+    """One witness per (offset, n1, n2), at its worst frequency, in that order
+    (the order breaks ties in the ranking).  Duality verdicts also carry one
+    sub-verdict per channel pair in `blocks`."""
+    offsets, resid = _residual_stack(data, dual)
+    worst = resid.argmax(axis=-1)
+    values = resid.max(axis=-1).tolist()  # NaN where argmax found the first NaN
+    res = group.residue_matrix()
+    offset_elements = [tuple(row) for row in res[offsets].tolist()]
+    frequencies = res[worst].tolist()
+    witnesses = [
+        Witness((n1, n2), offset_elements[k], tuple(frequencies[k][n1][n2]), values[k][n1][n2])
+        for k, n1, n2 in np.ndindex(worst.shape)
+    ]
     verdict = Verdict.from_witnesses(witnesses, tol, top_k=top_k, bessel_bound=bessel)
-    blocks: dict[tuple[int, int], Verdict] = {}
-    for n1 in range(channels):
-        for n2 in range(channels):
-            pair_witnesses = [w for w in witnesses if w.channels == (n1, n2)]
-            blocks[(n1, n2)] = Verdict.from_witnesses(pair_witnesses, tol, top_k=top_k)
-    verdict.blocks = blocks
+    if dual:
+        n = resid.shape[1]
+        verdict.blocks = {
+            (n1, n2): Verdict.from_witnesses(witnesses[n1 * n + n2::n * n], tol, top_k=top_k)
+            for n1 in range(n)
+            for n2 in range(n)
+        }
     return verdict
 
 
@@ -180,9 +169,7 @@ def check_orthogonality(
     bessel = None
     if tol is None:
         tol, bessel = default_tolerance(f_system, h_system, cap=cap)
-    residuals = _residual_blocks(table.group, table.data, dual_target=False)
-    witnesses = _collect_witnesses(table.group, residuals)
-    return Verdict.from_witnesses(witnesses, tol, top_k=top_k, bessel_bound=bessel)
+    return _fiber_verdict(table.group, table.data, tol, top_k, bessel, dual=False)
 
 
 def check_super_duality(
@@ -202,7 +189,7 @@ def check_super_duality(
     bessel = None
     if tol is None:
         tol, bessel = default_tolerance(f_system, h_system, cap=cap)
-    return _duality_verdict(table.group, table.channels, table.data, tol, top_k, bessel)
+    return _fiber_verdict(table.group, table.data, tol, top_k, bessel, dual=True)
 
 
 def check_parseval_super(
@@ -234,25 +221,18 @@ def multiplier_symbol(
         raise ValueError(f"channel {channel} out of range")
     if tol is None:
         tol, _ = default_tolerance(f_system, h_system, cap=cap)
-    worst = 0.0
-    for off_idx, block in table.data.items():
-        mags = np.abs(block)
-        if off_idx == 0:
-            off_diag = mags.copy()
-            for c in range(table.channels):
-                off_diag[c, c] = 0.0
-            worst = max(worst, float(off_diag.max()))
-        else:
-            worst = max(worst, float(mags.max()))
+    _, resid = _residual_stack(table.data, dual=False)
+    diagonal = np.arange(table.channels)
+    resid[0, diagonal, diagonal] = 0.0  # the zero-offset diagonal is the symbol
+    worst = float(resid.max())
+    if not math.isfinite(worst):
+        worst = math.inf  # NaN fails as +inf, as in Verdict.from_witnesses
     if worst > tol:
         raise NotAMultiplierError(
             f"operator does not commute with translations "
             f"(off-translation residual {worst:.3e} > tol {tol:.3e})"
         )
-    zero_block = table.data.get(0)
-    if zero_block is None:
-        return Spectrum(table.group, np.zeros(table.group.size, dtype=np.complex128))
-    return Spectrum(table.group, zero_block[channel, channel].copy())
+    return Spectrum(table.group, table.data[0][channel, channel].copy())
 
 
 def commutation_defect(
@@ -353,8 +333,8 @@ def dual_integrability_sum(
     for lf, lh in zip(f_system.layers, h_system.layers):
         if not lf.generators:
             continue
-        g_abs = np.stack([np.abs(dft(gen.windows[0]).values) for gen in lf.generators])
-        h_abs = np.stack([np.abs(dft(gen.windows[0]).values) for gen in lh.generators])
+        g_abs = np.abs(_spectra([gen.windows for gen in lf.generators], group)[:, 0])
+        h_abs = np.abs(_spectra([gen.windows for gen in lh.generators], group)[:, 0])
         weights = np.array([gen.weight for gen in lf.generators])
         for off_idx in lf.subgroup.annihilator.indices:
             offset = group.element_at(int(off_idx))
@@ -396,6 +376,8 @@ def _structured_fiber_data(
     """
     group = translation.parent
     channels = _validate_structured_windows(f_windows, h_windows, group)
+    if automorphisms is not None and not automorphisms:
+        raise ValueError("need at least one automorphism")
     f_hat = np.stack([[dft(w).values for w in tup] for tup in f_windows])  # (J, N, |G|)
     h_hat = np.stack([[dft(w).values for w in tup] for tup in h_windows])
     h_hat_conj = h_hat.conj()
@@ -437,15 +419,39 @@ def _structured_fiber_data(
     return group, channels, data
 
 
-def _structured_tolerance(
-    expand_f,
-    expand_h,
+def _structured_verdict(
+    f_windows: Sequence[Sequence[Signal]],
+    h_windows: Sequence[Sequence[Signal]],
+    automorphisms: Sequence[Automorphism] | None,
+    translation: Subgroup,
+    modulation: Subgroup | None,
     tol: float | None,
+    top_k: int,
     cap: int,
-) -> tuple[float, float | None]:
-    if tol is not None:
-        return tol, None
-    return default_tolerance(expand_f(), expand_h(), cap=cap)
+) -> Verdict:
+    """Duality verdict of a structured pair from its structured fibers.
+
+    The default tolerance needs frame bounds, so it expands both systems
+    through `wavepacket_system` (Gabor: identity dilation; wavelet: trivial
+    modulation) unless they are above the cap, where the raw 1e-9 applies.
+    """
+    group, channels, data = _structured_fiber_data(
+        f_windows, h_windows, automorphisms, translation, modulation
+    )
+    bessel = None
+    if tol is None and _above_cap(channels, group, cap):
+        tol = 1e-9
+    elif tol is None:
+        if automorphisms is None:
+            automorphisms = [identity_automorphism(group)]
+        if modulation is None:
+            modulation = trivial_subgroup(group)
+        tol, bessel = default_tolerance(
+            wavepacket_system(f_windows, automorphisms, translation, modulation),
+            wavepacket_system(h_windows, automorphisms, translation, modulation),
+            cap=cap,
+        )
+    return _fiber_verdict(group, data, tol, top_k, bessel, dual=True)
 
 
 def check_gabor_duality(
@@ -459,16 +465,9 @@ def check_gabor_duality(
 ) -> Verdict:
     """Duality of two time-frequency systems over the same lattice pair,
     evaluated directly from base-window spectra."""
-    group, channels, data = _structured_fiber_data(
-        f_windows, h_windows, None, translation, modulation
+    return _structured_verdict(
+        f_windows, h_windows, None, translation, modulation, tol, top_k, cap
     )
-    tol, bessel = _structured_tolerance(
-        lambda: gabor_system(f_windows, translation, modulation),
-        lambda: gabor_system(h_windows, translation, modulation),
-        tol,
-        cap,
-    )
-    return _duality_verdict(group, channels, data, tol, top_k, bessel)
 
 
 def check_wavelet_duality(
@@ -482,16 +481,9 @@ def check_wavelet_duality(
 ) -> Verdict:
     """Duality of two dilation-translation systems, evaluated from base-window
     spectra with adjoint-pulled-back frequencies."""
-    group, channels, data = _structured_fiber_data(
-        f_windows, h_windows, automorphisms, translation, None
+    return _structured_verdict(
+        f_windows, h_windows, automorphisms, translation, None, tol, top_k, cap
     )
-    tol, bessel = _structured_tolerance(
-        lambda: wavelet_system(f_windows, automorphisms, translation),
-        lambda: wavelet_system(h_windows, automorphisms, translation),
-        tol,
-        cap,
-    )
-    return _duality_verdict(group, channels, data, tol, top_k, bessel)
 
 
 def check_wavepacket_duality(
@@ -506,13 +498,6 @@ def check_wavepacket_duality(
 ) -> Verdict:
     """Duality of two dilation-translation-modulation systems, evaluated from
     base-window spectra."""
-    group, channels, data = _structured_fiber_data(
-        f_windows, h_windows, automorphisms, translation, modulation
+    return _structured_verdict(
+        f_windows, h_windows, automorphisms, translation, modulation, tol, top_k, cap
     )
-    tol, bessel = _structured_tolerance(
-        lambda: wavepacket_system(f_windows, automorphisms, translation, modulation),
-        lambda: wavepacket_system(h_windows, automorphisms, translation, modulation),
-        tol,
-        cap,
-    )
-    return _duality_verdict(group, channels, data, tol, top_k, bessel)

@@ -43,15 +43,23 @@ def vector_to_json(values: np.ndarray) -> dict[str, list[float]]:
     return {"re": [float(v) for v in arr.real], "im": [float(v) for v in arr.imag]}
 
 
-def vector_from_json(doc: Any, expected_len: int, where: str) -> np.ndarray:
-    if not isinstance(doc, dict) or "re" not in doc or "im" not in doc:
+def _re_im(doc: Any, where: str) -> tuple[list, list]:
+    if not (isinstance(doc, dict) and isinstance(doc.get("re"), list)
+            and isinstance(doc.get("im"), list)):
         raise ConfigError(f"{where}: expected an object with 're' and 'im' arrays")
-    re, im = doc["re"], doc["im"]
+    return doc["re"], doc["im"]
+
+
+def vector_from_json(doc: Any, expected_len: int, where: str) -> np.ndarray:
+    re, im = _re_im(doc, where)
     if len(re) != expected_len or len(im) != expected_len:
         raise ConfigError(
             f"{where}: vector length {len(re)}/{len(im)} does not match group size {expected_len}"
         )
-    values = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    try:
+        values = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: 're' and 'im' must hold numbers ({exc})") from exc
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ConfigError(f"{where}: non-finite value at index {int(bad[0])}")
@@ -116,21 +124,25 @@ def _windows_from_doc(
     return out
 
 
+def _group_field(doc: dict, what: str) -> GroupSpec:
+    if "group" not in doc:
+        raise ConfigError(f"{what} document needs a 'group' field")
+    try:
+        return make_group(doc["group"])
+    except ValueError as exc:
+        raise ConfigError(f"{what} document: bad group field: {exc}") from exc
+
+
 def parse_config(doc: dict, seed: int = 0) -> SuperSystemDescriptor:
     """Turn a configuration document into a descriptor."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
-    if "group" not in doc:
-        raise ConfigError("configuration is missing the 'group' field")
-    try:
-        group = make_group(doc["group"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad group field: {exc}") from exc
+    group = _group_field(doc, "configuration")
     if "channels" not in doc:
         raise ConfigError("configuration is missing the 'channels' field")
     try:
         channels = int(doc["channels"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad channels field: {exc}") from exc
 
     structured = [k for k in ("gabor", "wavelet", "wavepacket", "layers") if k in doc]
@@ -272,12 +284,10 @@ def super_signal_to_json(signals: SuperSignal) -> dict:
 
 
 def super_signal_from_json(doc: Any, group: GroupSpec | None = None) -> SuperSignal:
-    if not isinstance(doc, dict) or "channels" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("channels"), list):
         raise ConfigError("signals document needs a 'channels' list")
     if group is None:
-        if "group" not in doc:
-            raise ConfigError("signals document needs a 'group' field")
-        group = make_group(doc["group"])
+        group = _group_field(doc, "signals")
     channels = [
         Signal(group, vector_from_json(ch, group.size, f"signal channel {n}"))
         for n, ch in enumerate(doc["channels"])
@@ -291,37 +301,32 @@ def coefficients_to_json(coeffs: CoefficientMap) -> dict:
         "channels": coeffs.channels,
         "layers": [
             {
-                "covolume": coeffs.covolumes[j],
-                "weights": [float(w) for w in coeffs.weights[j]],
-                "entries": [vector_to_json(row) for row in coeffs.entries[j]],
+                "entries": [vector_to_json(row) for row in rows],
             }
-            for j in range(len(coeffs.entries))
+            for rows in coeffs.entries
         ],
     }
 
 
 def coefficients_from_json(doc: Any) -> CoefficientMap:
-    if not isinstance(doc, dict) or "layers" not in doc:
+    """Decode a coefficients document; the measure data ('covolume' and
+    'weights') of files written by older versions is ignored."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
         raise ConfigError("coefficients document needs a 'layers' list")
-    group = make_group(doc["group"])
+    group = _group_field(doc, "coefficients")
+    channels = doc.get("channels", 1)
+    if not isinstance(channels, int) or isinstance(channels, bool):
+        raise ConfigError(f"coefficients document: bad channels field {channels!r}")
     entries = []
-    covolumes = []
-    weights = []
     for j, layer_doc in enumerate(doc["layers"]):
-        required = {"entries", "covolume", "weights"}
-        if not isinstance(layer_doc, dict) or not required <= layer_doc.keys():
-            raise ConfigError(
-                f"coefficients layer {j}: expected an object with keys {sorted(required)}"
-            )
+        if not isinstance(layer_doc, dict) or "entries" not in layer_doc:
+            raise ConfigError(f"coefficients layer {j}: expected an object with key 'entries'")
         rows = layer_doc["entries"]
-        if not rows:
+        if not isinstance(rows, list) or not rows:
             raise ConfigError(f"coefficients layer {j} has no entries")
-        width = len(rows[0]["re"])
-        mat = np.stack(
+        width = len(_re_im(rows[0], f"coefficients layer {j} row 0")[0])
+        entries.append(np.stack(
             [vector_from_json(row, width, f"coefficients layer {j} row {p}")
              for p, row in enumerate(rows)]
-        )
-        entries.append(mat)
-        covolumes.append(int(layer_doc["covolume"]))
-        weights.append(np.asarray(layer_doc["weights"], dtype=float))
-    return CoefficientMap(group, int(doc.get("channels", 1)), entries, covolumes, weights)
+        ))
+    return CoefficientMap(group, channels, entries)

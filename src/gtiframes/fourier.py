@@ -113,6 +113,11 @@ def _transform(values: np.ndarray, group: GroupSpec, inverse: bool = False) -> n
     return fft(grid, s=group.orders, axes=axes).reshape(lead + (group.size,))
 
 
+def _spectra(tuples: Sequence[Sequence[Signal]], group: GroupSpec) -> np.ndarray:
+    """(P, N, |G|) transforms of P window tuples of N channels each, in one call."""
+    return _transform(np.stack([[w.values for w in tup] for tup in tuples]), group)
+
+
 def _roll(values: np.ndarray, group: GroupSpec, offset: Sequence[int]) -> np.ndarray:
     """out[..., x] = values[..., x + offset] for stacked flat vectors."""
     lead = values.shape[:-1]

@@ -16,14 +16,16 @@ from itertools import combinations
 import numpy as np
 
 from .analysis import SuperSignal
-from .fourier import Signal, idft, Spectrum, random_signal
+from .fourier import Signal, _transform, random_signal
 from .groups import (
     Automorphism,
     GroupSpec,
     Subgroup,
+    _difference_table,
     automorphism_from_matrix,
     full_subgroup,
     make_group,
+    negation_index_table,
     subgroup_from_generators,
 )
 from .systems import GtiLayer, SuperSystemDescriptor, WeightedGenerator
@@ -136,21 +138,14 @@ def matched_random_pair(
     return build(), build()
 
 
-def _annihilator_cosets(group: GroupSpec, sub: Subgroup) -> list[list[int]]:
-    """Partition of the dual index set into cosets of the annihilator."""
-    ann = sub.annihilator
-    ann_elements = ann.elements()
-    covered = np.zeros(group.size, dtype=bool)
-    cosets = []
-    for start in range(group.size):
-        if covered[start]:
-            continue
-        rep = group.element_at(start)
-        coset = [group.index_of(group.add(rep, a)) for a in ann_elements]
-        for idx in coset:
-            covered[idx] = True
-        cosets.append(coset)
-    return cosets
+def _annihilator_cosets(group: GroupSpec, sub: Subgroup) -> np.ndarray:
+    """(|G|/|A|, |A|) dual indices of the cosets xi + A of the annihilator A:
+    one row per coset, rows ordered by their smallest index, entries by the
+    elements of A."""
+    ann = sub.annihilator.indices
+    # sums[xi, i] = index(xi + a_i), as the difference xi - (-a_i).
+    sums = _difference_table(group, negation_index_table(group)[ann]).T
+    return sums[sums.min(axis=1) == np.arange(group.size)]
 
 
 def _fiberwise_pair_layer(
@@ -184,18 +179,15 @@ def _fiberwise_pair_layer(
             hm = (np.eye(n_gens) - proj) @ rand / weights[:, None]
         else:
             hm = gm @ np.linalg.inv(gram) / weights[:, None]
-        for col, (n, xi_idx) in enumerate(
-            (n, xi_idx) for n in range(channels) for xi_idx in coset
-        ):
-            g_hat[:, n, xi_idx] = gm[:, col]
-            h_hat[:, n, xi_idx] = hm[:, col]
+        # Column n * |A| + i of a coset block is channel n at the coset's i-th index.
+        g_hat[:, :, coset] = gm.reshape(n_gens, channels, -1)
+        h_hat[:, :, coset] = hm.reshape(n_gens, channels, -1)
     def layer_from(hats: np.ndarray) -> GtiLayer:
-        gens = []
-        for p in range(n_gens):
-            windows = tuple(
-                idft(Spectrum(group, hats[p, n])) for n in range(channels)
-            )
-            gens.append(WeightedGenerator(float(weights[p]), windows))
+        windows = _transform(hats, group, inverse=True)
+        gens = [
+            WeightedGenerator(float(weights[p]), tuple(Signal(group, w) for w in windows[p]))
+            for p in range(n_gens)
+        ]
         return GtiLayer(sub, gens)
     return layer_from(g_hat), layer_from(h_hat)
 

@@ -18,7 +18,7 @@ from gtiframes import (
     delta_signal,
     full_subgroup,
 )
-from gtiframes.systems import GtiLayer, WeightedGenerator, translate
+from gtiframes.systems import GtiLayer, Verdict, WeightedGenerator, Witness, translate
 
 
 def brute_closure(group: GroupSpec, gens) -> set:
@@ -117,6 +117,33 @@ def loop_analysis_entry(system: SuperSystemDescriptor, f: SuperSignal, j: int, p
             shifted = group.sub(x, gamma)
             total += f.channels[n][x] * np.conj(w[shifted])
     return total
+
+
+def loop_fiber_verdict(table, tol: float, top_k: int, dual: bool) -> Verdict:
+    """Reference verdict from a fiber table by explicit loops: the worst
+    frequency of |fiber - target| per offset, then per channel pair; duality
+    verdicts get one sub-verdict per channel pair from a filtered list."""
+    group = table.group
+    n = table.channels
+    witnesses = []
+    for off_idx in sorted(table.data):
+        for n1 in range(n):
+            for n2 in range(n):
+                target = 1.0 if dual and off_idx == 0 and n1 == n2 else 0.0
+                resid = np.abs(table.data[off_idx][n1, n2] - target)
+                xi = int(np.argmax(resid))
+                witnesses.append(Witness((n1, n2), group.element_at(off_idx),
+                                         group.element_at(xi), float(resid[xi])))
+    verdict = Verdict.from_witnesses(witnesses, tol, top_k=top_k)
+    if dual:
+        verdict.blocks = {
+            (n1, n2): Verdict.from_witnesses(
+                [w for w in witnesses if w.channels == (n1, n2)], tol, top_k=top_k
+            )
+            for n1 in range(n)
+            for n2 in range(n)
+        }
+    return verdict
 
 
 def random_super(rng: np.random.Generator, group: GroupSpec, channels: int) -> SuperSignal:

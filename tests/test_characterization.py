@@ -35,10 +35,10 @@ from gtiframes import (
     wavepacket_system,
 )
 from gtiframes import Spectrum, automorphism_from_matrix, identity_automorphism
-from gtiframes.sweeps import dual_pair, matched_random_pair, random_automorphism
+from gtiframes.sweeps import dual_pair, matched_random_pair, random_automorphism, random_descriptor
 from gtiframes.systems import GtiLayer, SuperSystemDescriptor, WeightedGenerator
 
-from helpers import brute_character, channel_split_parseval, delta_system
+from helpers import brute_character, channel_split_parseval, delta_system, loop_fiber_verdict
 
 
 def loop_fiber_value(f_sys, h_sys, n1, n2, alpha, xi):
@@ -277,6 +277,15 @@ class TestMultiplierSymbol:
         with pytest.raises(NotAMultiplierError):
             multiplier_symbol(sys, sys)
 
+    def test_nan_window_is_refused(self):
+        g = make_group([8])
+        sub = subgroup_from_generators(g, [(2,)])
+        window = random_signal(g, 5)
+        window.values[3] = np.nan
+        sys = SuperSystemDescriptor(g, 1, [GtiLayer(sub, [WeightedGenerator(1.0, (window,))])])
+        with pytest.raises(NotAMultiplierError, match="inf"):
+            multiplier_symbol(sys, sys, tol=1e-9)
+
     def test_multi_channel_needs_explicit_channel(self):
         g = make_group([4])
         sys = channel_split_parseval(g)
@@ -438,6 +447,12 @@ class TestSpecializedChecks:
         )
         assert specialized.max_residual == pytest.approx(generic.max_residual, abs=1e-10)
 
+    def test_empty_automorphism_list_refused(self):
+        g = make_group([4])
+        windows = [[delta_signal(g)]]
+        with pytest.raises(ValueError, match="automorphism"):
+            check_wavelet_duality(windows, windows, [], full_subgroup(g), tol=1e-9)
+
     def test_random_automorphism_cases(self):
         rng = np.random.default_rng(131)
         for orders in [(8,), (2, 4), (3, 3)]:
@@ -509,3 +524,54 @@ class TestVerdictProperties:
         g = make_group([4])
         verdict = check_super_duality(delta_system(g), delta_system(g))
         assert verdict.bessel_bound == pytest.approx(1.0, abs=1e-9)
+
+
+def _nan_dual_pair():
+    f_sys, h_sys = dual_pair(np.random.default_rng(3), make_group([8]), 2)
+    h_sys.layers[0].generators[0].windows[1].values[3] = np.nan
+    return f_sys, h_sys
+
+
+def _two_layer_pair():
+    g = make_group([12])
+    # Annihilators {0, 6} and {0, 4, 8}: four offsets, two of them in one layer only.
+    subs = [subgroup_from_generators(g, [(2,)]), subgroup_from_generators(g, [(3,)])]
+    rng = np.random.default_rng(151)
+    return tuple(random_descriptor(rng, g, 2, 2, 2, subgroups=subs) for _ in range(2))
+
+
+class TestVerdictAssembly:
+    """The fiber verdicts against the per-pair loop reference, on full witness
+    lists: same witnesses in the same order, same blocks."""
+
+    @staticmethod
+    def key(verdict):
+        witnesses = [(w.channels, w.offset, w.frequency, repr(w.residual))
+                     for w in verdict.witnesses]
+        return verdict.passed, repr(verdict.max_residual), verdict.tolerance, witnesses
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            _two_layer_pair,
+            lambda: (delta_system(make_group([6]), 2), delta_system(make_group([6]), 2)),
+            lambda: (channel_split_parseval(make_group([4])),) * 2,
+            _nan_dual_pair,
+        ],
+        ids=["two-layers", "delta-ties", "channel-split", "nan-window"],
+    )
+    def test_matches_loop_reference(self, pair):
+        f_sys, h_sys = pair()
+        table = fiber_table(f_sys, h_sys)
+        top_k = 10**6
+        for check, dual in ((check_super_duality, True), (check_orthogonality, False)):
+            verdict = check(f_sys, h_sys, tol=1e-9, top_k=top_k)
+            reference = loop_fiber_verdict(table, 1e-9, top_k, dual)
+            assert len(verdict.witnesses) == len(table.data) * f_sys.channels ** 2
+            assert self.key(verdict) == self.key(reference)
+            if dual:
+                assert verdict.blocks.keys() == reference.blocks.keys()
+                for pair_key, block in verdict.blocks.items():
+                    assert self.key(block) == self.key(reference.blocks[pair_key])
+            else:
+                assert verdict.blocks is None

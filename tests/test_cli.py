@@ -224,9 +224,15 @@ class TestCheckCommand:
               "generators": [{"windows": ["delta"]}]}]}, "group"),
             ({"group": [True], "channels": 1, "layers": [{"subgroup_generators": [[0]],
               "generators": [{"windows": ["delta"]}]}]}, "group"),
+            ({"group": [4], "channels": float("inf"), "layers": PARSEVAL_DOC["layers"]},
+             "channels"),
+            *[({"group": [4], "channels": 1, "layers": [{"subgroup_generators": [[1]],
+                "generators": [{"windows": [window]}]}]}, "layer 0 generator 0 window 0")
+              for window in ({"re": 5, "im": 5},
+                             {"re": [10**400, 0, 0, 0], "im": [0, 0, 0, 0]})],
         ],
         ids=["layer", "generator", "channels", "weight-list", "weight-nan", "weight-inf",
-             "group-float", "group-bool"],
+             "group-float", "group-bool", "channels-inf", "window-re-int", "window-re-overflow"],
     )
     def test_malformed_config_exit_two(self, tmp_path, capsys, doc, where):
         cfg = write_json(tmp_path / "m.json", doc)
@@ -382,19 +388,61 @@ class TestMultiplexCommand:
             assert np.abs(np.array(a["re"]) - np.array(b["re"])).max() < 1e-9
             assert np.abs(np.array(a["im"]) - np.array(b["im"])).max() < 1e-9
 
+    def test_decode_ignores_measure_data_of_older_files(self, tmp_path, capsys):
+        f_cfg, h_cfg, sig = self._dual_pair_files(tmp_path)
+        coeffs = tmp_path / "c.json"
+        run_cli(capsys, "multiplex", f_cfg, h_cfg, "--signals", sig,
+                "--mode", "encode", "--coeffs-out", str(coeffs))
+        doc = json.loads(coeffs.read_text())
+        assert all(layer.keys() == {"entries"} for layer in doc["layers"])
+        outputs = []
+        for layer_extra in ({}, {"covolume": 1, "weights": [1.0]}):
+            for layer in doc["layers"]:
+                layer.update(layer_extra)
+            write_json(coeffs, doc)
+            out = tmp_path / f"rec{len(outputs)}.json"
+            code, _, _ = run_cli(capsys, "multiplex", f_cfg, h_cfg, "--coeffs", str(coeffs),
+                                 "--mode", "decode", "--signals-out", str(out))
+            assert code == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize(
-        "layer", [{"covolume": 1, "weights": [1.0]}, 1], ids=["no-entries", "not-an-object"]
+        "doc, where",
+        [
+            *[({"group": [8], "channels": 2, "layers": [layer]}, "coefficients layer 0")
+              for layer in ({"covolume": 1, "weights": [1.0]}, 1)],
+            ({"layers": []}, "'group'"),
+            *[({"group": [8], "channels": 2, "layers": [{"entries": rows}]},
+               "coefficients layer 0 row 0")
+              for rows in ([1], [{}], [{"re": [10**400], "im": [0]}])],
+        ],
+        ids=["no-entries", "not-an-object", "no-group", "entries-int", "entries-empty-object",
+             "re-overflow"],
     )
-    def test_malformed_coefficients_exit_two(self, tmp_path, capsys, layer):
+    def test_malformed_coefficients_exit_two(self, tmp_path, capsys, doc, where):
         f_cfg, h_cfg, _ = self._dual_pair_files(tmp_path)
-        coeffs = write_json(
-            tmp_path / "bad_c.json", {"group": [8], "channels": 2, "layers": [layer]}
-        )
+        coeffs = write_json(tmp_path / "bad_c.json", doc)
         code, report, err = run_cli(
             capsys, "multiplex", f_cfg, h_cfg, "--coeffs", coeffs, "--mode", "decode"
         )
         assert code == 2 and report is None
-        assert err.startswith("error:") and "coefficients layer 0" in err
+        assert err.startswith("error:") and where in err
+
+    @pytest.mark.parametrize(
+        "doc, where",
+        [({"channels": 5}, "'channels' list"),
+         ({"channels": [{"re": [10**400] + [0] * 7, "im": [0] * 8}]}, "signal channel 0")],
+        ids=["channels-int", "re-overflow"],
+    )
+    def test_malformed_signals_exit_two(self, tmp_path, capsys, doc, where):
+        f_cfg, h_cfg, _ = self._dual_pair_files(tmp_path)
+        sig = write_json(tmp_path / "bad_s.json", doc)
+        code, report, err = run_cli(
+            capsys, "multiplex", f_cfg, h_cfg, "--signals", sig, "--mode", "roundtrip"
+        )
+        assert code == 2 and report is None
+        assert err.startswith("error:") and where in err
 
     def test_non_integer_coefficients_group_exit_two(self, tmp_path, capsys):
         f_cfg, h_cfg, sig = self._dual_pair_files(tmp_path)
