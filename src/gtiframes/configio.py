@@ -140,10 +140,9 @@ def parse_config(doc: dict, seed: int = 0) -> SuperSystemDescriptor:
     group = _group_field(doc, "configuration")
     if "channels" not in doc:
         raise ConfigError("configuration is missing the 'channels' field")
-    try:
-        channels = int(doc["channels"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad channels field: {exc}") from exc
+    channels = doc["channels"]
+    if not isinstance(channels, int) or isinstance(channels, bool):
+        raise ConfigError(f"bad channels field: expected an integer, got {channels!r}")
 
     structured = [k for k in ("gabor", "wavelet", "wavepacket", "layers") if k in doc]
     if len(structured) != 1:
@@ -152,11 +151,13 @@ def parse_config(doc: dict, seed: int = 0) -> SuperSystemDescriptor:
             f"'wavelet', 'wavepacket' (found {structured or 'none'})"
         )
     kind = structured[0]
+    sec = doc[kind]
+    if kind != "layers" and not isinstance(sec, dict):
+        raise ConfigError(f"the '{kind}' section must be an object, got {sec!r}")
 
     if kind == "layers":
-        system = _parse_layers(group, channels, doc["layers"], seed)
+        system = _parse_layers(group, channels, sec, seed)
     elif kind == "gabor":
-        sec = doc["gabor"]
         windows = _windows_from_doc(group, sec.get("windows"), channels, "gabor windows", seed)
         translation = _subgroup_from_doc(group, sec.get("translation_generators"),
                                          "gabor translation_generators")
@@ -164,14 +165,12 @@ def parse_config(doc: dict, seed: int = 0) -> SuperSystemDescriptor:
                                         "gabor modulation_generators")
         system = gabor_system(windows, translation, modulation)
     elif kind == "wavelet":
-        sec = doc["wavelet"]
         windows = _windows_from_doc(group, sec.get("windows"), channels, "wavelet windows", seed)
         autos = _automorphisms_from_doc(group, sec.get("automorphism_matrices"))
         translation = _subgroup_from_doc(group, sec.get("translation_generators"),
                                          "wavelet translation_generators")
         system = wavelet_system(windows, autos, translation)
     else:
-        sec = doc["wavepacket"]
         windows = _windows_from_doc(group, sec.get("windows"), channels, "wavepacket windows", seed)
         autos = _automorphisms_from_doc(group, sec.get("automorphism_matrices"))
         translation = _subgroup_from_doc(group, sec.get("translation_generators"),

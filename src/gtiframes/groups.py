@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
+from math import gcd, lcm, prod
 import operator
 from typing import Iterable, Sequence
 
@@ -24,8 +24,6 @@ Element = tuple[int, ...]
 
 # Enumeration-based operations refuse to run past this size.
 ENUMERATION_CAP = 1 << 22
-
-_residue_cache: dict[tuple[int, ...], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -86,13 +84,15 @@ class GroupSpec:
         return (0,) * self.ndim
 
     def residue_matrix(self) -> np.ndarray:
-        """All elements as a (size, ndim) int64 matrix in index order."""
-        cached = _residue_cache.get(self.orders)
-        if cached is None:
-            grids = np.meshgrid(*[np.arange(n, dtype=np.int64) for n in self.orders], indexing="ij")
-            cached = np.stack([g.ravel() for g in grids], axis=1)
-            _residue_cache[self.orders] = cached
-        return cached
+        """All elements as a read-only (size, ndim) int64 matrix in index order."""
+        return self._residues
+
+    @cached_property
+    def _residues(self) -> np.ndarray:
+        grids = np.meshgrid(*[np.arange(n, dtype=np.int64) for n in self.orders], indexing="ij")
+        res = np.stack([g.ravel() for g in grids], axis=1)
+        res.flags.writeable = False
+        return res
 
     def elements(self) -> Iterable[Element]:
         return (tuple(int(v) for v in row) for row in self.residue_matrix())
@@ -165,7 +165,6 @@ class Subgroup:
 
     def __post_init__(self) -> None:
         self.indices = np.asarray(self.indices, dtype=np.int64)
-        self._index_set = frozenset(int(i) for i in self.indices)
 
     @property
     def order(self) -> int:
@@ -180,10 +179,7 @@ class Subgroup:
         return [self.parent.element_at(int(i)) for i in self.indices]
 
     def contains(self, element: Sequence[int]) -> bool:
-        return self.parent.index_of(element) in self._index_set
-
-    def contains_index(self, index: int) -> bool:
-        return int(index) in self._index_set
+        return self.parent.index_of(element) in self.indices
 
     def same_set(self, other: "Subgroup") -> bool:
         return self.parent.orders == other.parent.orders and np.array_equal(
@@ -208,56 +204,56 @@ class Subgroup:
         return f"<{gens}> of order {self.order} in {self.parent}"
 
 
+def _flat_index(group: GroupSpec, residues: np.ndarray) -> np.ndarray:
+    """Flat index of every residue row (last axis), reduced mod the orders first."""
+    reduced = residues % np.asarray(group.orders, dtype=np.int64)
+    return np.ravel_multi_index(tuple(np.moveaxis(reduced, -1, 0)), group.orders).astype(np.int64)
+
+
+def _extend(group: GroupSpec, members: np.ndarray, gen: Element) -> np.ndarray:
+    """Sorted indices of <S, gen> for the subgroup S at the sorted indices `members`.
+
+    <S, g> is the disjoint union of the cosets S + k*g for 0 <= k < m, where m
+    is the least k >= 1 with k*g in S.  The multiples run up to ord(g), whose
+    multiple is 0 and so always in S: m is ord(g) when <g> meets S only in 0.
+    """
+    order = lcm(*(n // gcd(r, n) for r, n in zip(gen, group.orders)))
+    multiples = np.arange(order + 1, dtype=np.int64)[:, None] * np.asarray(gen, dtype=np.int64)
+    mask = np.zeros(group.size, dtype=bool)
+    mask[members] = True
+    m = 1 + int(np.argmax(mask[_flat_index(group, multiples[1:])]))
+    res = group.residue_matrix()
+    return np.sort(_flat_index(group, res[members][None, :, :] + multiples[:m, None, :]).ravel())
+
+
 def _greedy_generators(group: GroupSpec, indices: np.ndarray) -> tuple[Element, ...]:
-    """Pick a small generating set for the subgroup given by sorted indices."""
-    target = frozenset(int(i) for i in indices)
-    if target == {0}:
-        return ()
+    """Pick a small generating set for the subgroup given by sorted indices.
+
+    The next generator is always the first target index not yet covered.
+    """
     gens: list[Element] = []
-    covered = {0}
-    for idx in indices:
-        idx = int(idx)
-        if idx in covered:
-            continue
-        gens.append(group.element_at(idx))
-        covered = _closure_indices(group, [group.element_at(i) for i in covered] + gens)
-        if covered == target:
-            break
+    covered = np.zeros(1, dtype=np.int64)
+    while covered.size < indices.size:
+        mask = np.zeros(group.size, dtype=bool)
+        mask[covered] = True
+        gens.append(group.element_at(int(indices[np.argmax(~mask[indices])])))
+        covered = _extend(group, covered, gens[-1])
     return tuple(gens)
-
-
-def _closure_indices(group: GroupSpec, gens: Sequence[Element]) -> set[int]:
-    closed = {0}
-    frontier = {0}
-    gen_tuples = [group.reduce(g) for g in gens]
-    steps = 0
-    while frontier:
-        steps += 1
-        if steps > group.size + 1:
-            raise RuntimeError("subgroup closure did not terminate")
-        new: set[int] = set()
-        for idx in frontier:
-            base = group.element_at(idx)
-            for g in gen_tuples:
-                nxt = group.index_of(group.add(base, g))
-                if nxt not in closed:
-                    new.add(nxt)
-        closed |= new
-        frontier = new
-    return closed
 
 
 def subgroup_from_generators(group: GroupSpec, gens: Sequence[Sequence[int]]) -> Subgroup:
     """Additive closure of the generators; always contains 0."""
     gen_tuples = tuple(group.reduce(g) for g in gens)
-    closed = _closure_indices(group, gen_tuples)
-    indices = np.array(sorted(closed), dtype=np.int64)
+    indices = np.zeros(1, dtype=np.int64)
+    for g in gen_tuples:
+        indices = _extend(group, indices, g)
     return Subgroup(group, gen_tuples, indices)
 
 
 def subgroup_from_indices(group: GroupSpec, indices: Iterable[int]) -> Subgroup:
     """Wrap an element set already known to be a subgroup."""
-    arr = np.array(sorted(int(i) for i in set(indices)), dtype=np.int64)
+    arr = np.sort(np.fromiter(indices, dtype=np.int64))
+    arr = arr[np.diff(arr, prepend=-1) > 0]
     gens = _greedy_generators(group, arr)
     return Subgroup(group, gens, arr)
 
@@ -273,12 +269,8 @@ def trivial_subgroup(group: GroupSpec) -> Subgroup:
 def _difference_table(group: GroupSpec, rows: np.ndarray | None = None) -> np.ndarray:
     """T[i, y] = index(y - x_i) for the elements x_i at `rows` (all when None)."""
     res = group.residue_matrix()
-    orders = np.asarray(group.orders, dtype=np.int64)
     gammas = res if rows is None else res[rows]
-    shifted = (res[None, :, :] - gammas[:, None, :]) % orders
-    return np.ravel_multi_index(
-        tuple(shifted[:, :, k] for k in range(group.ndim)), group.orders
-    ).astype(np.int64)
+    return _flat_index(group, res[None, :, :] - gammas[:, None, :])
 
 
 def translation_index_table(group: GroupSpec) -> np.ndarray:
@@ -350,12 +342,7 @@ class Automorphism:
 
 
 def _perm_from_matrix(group: GroupSpec, matrix: np.ndarray) -> np.ndarray:
-    res = group.residue_matrix()
-    orders = np.asarray(group.orders, dtype=np.int64)
-    mapped = (res @ matrix.T) % orders
-    return np.ravel_multi_index(
-        tuple(mapped[:, k] for k in range(group.ndim)), group.orders
-    ).astype(np.int64)
+    return _flat_index(group, group.residue_matrix() @ matrix.T)
 
 
 def automorphism_from_matrix(group: GroupSpec, matrix: Sequence[Sequence[int]]) -> Automorphism:

@@ -22,6 +22,8 @@ from .groups import (
     GroupSpec,
     Subgroup,
     _difference_table,
+    _extend,
+    _flat_index,
     automorphism_from_matrix,
     full_subgroup,
     make_group,
@@ -45,27 +47,33 @@ _subgroup_cache: dict[tuple[int, ...], list[Subgroup]] = {}
 
 
 def all_small_subgroups(group: GroupSpec, max_generators: int = 2) -> list[Subgroup]:
-    """Every distinct subgroup generated by at most `max_generators` elements."""
+    """Every distinct subgroup generated by at most `max_generators` elements.
+
+    Ordered by first generating set among (), the elements, then element pairs.
+    <x, y> depends only on <x> and <y>, and the first pair giving two distinct
+    cyclic subgroups is their pair of smallest generators.
+    """
     cached = _subgroup_cache.get(group.orders)
     if cached is not None:
         return cached
-    seen: dict[tuple[int, ...], Subgroup] = {}
-    elements = list(group.elements())
-    gen_sets = [()]
-    gen_sets += [(g,) for g in elements]
+    # The first unmarked element is the smallest generator of a new cyclic
+    # subgroup; its unit multiples are all the generators of that subgroup.
+    marked = np.arange(group.size) == 0
+    cyclic: list[Subgroup] = []
+    while not marked.all():
+        x = group.element_at(int(np.argmin(marked)))
+        cyclic.append(subgroup_from_generators(group, [x]))
+        k = np.arange(cyclic[-1].order)
+        marked[_flat_index(group, k[np.gcd(k, k.size) == 1, None] * np.asarray(x))] = True
+    seen = {s.indices.tobytes(): s for s in [subgroup_from_generators(group, []), *cyclic]}
     if max_generators >= 2:
-        gen_sets += list(combinations(elements, 2))
-    for gens in gen_sets:
-        sub = subgroup_from_generators(group, gens)
-        key = tuple(int(i) for i in sub.indices)
-        if key not in seen:
-            seen[key] = sub
+        for a, b in combinations(cyclic, 2):
+            joined = _extend(group, a.indices, b.generators[0])
+            seen.setdefault(joined.tobytes(), Subgroup(group, a.generators + b.generators, joined))
     # Groups needing more than two generators (e.g. three Z_2 factors) would
     # otherwise miss their own improper subgroup.
     whole = full_subgroup(group)
-    whole_key = tuple(int(i) for i in whole.indices)
-    if whole_key not in seen:
-        seen[whole_key] = whole
+    seen.setdefault(whole.indices.tobytes(), whole)
     out = list(seen.values())
     _subgroup_cache[group.orders] = out
     return out

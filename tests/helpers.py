@@ -7,6 +7,7 @@ explicit enumeration, characters from cmath, pairings by python loops.
 from __future__ import annotations
 
 import cmath
+from itertools import combinations
 
 import numpy as np
 
@@ -22,16 +23,55 @@ from gtiframes.systems import GtiLayer, Verdict, WeightedGenerator, Witness, tra
 
 
 def brute_closure(group: GroupSpec, gens) -> set:
-    """Additive closure by repeated pairwise sums until a fixed point."""
+    """Additive closure by repeated pairwise sums until a fixed point.
+
+    Each round adds the sums that involve an element new in the last round.
+    """
     current = {group.zero} | {group.reduce(g) for g in gens}
-    while True:
-        new = set(current)
-        for a in current:
-            for b in current:
-                new.add(group.add(a, b))
-        if new == current:
-            return current
-        current = new
+    fresh = current
+    while fresh:
+        fresh = {group.add(a, b) for a in fresh for b in current} - current
+        current = current | fresh
+    return current
+
+
+def loop_small_subgroups(group: GroupSpec, max_generators: int = 2) -> list:
+    """(sorted indices, generators) of every distinct subgroup generated by at
+    most `max_generators` elements, in the order of its first generating set
+    among (), the single elements and the element pairs, by element order;
+    the whole group last if no such set generates it."""
+    elements = list(group.elements())
+    gen_sets = [()] + [(x,) for x in elements]
+    if max_generators >= 2:
+        gen_sets += list(combinations(elements, 2))
+    # Closures are shared between generating sets with the same cyclic parts.
+    cyclic = {x: frozenset(brute_closure(group, [x])) for x in elements}
+    joins: dict = {}
+    seen: dict = {}
+    for gens in gen_sets:
+        parts = frozenset(cyclic[x] for x in gens)
+        if parts not in joins:
+            joins[parts] = frozenset(brute_closure(group, set().union(*parts)))
+        seen.setdefault(joins[parts], gens)
+    whole = frozenset(elements)
+    if whole not in seen:
+        seen[whole] = loop_greedy_generators(group, range(group.size))
+    return [(sorted(group.index_of(x) for x in sub), gens) for sub, gens in seen.items()]
+
+
+def loop_greedy_generators(group: GroupSpec, indices) -> tuple:
+    """Generators of the subgroup at `indices`: repeatedly the first index not
+    yet in the closure of the generators picked so far."""
+    target = set(int(i) for i in indices)
+    gens: list = []
+    covered = {0}
+    for idx in sorted(target):
+        if covered == target:
+            break
+        if idx not in covered:
+            gens.append(group.element_at(idx))
+            covered = {group.index_of(x) for x in brute_closure(group, gens)}
+    return tuple(gens)
 
 
 def brute_character(group: GroupSpec, xi, x) -> complex:

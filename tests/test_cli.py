@@ -230,9 +230,17 @@ class TestCheckCommand:
                 "generators": [{"windows": [window]}]}]}, "layer 0 generator 0 window 0")
               for window in ({"re": 5, "im": 5},
                              {"re": [10**400, 0, 0, 0], "im": [0, 0, 0, 0]})],
+            ({"group": [4], "channels": 1, "gabor": 5}, "'gabor' section"),
+            ({"group": [4], "channels": 1, "wavelet": []}, "'wavelet' section"),
+            ({"group": [4], "channels": 1, "wavepacket": "delta"}, "'wavepacket' section"),
+            *[({"group": [4], "channels": channels, "layers": [{"subgroup_generators": [[1]],
+                "generators": [{"windows": ["delta"]}]}]}, "channels")
+              for channels in (1.5, True)],
         ],
         ids=["layer", "generator", "channels", "weight-list", "weight-nan", "weight-inf",
-             "group-float", "group-bool", "channels-inf", "window-re-int", "window-re-overflow"],
+             "group-float", "group-bool", "channels-inf", "window-re-int", "window-re-overflow",
+             "gabor-number", "wavelet-list", "wavepacket-string", "channels-float",
+             "channels-bool"],
     )
     def test_malformed_config_exit_two(self, tmp_path, capsys, doc, where):
         cfg = write_json(tmp_path / "m.json", doc)

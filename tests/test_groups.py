@@ -16,8 +16,16 @@ from gtiframes import (
     full_subgroup,
 )
 from gtiframes.groups import GroupSpec, translation_index_table
+from gtiframes.sweeps import all_small_subgroups
 
-from helpers import brute_annihilator, brute_character, brute_closure
+from helpers import (
+    all_groups_upto,
+    brute_annihilator,
+    brute_character,
+    brute_closure,
+    loop_greedy_generators,
+    loop_small_subgroups,
+)
 
 small_orders = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3)
 
@@ -63,6 +71,12 @@ class TestGroupSpec:
         g = make_group(orders)
         idx = raw % g.size
         assert g.index_of(g.element_at(idx)) == idx
+
+    def test_residue_matrix_is_read_only(self):
+        g = make_group([4, 6])
+        with pytest.raises(ValueError):
+            g.residue_matrix()[1, 1] = 5
+        assert make_group([4, 6]).residue_matrix()[1, 1] == 1
 
     def test_reduce_idempotent(self):
         g = make_group([4, 6])
@@ -123,12 +137,17 @@ class TestSubgroups:
         assert sub.covolume == 6
 
     def test_product_closure_matches_brute_force(self):
-        g = make_group([4, 4])
-        gens = [(2, 0), (0, 2)]
-        sub = subgroup_from_generators(g, gens)
-        assert set(sub.elements()) == brute_closure(g, gens)
-        assert sub.order == 4
-        assert sub.covolume == 4
+        # In the last two cases <g> meets the closure so far only in 0.
+        for orders, gens, order in [
+            ((4, 4), [(2, 0), (0, 2)], 4),
+            ((6,), [(2,), (3,)], 6),
+            ((2, 4), [(1, 0), (0, 1)], 8),
+        ]:
+            g = make_group(orders)
+            sub = subgroup_from_generators(g, gens)
+            assert set(sub.elements()) == brute_closure(g, gens)
+            assert sub.order == order
+            assert sub.covolume == g.size // order
 
     def test_translate_table(self):
         g = make_group([4])
@@ -138,6 +157,36 @@ class TestSubgroups:
         # Row for gamma=2 shifts by two positions.
         row = list(sub.elements()).index((2,))
         assert list(values[table[row]]) == [2.0, 3.0, 0.0, 1.0]
+
+
+def _automorphisms(g):
+    """Negation, unit scalings and shears of g, where they are automorphisms."""
+    eye = np.eye(g.ndim, dtype=int)
+    candidates = [-eye, 3 * eye, 5 * eye, eye + np.triu(np.ones_like(eye), 1),
+                  eye + np.tril(np.ones_like(eye), -1)]
+    autos = []
+    for mat in candidates:
+        try:
+            autos.append(automorphism_from_matrix(g, mat.tolist()))
+        except ValueError:
+            pass
+    return autos
+
+
+@pytest.mark.parametrize("g", all_groups_upto(64), ids=str)
+class TestClosureMatchesLoops:
+    def test_small_subgroups_match_pairwise_enumeration(self, g):
+        got = [(s.indices.tolist(), s.generators, s.order) for s in all_small_subgroups(g)]
+        assert got == [(idx, gens, len(idx)) for idx, gens in loop_small_subgroups(g)]
+
+    def test_generators_from_indices_match_greedy_loop(self, g):
+        for sub in all_small_subgroups(g):
+            derived = [sub.annihilator]
+            for auto in _automorphisms(g):
+                derived += [auto.inverse_image(sub), auto.adjoint_image(sub.annihilator)]
+            for d in derived:
+                assert d.generators == loop_greedy_generators(g, d.indices)
+                assert set(d.elements()) == brute_closure(g, d.generators)
 
 
 class TestAnnihilator:
