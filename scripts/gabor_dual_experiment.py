@@ -4,7 +4,8 @@
 For each (translation, modulation) subgroup pair of Z_n, draw random
 windows, compute frame bounds, and where the system is a frame solve for
 the canonical dual and certify it.  Prints a table of density vs bounds
-vs certification residual.
+vs certification residual; exits 1 when a canonical dual fails its
+duality check.
 """
 
 import argparse
@@ -34,6 +35,7 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     subgroups = sorted(all_small_subgroups(group), key=lambda s: -s.order)
 
+    failures = 0
     print(f"group {group}: |translation| x |modulation| / |G| = redundancy")
     print(f"{'trans':>6} {'mod':>6} {'redundancy':>10} {'lower':>10} {'upper':>10} "
           f"{'dual residual':>14}")
@@ -57,8 +59,12 @@ def main() -> int:
                     continue
                 verdict = check_gabor_duality([[w]], [[dual]], trans, mod)
                 residuals.append(verdict.max_residual)
+                failures += not verdict.passed
             worst = max(residuals) if residuals else float("nan")
             print(line + f" {worst:14.3e}")
+    if failures:
+        print(f"{failures} canonical duals failed the duality check")
+        return 1
     return 0
 
 

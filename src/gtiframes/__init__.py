@@ -27,7 +27,6 @@ from .characterization import (
     check_wavelet_duality,
     check_wavepacket_duality,
     commutation_defect,
-    dual_integrability_sum,
     fiber_table,
     multiplier_symbol,
     quadratic_form_series,

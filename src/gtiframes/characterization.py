@@ -10,16 +10,21 @@ pair (n1, n2),
 The pair is dual exactly when the diagonal fibers equal 1 at offset 0 and
 vanish elsewhere, and orthogonal exactly when every fiber vanishes; the
 dense mixed dual Gramian of `analysis` is the independent oracle for both.
-Specialized Gabor / wavelet / wave-packet checks evaluate the same fibers
-straight from the structured data (base-window spectra, modulation shifts,
-adjoint pullbacks) without expanding the system.
+
+Fibers come from coset blocks: on each coset c + A of a layer annihilator
+A, the window spectra form one block per system, and the fiber Gramian
+H_c* W F_c holds the fibers at every offset of A at once.  Specialized
+Gabor / wavelet / wave-packet checks evaluate the same fibers straight from
+the structured data (base-window spectra, modulation cosets, adjoint
+pullbacks) without expanding the system.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,19 +35,21 @@ from .analysis import (
     mixed_dual_gramian,
 )
 from .errors import NotAMultiplierError
-from .fourier import Signal, Spectrum, _roll, _spectra, dft
+from .fourier import Signal, Spectrum, _spectra, _transform, dft
 from .groups import (
     Automorphism,
     Element,
     GroupSpec,
     Subgroup,
-    character_column,
+    _difference_table,
+    _flat_index,
     identity_automorphism,
     negation_index_table,
     translation_index_table,
     trivial_subgroup,
 )
 from .systems import (
+    GtiLayer,
     SuperSystemDescriptor,
     Verdict,
     Witness,
@@ -54,22 +61,96 @@ from .systems import (
 
 @dataclass(eq=False)
 class FiberTable:
-    """Fiber correlations of a system pair, one (N, N, |G|) block per offset."""
+    """Fiber correlations of a system pair: one (N, N, |G|) block per offset,
+    stacked at the sorted offset indices.
+
+    `layer_mask[k, j]` says whether offset k lies in the annihilator of
+    layer j; `data` and `contributors` give the same by offset index.
+    """
 
     group: GroupSpec
     channels: int
-    data: dict[int, np.ndarray] = field(repr=False)
-    contributors: dict[int, tuple[int, ...]]
+    offset_indices: np.ndarray
+    stack: np.ndarray = field(repr=False)
+    layer_mask: np.ndarray = field(repr=False)
+
+    @cached_property
+    def data(self) -> dict[int, np.ndarray]:
+        return dict(zip(self.offset_indices.tolist(), self.stack))
+
+    @cached_property
+    def contributors(self) -> dict[int, tuple[int, ...]]:
+        return {
+            off: tuple(np.flatnonzero(row).tolist())
+            for off, row in zip(self.offset_indices.tolist(), self.layer_mask)
+        }
 
     @property
     def offsets(self) -> tuple[Element, ...]:
-        return tuple(self.group.element_at(i) for i in sorted(self.data))
+        return tuple(self.group.element_at(i) for i in self.offset_indices.tolist())
 
     def fiber(self, n1: int, n2: int, offset: Sequence[int]) -> Spectrum:
         idx = self.group.index_of(offset)
         if idx not in self.data:
             raise KeyError(f"offset {tuple(offset)} is not in any layer annihilator")
         return Spectrum(self.group, self.data[idx][n1, n2].copy())
+
+
+def _coset_fibers(spectra: np.ndarray, weights: np.ndarray, ann: Subgroup) -> np.ndarray:
+    """(|A|, N, N, |G|) fibers of one layer at the offsets a_k of its annihilator A,
+    from the (2P, N, |G|) spectra of its P generators in F and then in H:
+
+        out[k, n1, n2, xi] = sum_p weights[p] * conj(Hhat_p,n1(xi)) * Fhat_p,n2(xi + a_k).
+
+    The spectra of one coset c + A form (P, N|A|) blocks F_c and H_c, column
+    (n, i) at c + a_i, and the fiber Gramian H_c* W F_c holds
+    fiber[a_k](c + a_i) at entry [(n1, i), (n2, j)], where a_j = a_i + a_k.
+    """
+    group = ann.parent
+    p = len(weights)
+    _, n, size = spectra.shape
+    cosets = ann.cosets
+    count, order = cosets.shape
+    cols = (cosets[:, None, :] + size * np.arange(n)[:, None]).reshape(count, n * order)
+    blocks = spectra.reshape(2 * p, n * size)[:, cols]  # F_c and H_c, as (2P, C, N|A|)
+    np.conjugate(blocks[p:], out=blocks[p:])
+    blocks[p:] *= weights[:, None, None]
+    # einsum adds the generators in index order whatever the block shape, so
+    # a fiber does not depend on how its layer falls into cosets.
+    products = np.einsum("pci,pcj->cij", blocks[p:], blocks[:p])
+    del blocks  # freed before the output is gathered
+    # Coset row and column of every frequency; moved[k, xi] is the column of xi + a_k.
+    position = np.empty(size, dtype=np.int64)
+    position[cosets.ravel()] = np.arange(size)
+    row, col = np.divmod(position, order)
+    res = group.residue_matrix()[ann.indices]
+    moved = col[_flat_index(group, res[:, None, :] + res[None, :, :])][:, col]
+    channel = np.arange(n)
+    return products.reshape(count, n, order, n, order)[
+        row, channel[:, None, None], col, channel[:, None], moved[:, None, None, :]
+    ]
+
+
+def _summed_table(
+    group: GroupSpec,
+    channels: int,
+    keys: Sequence[np.ndarray],
+    parts: Iterable[np.ndarray | None],
+) -> FiberTable:
+    """Add each part's (len(keys[j]), N, N, |G|) fibers (None: zeros) at its
+    offset indices keys[j], into one table over the sorted union of the keys."""
+    member = np.zeros((len(keys), group.size), dtype=bool)
+    for j, k in enumerate(keys):
+        member[j, k] = True
+    offsets = np.flatnonzero(member.any(axis=0))
+    stack = None
+    for k, part in zip(keys, parts):
+        # Allocated once the first part is done and its temporaries are freed.
+        if stack is None:
+            stack = np.zeros((offsets.size, channels, channels, group.size), dtype=np.complex128)
+        if part is not None:
+            stack[np.searchsorted(offsets, k)] += part
+    return FiberTable(group, channels, offsets, stack, member[:, offsets].T)
 
 
 def fiber_table(
@@ -82,52 +163,24 @@ def fiber_table(
     """
     require_matching_structure(f_system, h_system)
     group = f_system.group
-    n = f_system.channels
-    data: dict[int, np.ndarray] = {}
-    contributors: dict[int, list[int]] = {}
-    for j, (lf, lh) in enumerate(zip(f_system.layers, h_system.layers)):
-        if lf.generators:
-            f_hat = _spectra([gen.windows for gen in lf.generators], group)
-            h_hat = _spectra([gen.windows for gen in lh.generators], group)
-            weights = np.array([gen.weight for gen in lf.generators])
-            weighted_h_conj = h_hat.conj() * weights[:, None, None]
-        else:
-            weighted_h_conj = None
-        for off_idx in lf.subgroup.annihilator.indices:
-            off_idx = int(off_idx)
-            if off_idx not in data:
-                data[off_idx] = np.zeros((n, n, group.size), dtype=np.complex128)
-            if weighted_h_conj is not None:
-                offset = group.element_at(off_idx)
-                shifted = _roll(f_hat, group, offset)
-                data[off_idx] += np.einsum("pag,pbg->abg", weighted_h_conj, shifted)
-            contributors.setdefault(off_idx, []).append(j)
-    return FiberTable(
-        group=group,
-        channels=n,
-        data=data,
-        contributors={k: tuple(v) for k, v in contributors.items()},
+
+    def layer_fibers(lf: GtiLayer, lh: GtiLayer) -> np.ndarray | None:
+        if not lf.generators:
+            return None
+        spectra = _spectra([gen.windows for gen in lf.generators + lh.generators], group)
+        weights = np.array([gen.weight for gen in lf.generators])
+        return _coset_fibers(spectra, weights, lf.subgroup.annihilator)
+
+    return _summed_table(
+        group,
+        f_system.channels,
+        [layer.subgroup.annihilator.indices for layer in f_system.layers],
+        (layer_fibers(lf, lh) for lf, lh in zip(f_system.layers, h_system.layers)),
     )
 
 
-def _residual_stack(
-    data: dict[int, np.ndarray], dual: bool
-) -> tuple[list[int], np.ndarray]:
-    """Sorted offsets and the (K, N, N, |G|) stack of |fiber - target|.
-
-    The target is the identity at offset 0 for duality and zero everywhere
-    else; offset 0 lies in every annihilator, so it is always the first row.
-    """
-    offsets = sorted(data)
-    fibers = np.stack([data[k] for k in offsets])
-    if dual:
-        fibers[0] -= np.eye(fibers.shape[1])[:, :, None]
-    return offsets, np.abs(fibers)
-
-
 def _fiber_verdict(
-    group: GroupSpec,
-    data: dict[int, np.ndarray],
+    table: FiberTable,
     tol: float,
     top_k: int,
     bessel: float | None,
@@ -135,12 +188,15 @@ def _fiber_verdict(
 ) -> Verdict:
     """One witness per (offset, n1, n2), at its worst frequency, in that order
     (the order breaks ties in the ranking).  Duality verdicts also carry one
-    sub-verdict per channel pair in `blocks`."""
-    offsets, resid = _residual_stack(data, dual)
+    sub-verdict per channel pair in `blocks`.  The duality target is the
+    identity at offset 0, which lies in every annihilator: the first row."""
+    resid = np.abs(table.stack)
+    if dual:
+        resid[0] = np.abs(table.stack[0] - np.eye(table.channels)[:, :, None])
     worst = resid.argmax(axis=-1)
     values = resid.max(axis=-1).tolist()  # NaN where argmax found the first NaN
-    res = group.residue_matrix()
-    offset_elements = [tuple(row) for row in res[offsets].tolist()]
+    res = table.group.residue_matrix()
+    offset_elements = [tuple(row) for row in res[table.offset_indices].tolist()]
     frequencies = res[worst].tolist()
     witnesses = [
         Witness((n1, n2), offset_elements[k], tuple(frequencies[k][n1][n2]), values[k][n1][n2])
@@ -169,7 +225,7 @@ def check_orthogonality(
     bessel = None
     if tol is None:
         tol, bessel = default_tolerance(f_system, h_system, cap=cap)
-    return _fiber_verdict(table.group, table.data, tol, top_k, bessel, dual=False)
+    return _fiber_verdict(table, tol, top_k, bessel, dual=False)
 
 
 def check_super_duality(
@@ -189,7 +245,7 @@ def check_super_duality(
     bessel = None
     if tol is None:
         tol, bessel = default_tolerance(f_system, h_system, cap=cap)
-    return _fiber_verdict(table.group, table.data, tol, top_k, bessel, dual=True)
+    return _fiber_verdict(table, tol, top_k, bessel, dual=True)
 
 
 def check_parseval_super(
@@ -221,7 +277,7 @@ def multiplier_symbol(
         raise ValueError(f"channel {channel} out of range")
     if tol is None:
         tol, _ = default_tolerance(f_system, h_system, cap=cap)
-    _, resid = _residual_stack(table.data, dual=False)
+    resid = np.abs(table.stack)
     diagonal = np.arange(table.channels)
     resid[0, diagonal, diagonal] = 0.0  # the zero-offset diagonal is the symbol
     worst = float(resid.max())
@@ -232,7 +288,7 @@ def multiplier_symbol(
             f"operator does not commute with translations "
             f"(off-translation residual {worst:.3e} > tol {tol:.3e})"
         )
-    return Spectrum(table.group, table.data[0][channel, channel].copy())
+    return Spectrum(table.group, table.stack[0, channel, channel].copy())
 
 
 def commutation_defect(
@@ -292,64 +348,41 @@ def quadratic_form_series(
         matrix = mixed_dual_gramian(f_system, h_system, cap=cap)
     group = f.group
     size = group.size
-    table = translation_index_table(group)
-    values = np.empty(size, dtype=np.complex128)
-    for x_idx in range(size):
-        tf = f.values[table[x_idx]]
-        values[x_idx] = np.vdot(tf, matrix @ tf)
-
+    shifts = f.values[translation_index_table(group)]  # row x is T_x f
+    values = np.einsum("xi,xi->x", shifts.conj(), shifts @ matrix.T)
     if fibers is None:
         fibers = fiber_table(f_system, h_system)
     f_hat = dft(f).values
-    coefficients: dict[Element, complex] = {}
-    series = np.zeros(size, dtype=np.complex128)
-    for off_idx in sorted(fibers.data):
-        offset = group.element_at(off_idx)
-        shifted = _roll(f_hat, group, offset)
-        w_hat = complex(np.sum(f_hat * shifted.conj() * fibers.data[off_idx][0, 0]) / size)
-        coefficients[offset] = w_hat
-        series += character_column(group, offset) * w_hat
+    offsets = fibers.offset_indices
+    # shifted[k, xi] = fhat(xi + offset_k), as the difference xi - (-offset_k).
+    shifted = f_hat[_difference_table(group, negation_index_table(group)[offsets])]
+    w_hat = (f_hat * shifted.conj() * fibers.stack[:, 0, 0]).sum(axis=-1) / size
+    # The series sum_k <offset_k, x> w_hat_k is |G| times the inverse
+    # transform of w_hat placed at the offsets.
+    placed = np.zeros(size, dtype=np.complex128)
+    placed[offsets] = w_hat
+    series = size * _transform(placed, group, inverse=True)
     residual = float(np.abs(values - series).max())
-    return QuadraticSeriesReport(values, coefficients, residual)
+    return QuadraticSeriesReport(values, dict(zip(fibers.offsets, w_hat.tolist())), residual)
 
 
-def dual_integrability_sum(
-    f_system: SuperSystemDescriptor,
-    h_system: SuperSystemDescriptor,
-    f: Signal,
-) -> float:
-    """Finite local-integrability sum of the pair against a probe signal.
-
-    Always finite here; reported for completeness, never used as a gate.
-    """
-    require_matching_structure(f_system, h_system)
-    if f_system.channels != 1:
-        raise ValueError("the integrability sum is defined for single-channel systems")
-    if f.group.orders != f_system.group.orders:
-        raise ValueError("signal group does not match system group")
-    group = f.group
-    f_abs = np.abs(dft(f).values)
-    total = 0.0
-    for lf, lh in zip(f_system.layers, h_system.layers):
-        if not lf.generators:
-            continue
-        g_abs = np.abs(_spectra([gen.windows for gen in lf.generators], group)[:, 0])
-        h_abs = np.abs(_spectra([gen.windows for gen in lh.generators], group)[:, 0])
-        weights = np.array([gen.weight for gen in lf.generators])
-        for off_idx in lf.subgroup.annihilator.indices:
-            offset = group.element_at(int(off_idx))
-            f_shift = _roll(f_abs, group, offset)
-            h_shift = _roll(h_abs, group, offset)
-            per_gen = (g_abs * h_shift) @ (f_abs * f_shift)
-            total += float(weights @ per_gen) / group.size
-    return total
-
-
-def _validate_structured_windows(
+def _structured_fibers(
     f_windows: Sequence[Sequence[Signal]],
     h_windows: Sequence[Sequence[Signal]],
-    group: GroupSpec,
-) -> int:
+    automorphisms: Sequence[Automorphism] | None,
+    translation: Subgroup,
+    modulation: Subgroup | None,
+) -> FiberTable:
+    """Fibers of a structured system pair from base-window spectra only.
+
+    The correlation of the base windows at the offsets delta of ann(Gamma)
+    does not depend on the dilation: it is computed once and periodized over
+    the modulation subgroup by one sum per coset.  Dilation level alpha, with
+    adjoint beta, then moves offset delta to beta(delta) and pulls the
+    frequency back through beta^-1; no automorphisms is the Gabor case, one
+    level with no relabelling.  Contributors are the dilation levels.
+    """
+    group = translation.parent
     if len(f_windows) != len(h_windows):
         raise ValueError(
             f"window lists have different lengths ({len(f_windows)} vs {len(h_windows)})"
@@ -357,66 +390,24 @@ def _validate_structured_windows(
     channels = _validate_windows(f_windows, group)
     if _validate_windows(h_windows, group) != channels:
         raise ValueError("all window tuples must have the same channel count")
-    return channels
-
-
-def _structured_fiber_data(
-    f_windows: Sequence[Sequence[Signal]],
-    h_windows: Sequence[Sequence[Signal]],
-    automorphisms: Sequence[Automorphism] | None,
-    translation: Subgroup,
-    modulation: Subgroup | None,
-) -> tuple[GroupSpec, int, dict[int, np.ndarray]]:
-    """Fibers of a structured system pair from base-window spectra only.
-
-    Per dilation level: correlate pulled-back spectra at the inverse-adjoint
-    offset, periodize over the modulation subgroup, then pull the frequency
-    variable back through the adjoint.  Identity dilation short-circuits to
-    plain shifts, which is the Gabor case.
-    """
-    group = translation.parent
-    channels = _validate_structured_windows(f_windows, h_windows, group)
     if automorphisms is not None and not automorphisms:
         raise ValueError("need at least one automorphism")
-    f_hat = np.stack([[dft(w).values for w in tup] for tup in f_windows])  # (J, N, |G|)
-    h_hat = np.stack([[dft(w).values for w in tup] for tup in h_windows])
-    h_hat_conj = h_hat.conj()
-    lam_elements = list(modulation.elements()) if modulation is not None else None
-    base_ann = translation.annihilator
-    data: dict[int, np.ndarray] = {}
-    levels: Sequence[Automorphism | None] = (
-        automorphisms if automorphisms is not None else [None]
+    if any(alpha.parent.orders != group.orders for alpha in automorphisms or ()):
+        raise ValueError("automorphism group mismatch")
+    spectra = np.stack([[dft(w).values for w in tup] for tup in [*f_windows, *h_windows]])
+    ann = translation.annihilator
+    base = _coset_fibers(spectra, np.ones(len(f_windows)), ann)
+    if modulation is not None:
+        cosets = modulation.cosets
+        base[..., cosets] = base[..., cosets].sum(axis=-1, keepdims=True)
+    if automorphisms is None:
+        return FiberTable(group, channels, ann.indices, base, np.ones((ann.order, 1), dtype=bool))
+    return _summed_table(
+        group,
+        channels,
+        [alpha.adjoint_perm[ann.indices] for alpha in automorphisms],
+        (base[..., alpha.adjoint_inv_perm] for alpha in automorphisms),
     )
-    for alpha in levels:
-        if alpha is None or alpha.is_identity:
-            offset_indices = base_ann.indices
-            pullback = None
-            inv_adjoint = None
-        else:
-            if alpha.parent.orders != group.orders:
-                raise ValueError("automorphism group mismatch")
-            offset_indices = alpha.adjoint_image(base_ann).indices
-            pullback = alpha.adjoint_inv_perm
-            inv_adjoint = alpha.adjoint_inv_perm
-        for off_idx in offset_indices:
-            off_idx = int(off_idx)
-            if inv_adjoint is None:
-                delta = group.element_at(off_idx)
-            else:
-                delta = group.element_at(int(inv_adjoint[off_idx]))
-            corr = np.einsum("jag,jbg->abg", h_hat_conj, _roll(f_hat, group, delta))
-            if lam_elements is not None:
-                acc = np.zeros_like(corr)
-                for chi in lam_elements:
-                    acc += _roll(corr, group, group.neg(chi))
-                corr = acc
-            if pullback is not None:
-                corr = corr[:, :, pullback]
-            if off_idx in data:
-                data[off_idx] += corr
-            else:
-                data[off_idx] = corr
-    return group, channels, data
 
 
 def _structured_verdict(
@@ -435,11 +426,10 @@ def _structured_verdict(
     through `wavepacket_system` (Gabor: identity dilation; wavelet: trivial
     modulation) unless they are above the cap, where the raw 1e-9 applies.
     """
-    group, channels, data = _structured_fiber_data(
-        f_windows, h_windows, automorphisms, translation, modulation
-    )
+    table = _structured_fibers(f_windows, h_windows, automorphisms, translation, modulation)
+    group = table.group
     bessel = None
-    if tol is None and _above_cap(channels, group, cap):
+    if tol is None and _above_cap(table.channels, group, cap):
         tol = 1e-9
     elif tol is None:
         if automorphisms is None:
@@ -451,7 +441,7 @@ def _structured_verdict(
             wavepacket_system(h_windows, automorphisms, translation, modulation),
             cap=cap,
         )
-    return _fiber_verdict(group, data, tol, top_k, bessel, dual=True)
+    return _fiber_verdict(table, tol, top_k, bessel, dual=True)
 
 
 def check_gabor_duality(

@@ -99,7 +99,7 @@ def _subgroup_from_doc(group: GroupSpec, gens: Any, where: str) -> Subgroup:
     if not isinstance(gens, list):
         raise ConfigError(f"{where}: expected a list of generator tuples")
     try:
-        return subgroup_from_generators(group, [tuple(int(v) for v in g) for g in gens])
+        return subgroup_from_generators(group, [tuple(g) for g in gens])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: bad subgroup generators: {exc}") from exc
 
@@ -166,13 +166,15 @@ def parse_config(doc: dict, seed: int = 0) -> SuperSystemDescriptor:
         system = gabor_system(windows, translation, modulation)
     elif kind == "wavelet":
         windows = _windows_from_doc(group, sec.get("windows"), channels, "wavelet windows", seed)
-        autos = _automorphisms_from_doc(group, sec.get("automorphism_matrices"))
+        autos = _automorphisms_from_doc(group, sec.get("automorphism_matrices"),
+                                        "wavelet automorphism_matrices")
         translation = _subgroup_from_doc(group, sec.get("translation_generators"),
                                          "wavelet translation_generators")
         system = wavelet_system(windows, autos, translation)
     else:
         windows = _windows_from_doc(group, sec.get("windows"), channels, "wavepacket windows", seed)
-        autos = _automorphisms_from_doc(group, sec.get("automorphism_matrices"))
+        autos = _automorphisms_from_doc(group, sec.get("automorphism_matrices"),
+                                        "wavepacket automorphism_matrices")
         translation = _subgroup_from_doc(group, sec.get("translation_generators"),
                                          "wavepacket translation_generators")
         modulation = _subgroup_from_doc(group, sec.get("modulation_generators"),
@@ -186,15 +188,15 @@ def parse_config(doc: dict, seed: int = 0) -> SuperSystemDescriptor:
     return system
 
 
-def _automorphisms_from_doc(group: GroupSpec, doc: Any):
+def _automorphisms_from_doc(group: GroupSpec, doc: Any, where: str):
     if not isinstance(doc, list) or not doc:
-        raise ConfigError("expected a nonempty list of automorphism matrices")
+        raise ConfigError(f"{where}: expected a nonempty list of automorphism matrices")
     autos = []
     for i, mat in enumerate(doc):
         try:
             autos.append(automorphism_from_matrix(group, mat))
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"automorphism matrix {i}: {exc}") from exc
+            raise ConfigError(f"{where} entry {i}: {exc}") from exc
     return autos
 
 

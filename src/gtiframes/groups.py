@@ -50,9 +50,10 @@ class GroupSpec:
         return len(self.orders)
 
     def reduce(self, residues: Sequence[int]) -> Element:
+        """Residues mod the orders; raises ValueError for non-integers (no truncation)."""
         if len(residues) != self.ndim:
             raise ValueError(f"expected {self.ndim} residues, got {len(residues)}")
-        return tuple(int(r) % n for r, n in zip(residues, self.orders))
+        return tuple(_integer(r, "residue") % n for r, n in zip(residues, self.orders))
 
     def index_of(self, element: Sequence[int]) -> int:
         x = self.reduce(element)
@@ -115,15 +116,15 @@ class GroupSpec:
         return "Z" + "xZ".join(str(n) for n in self.orders)
 
 
-def _cyclic_order(n: object) -> int:
+def _integer(value: object, what: str) -> int:
     # operator.index takes Python and numpy integers and refuses floats and
     # strings; booleans are integers to it, so they are refused first.
-    if not isinstance(n, (bool, np.bool_)):
+    if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(n)
+            return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"cyclic order must be a positive integer, got {n!r}")
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def make_group(orders: Sequence[int]) -> GroupSpec:
@@ -135,7 +136,7 @@ def make_group(orders: Sequence[int]) -> GroupSpec:
         items = tuple(orders)
     except TypeError:
         raise ValueError(f"group orders must be a list of integers, got {orders!r}") from None
-    return GroupSpec(tuple(_cyclic_order(n) for n in items))
+    return GroupSpec(tuple(_integer(n, "cyclic order") for n in items))
 
 
 def character_eval(group: GroupSpec, xi: Sequence[int], x: Sequence[int]) -> complex:
@@ -199,6 +200,16 @@ class Subgroup:
         """
         return _difference_table(self.parent, self.indices)
 
+    @cached_property
+    def cosets(self) -> np.ndarray:
+        """(|G|/|H|, |H|) indices of the cosets x + H: one row per coset, rows
+        ordered by their smallest index, entries by the elements of H, so
+        row 0 is `indices`."""
+        group = self.parent
+        # sums[x, i] = index(x + h_i), as the difference x - (-h_i).
+        sums = _difference_table(group, negation_index_table(group)[self.indices]).T
+        return sums[sums.min(axis=1) == np.arange(group.size)]
+
     def __str__(self) -> str:
         gens = ",".join(str(g) for g in self.generators)
         return f"<{gens}> of order {self.order} in {self.parent}"
@@ -206,8 +217,9 @@ class Subgroup:
 
 def _flat_index(group: GroupSpec, residues: np.ndarray) -> np.ndarray:
     """Flat index of every residue row (last axis), reduced mod the orders first."""
-    reduced = residues % np.asarray(group.orders, dtype=np.int64)
-    return np.ravel_multi_index(tuple(np.moveaxis(reduced, -1, 0)), group.orders).astype(np.int64)
+    orders = group.orders
+    strides = np.array([prod(orders[k + 1:]) for k in range(len(orders))], dtype=np.int64)
+    return (residues % np.array(orders, dtype=np.int64)) @ strides
 
 
 def _extend(group: GroupSpec, members: np.ndarray, gen: Element) -> np.ndarray:
@@ -352,29 +364,28 @@ def automorphism_from_matrix(group: GroupSpec, matrix: Sequence[Sequence[int]]) 
     congruence A[k][l]*n_l = 0 mod n_k fails) or is not bijective.
     """
     d = group.ndim
-    a = np.asarray(matrix, dtype=np.int64)
-    if a.shape != (d, d):
-        raise ValueError(f"matrix must be {d}x{d}, got shape {a.shape}")
-    orders = group.orders
-    for k in range(d):
-        for l in range(d):
-            if (a[k, l] * orders[l]) % orders[k] != 0:
-                raise ValueError(
-                    f"matrix is not a homomorphism: entry ({k},{l})={a[k, l]} "
-                    f"violates {a[k, l]}*{orders[l]} = 0 mod {orders[k]}"
-                )
-    a = a % np.asarray(orders, dtype=np.int64)[:, None]
+    entries = np.asarray(matrix, dtype=object)
+    if entries.shape != (d, d):
+        raise ValueError(f"matrix must be {d}x{d}, got shape {entries.shape}")
+    n = np.asarray(group.orders, dtype=np.int64)
+    # Row k reduced mod n_k (no truncation): the congruences below do not change.
+    rows = zip(entries.tolist(), group.orders)
+    a = np.array([[_integer(v, "matrix entry") % m for v in row] for row, m in rows], dtype=np.int64)
+    scaled = a * n  # A[k][l] * n_l
+    bad = np.argwhere(scaled % n[:, None])
+    if bad.size:
+        k, l = bad[0]
+        raise ValueError(
+            f"matrix is not a homomorphism: entry ({k},{l})={a[k, l]} "
+            f"violates {a[k, l]}*{n[l]} = 0 mod {n[k]}"
+        )
     perm = _perm_from_matrix(group, a)
-    counts = np.bincount(perm, minlength=group.size)
-    if not np.all(counts == 1):
+    if not np.all(np.bincount(perm, minlength=group.size) == 1):
         raise ValueError("matrix is not bijective on the group")
     # Adjoint on dual indices: B[l][k] = A[k][l] * n_l / n_k, exact by the
     # homomorphism congruence; reduces to the plain transpose when all the
     # cyclic orders agree.
-    b = np.zeros((d, d), dtype=np.int64)
-    for l in range(d):
-        for k in range(d):
-            b[l, k] = (int(a[k, l]) * orders[l]) // orders[k] % orders[l]
+    b = (scaled // n[:, None]).T % n[:, None]
     adjoint_perm = _perm_from_matrix(group, b)
     if not np.all(np.bincount(adjoint_perm, minlength=group.size) == 1):
         raise ValueError("adjoint matrix is not bijective on the dual")

@@ -21,13 +21,11 @@ from .groups import (
     Automorphism,
     GroupSpec,
     Subgroup,
-    _difference_table,
     _extend,
     _flat_index,
     automorphism_from_matrix,
     full_subgroup,
     make_group,
-    negation_index_table,
     subgroup_from_generators,
 )
 from .systems import GtiLayer, SuperSystemDescriptor, WeightedGenerator
@@ -146,16 +144,6 @@ def matched_random_pair(
     return build(), build()
 
 
-def _annihilator_cosets(group: GroupSpec, sub: Subgroup) -> np.ndarray:
-    """(|G|/|A|, |A|) dual indices of the cosets xi + A of the annihilator A:
-    one row per coset, rows ordered by their smallest index, entries by the
-    elements of A."""
-    ann = sub.annihilator.indices
-    # sums[xi, i] = index(xi + a_i), as the difference xi - (-a_i).
-    sums = _difference_table(group, negation_index_table(group)[ann]).T
-    return sums[sums.min(axis=1) == np.arange(group.size)]
-
-
 def _fiberwise_pair_layer(
     rng: np.random.Generator,
     group: GroupSpec,
@@ -166,7 +154,7 @@ def _fiberwise_pair_layer(
     random_weights: bool,
 ) -> tuple[GtiLayer, GtiLayer]:
     """One layer of an exact dual (or orthogonal) pair over the subgroup."""
-    cosets = _annihilator_cosets(group, sub)
+    cosets = sub.annihilator.cosets
     width = channels * sub.annihilator.order
     n_gens = width + extra_generators
     weights = (

@@ -74,6 +74,18 @@ def loop_greedy_generators(group: GroupSpec, indices) -> tuple:
     return tuple(gens)
 
 
+def loop_cosets(group: GroupSpec, sub) -> list:
+    """Cosets x + H as lists of indices: the smallest index not yet covered
+    starts the next coset, whose entries follow the elements of H."""
+    covered: set = set()
+    rows = []
+    for x in group.elements():
+        if group.index_of(x) not in covered:
+            rows.append([group.index_of(group.add(x, h)) for h in sub.elements()])
+            covered.update(rows[-1])
+    return rows
+
+
 def brute_character(group: GroupSpec, xi, x) -> complex:
     """Character from cmath, one axis at a time."""
     out = 1.0 + 0.0j

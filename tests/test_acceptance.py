@@ -181,8 +181,8 @@ def _restricted_matrix(matrix: np.ndarray, size: int, n: int) -> np.ndarray:
 
 
 def _restricted_fibers(fibers: FiberTable, n: int) -> FiberTable:
-    data = {off: block[n:n + 1, n:n + 1, :] for off, block in fibers.data.items()}
-    return FiberTable(fibers.group, 1, data, fibers.contributors)
+    return FiberTable(fibers.group, 1, fibers.offset_indices,
+                      fibers.stack[:, n:n + 1, n:n + 1], fibers.layer_mask)
 
 
 def test_criterion_4_quadratic_series_identity(sweep):

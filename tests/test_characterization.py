@@ -18,7 +18,6 @@ from gtiframes import (
     commutation_defect,
     delta_signal,
     dft_naive,
-    dual_integrability_sum,
     fiber_table,
     frame_operator_matrix,
     full_subgroup,
@@ -35,7 +34,14 @@ from gtiframes import (
     wavepacket_system,
 )
 from gtiframes import Spectrum, automorphism_from_matrix, identity_automorphism
-from gtiframes.sweeps import dual_pair, matched_random_pair, random_automorphism, random_descriptor
+from gtiframes.characterization import _structured_fibers
+from gtiframes.sweeps import (
+    all_small_subgroups,
+    dual_pair,
+    matched_random_pair,
+    random_automorphism,
+    random_descriptor,
+)
 from gtiframes.systems import GtiLayer, SuperSystemDescriptor, WeightedGenerator
 
 from helpers import brute_character, channel_split_parseval, delta_system, loop_fiber_verdict
@@ -77,23 +83,45 @@ class TestFiberTable:
             assert np.abs(block).max() == 0.0
 
     def test_matches_triple_loop_oracle(self):
-        g = make_group([8])
+        # Z8 with one layer on <2>; Z2xZ4 and Z3xZ3 with one layer each; Z12 with
+        # annihilators {0, 6} and {0, 4, 8} (overlapping in 0), once with an
+        # empty-generator layer on top.
         rng = np.random.default_rng(61)
-        sub = subgroup_from_generators(g, [(2,)])
-        f_sys, h_sys = matched_random_pair(rng, g, 2, 1, 2)
-        # Force the layer onto <2> so nontrivial offsets exist.
-        f_sys.layers[0].subgroup = sub
-        h_sys.layers[0].subgroup = sub
-        table = fiber_table(f_sys, h_sys)
-        assert sorted(table.data) == [int(i) for i in sub.annihilator.indices]
-        for off_idx in table.data:
-            alpha = g.element_at(off_idx)
-            for n1 in range(2):
-                for n2 in range(2):
-                    for xi in g.elements():
-                        expected = loop_fiber_value(f_sys, h_sys, n1, n2, alpha, xi)
-                        got = table.data[off_idx][n1, n2, g.index_of(xi)]
-                        assert got == pytest.approx(expected, abs=1e-10)
+
+        def pair(orders, channels, layer_gens):
+            g = make_group(orders)
+            f_sys, h_sys = matched_random_pair(rng, g, channels, len(layer_gens), 2)
+            for j, gens in enumerate(layer_gens):
+                sub = subgroup_from_generators(g, gens)
+                f_sys.layers[j].subgroup = sub
+                h_sys.layers[j].subgroup = sub
+            return f_sys, h_sys
+
+        cases = [
+            pair((8,), 2, [[(2,)]]),
+            pair((2, 4), 2, [[(0, 2)]]),
+            pair((3, 3), 2, [[(1, 1)]]),
+            pair((12,), 1, [[(2,)], [(3,)]]),
+        ]
+        empty = GtiLayer(subgroup_from_generators(make_group([12]), [(4,)]), [])
+        cases.append(tuple(
+            SuperSystemDescriptor(sys.group, 1, sys.layers + [empty]) for sys in cases[-1]
+        ))
+        for f_sys, h_sys in cases:
+            g = f_sys.group
+            n = f_sys.channels
+            table = fiber_table(f_sys, h_sys)
+            union = set().union(*(set(layer.subgroup.annihilator.indices.tolist())
+                                  for layer in f_sys.layers))
+            assert sorted(table.data) == sorted(union)
+            for off_idx in table.data:
+                alpha = g.element_at(off_idx)
+                for n1 in range(n):
+                    for n2 in range(n):
+                        for xi in g.elements():
+                            expected = loop_fiber_value(f_sys, h_sys, n1, n2, alpha, xi)
+                            got = table.data[off_idx][n1, n2, g.index_of(xi)]
+                            assert got == pytest.approx(expected, abs=1e-10)
 
     def test_contributing_layers_recorded(self):
         g = make_group([4])
@@ -364,24 +392,6 @@ class TestQuadraticSeries:
         assert rep.series_residual < 1e-9 * scale
 
 
-class TestIntegrabilitySum:
-    def test_zero_signal(self):
-        g = make_group([4])
-        sys = delta_system(g)
-        assert dual_integrability_sum(sys, sys, Signal(g, np.zeros(4))) == 0.0
-
-    def test_zero_windows(self):
-        g = make_group([4])
-        assert dual_integrability_sum(
-            delta_system(g), delta_system(g, scale=0.0), delta_signal(g)
-        ) == 0.0
-
-    def test_delta_system_hand_value(self):
-        g = make_group([4])
-        sys = delta_system(g)
-        assert dual_integrability_sum(sys, sys, delta_signal(g)) == pytest.approx(1.0)
-
-
 class TestSpecializedChecks:
     def test_gabor_trivial_reduces_to_delta(self):
         g = make_group([4])
@@ -446,6 +456,38 @@ class TestSpecializedChecks:
             wavepacket_system(hw, autos, gamma, lam),
         )
         assert specialized.max_residual == pytest.approx(generic.max_residual, abs=1e-10)
+
+    @pytest.mark.parametrize("orders", [(8,), (12,), (2, 4), (3, 3), (4, 4)], ids=str)
+    def test_structured_fibers_match_expanded(self, orders):
+        # Every offset and frequency, against the fibers of the expanded
+        # wave-packet system (identity dilation for Gabor, trivial modulation
+        # for wavelets).
+        g = make_group(orders)
+        rng = np.random.default_rng(sum(orders) * len(orders))
+        subgroups = all_small_subgroups(g)
+        for kind in ("gabor", "wavelet", "wavepacket"):
+            for _ in range(3):
+                translation, modulation = (
+                    subgroups[int(i)] for i in rng.integers(len(subgroups), size=2)
+                )
+                channels, count = (int(v) for v in rng.integers(1, 3, size=2))
+                fw, hw = (
+                    [tuple(random_signal(g, rng) for _ in range(channels)) for _ in range(count)]
+                    for _ in range(2)
+                )
+                autos = [random_automorphism(rng, g) for _ in range(int(rng.integers(1, 4)))]
+                if kind == "gabor":
+                    autos = None
+                if kind == "wavelet":
+                    modulation = None
+                table = _structured_fibers(fw, hw, autos, translation, modulation)
+                levels = autos or [identity_automorphism(g)]
+                lam = modulation or subgroup_from_generators(g, [])
+                expanded = fiber_table(wavepacket_system(fw, levels, translation, lam),
+                                       wavepacket_system(hw, levels, translation, lam))
+                assert table.data.keys() == expanded.data.keys()
+                scale = max(1.0, float(np.abs(expanded.stack).max()))
+                assert np.abs(table.stack - expanded.stack).max() <= 1e-12 * scale
 
     def test_empty_automorphism_list_refused(self):
         g = make_group([4])

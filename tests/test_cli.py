@@ -236,11 +236,19 @@ class TestCheckCommand:
             *[({"group": [4], "channels": channels, "layers": [{"subgroup_generators": [[1]],
                 "generators": [{"windows": ["delta"]}]}]}, "channels")
               for channels in (1.5, True)],
+            *[({"group": [4], "channels": 1, "layers": [{"subgroup_generators": [[entry]],
+                "generators": [{"windows": ["delta"]}]}]}, "layer 0 subgroup_generators")
+              for entry in (1.5, "1", True)],
+            *[({"group": [5], "channels": 1, "wavelet": {
+                "windows": [["delta"]], "automorphism_matrices": [[[entry]]],
+                "translation_generators": [[1]]}}, "wavelet automorphism_matrices")
+              for entry in (2.5, 10**30)],
         ],
         ids=["layer", "generator", "channels", "weight-list", "weight-nan", "weight-inf",
              "group-float", "group-bool", "channels-inf", "window-re-int", "window-re-overflow",
              "gabor-number", "wavelet-list", "wavepacket-string", "channels-float",
-             "channels-bool"],
+             "channels-bool", "subgroup-float", "subgroup-string", "subgroup-bool",
+             "automorphism-float", "automorphism-huge"],
     )
     def test_malformed_config_exit_two(self, tmp_path, capsys, doc, where):
         cfg = write_json(tmp_path / "m.json", doc)

@@ -23,6 +23,7 @@ from helpers import (
     brute_annihilator,
     brute_character,
     brute_closure,
+    loop_cosets,
     loop_greedy_generators,
     loop_small_subgroups,
 )
@@ -179,6 +180,14 @@ class TestClosureMatchesLoops:
         got = [(s.indices.tolist(), s.generators, s.order) for s in all_small_subgroups(g)]
         assert got == [(idx, gens, len(idx)) for idx, gens in loop_small_subgroups(g)]
 
+    def test_cosets_match_loop(self, g):
+        for sub in all_small_subgroups(g):
+            cosets = sub.cosets
+            assert cosets.tolist() == loop_cosets(g, sub)
+            assert np.array_equal(np.sort(cosets.ravel()), np.arange(g.size))
+            assert np.array_equal(cosets[0], sub.indices)
+            assert np.all(np.diff(cosets.min(axis=1)) > 0)
+
     def test_generators_from_indices_match_greedy_loop(self, g):
         for sub in all_small_subgroups(g):
             derived = [sub.annihilator]
@@ -230,6 +239,20 @@ class TestAutomorphisms:
         # entry (0,1)=1 requires 1*4 = 0 mod 2, fine; entry (1,0)=1 requires 1*2 = 0 mod 4: no.
         with pytest.raises(ValueError, match="not a homomorphism"):
             automorphism_from_matrix(g, [[1, 1], [1, 1]])
+
+    @pytest.mark.parametrize("entry", [2.5, 2.0, "2", True], ids=["float", "integral-float",
+                                                                   "string", "bool"])
+    def test_non_integer_entries_rejected(self, entry):
+        g = make_group([5])
+        with pytest.raises(ValueError, match="must be an integer"):
+            automorphism_from_matrix(g, [[entry]])
+        with pytest.raises(ValueError, match="must be an integer"):
+            subgroup_from_generators(g, [(entry,)])
+
+    def test_huge_and_numpy_integer_entries_reduced(self):
+        g = make_group([5])
+        assert automorphism_from_matrix(g, [[5 * 10**30 + 2]]).matrix == ((2,),)
+        assert automorphism_from_matrix(g, np.array([[7]])).matrix == ((2,),)
 
     def test_shear_on_z3xz3(self):
         g = make_group([3, 3])
