@@ -187,7 +187,9 @@ def mixed_dual_gramian(
 
     with g from `f_system` and h from `h_system`.  For equal arguments this
     is the frame operator; identity means the pair is dual, zero means the
-    systems are orthogonal.
+    systems are orthogonal.  Each layer adds the product Tg^T @ conj(Th) of
+    its (P|Gamma|, N|G|) translate matrices, rows scaled by the masses: one
+    product, or one per group of generators when P|Gamma| > N|G|.
     """
     require_matching_structure(f_system, h_system)
     _require_cap(f_system, cap)
@@ -195,20 +197,21 @@ def mixed_dual_gramian(
     size = f_system.group.size
     out = np.zeros((n * size, n * size), dtype=np.complex128)
     for lf, lh in zip(f_system.layers, h_system.layers):
+        scales = lf.subgroup.covolume * np.array([gen.weight for gen in lf.generators])
+        live = np.flatnonzero(scales != 0.0)
+        if live.size == 0:
+            continue
         table = lf.subgroup.translate_table
-        vol = lf.subgroup.covolume
-        for gf, gh in zip(lf.generators, lh.generators):
-            scale = vol * gf.weight
-            if scale == 0.0:
-                continue
-            tg = [gf.windows[c].values[table] for c in range(n)]
-            th = [gh.windows[c].values[table] for c in range(n)]
-            for n1 in range(n):
-                block_row = tg[n1].T
-                for n2 in range(n):
-                    out[n1 * size:(n1 + 1) * size, n2 * size:(n2 + 1) * size] += (
-                        scale * (block_row @ th[n2].conj())
-                    )
+        # Generators go in groups of at most N|G| / |Gamma|, so that no
+        # translate matrix holds more entries than `out` (all at once, a
+        # full-lattice Gabor layer on Z256 would need 1 GB).
+        step = max(1, n * size // table.shape[0])
+        for part in np.split(live, np.arange(step, live.size, step)):
+            gens = [layer.generators[p] for layer in (lf, lh) for p in part]
+            values = np.stack([[w.values for w in gen.windows] for gen in gens])
+            # Row (p, i) of each half is the channel-major T_{gamma_i} of generator p.
+            tg, th = values[:, :, table].transpose(0, 2, 1, 3).reshape(2, -1, n * size)
+            out += (tg * np.repeat(scales[part], table.shape[0])[:, None]).T @ th.conj()
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from pathlib import Path
 from typing import Any
 
@@ -217,11 +218,14 @@ def _parse_layers(group: GroupSpec, channels: int, doc: Any, seed: int) -> Super
             if not isinstance(gen_doc, dict):
                 raise ConfigError(f"layer {j} generator {p}: expected an object")
             raw_weight = gen_doc.get("weight", 1.0)
-            try:
-                weight = float(raw_weight)
-            except (TypeError, ValueError, OverflowError):
-                weight = math.nan
-            if isinstance(raw_weight, bool) or not math.isfinite(weight):
+            weight = math.nan
+            # Real numbers only: float() would also read strings such as "1".
+            if isinstance(raw_weight, numbers.Real) and not isinstance(raw_weight, bool):
+                try:
+                    weight = float(raw_weight)
+                except OverflowError:
+                    pass
+            if not math.isfinite(weight):
                 raise ConfigError(
                     f"layer {j} generator {p}: weight must be a finite number, got {raw_weight!r}"
                 )

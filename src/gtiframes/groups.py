@@ -104,13 +104,7 @@ class GroupSpec:
         exp(2*pi*i*p[y]/size) is then the exact character pairing of `fixed`
         against every group element y.
         """
-        x = self.reduce(fixed)
-        size = self.size
-        res = self.residue_matrix()
-        acc = np.zeros(size, dtype=np.int64)
-        for k, n in enumerate(self.orders):
-            acc = (acc + (x[k] * (size // n)) * res[:, k]) % size
-        return acc
+        return _phase_rows(self, [self.reduce(fixed)])[0]
 
     def __str__(self) -> str:
         return "Z" + "xZ".join(str(n) for n in self.orders)
@@ -150,10 +144,34 @@ def character_eval(group: GroupSpec, xi: Sequence[int], x: Sequence[int]) -> com
     return complex(np.exp(2j * np.pi * phase / size))
 
 
+def _phase_rows(group: GroupSpec, duals: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """(k, |G|) integer phases p[i, y] = sum_m xi_im * y_m * (|G|/n_m) mod |G| of
+    k dual elements xi_i against every group element y, in index order.
+
+    Axis m contributes a (k, n_m) table that depends on y_m alone; the tables
+    are summed by broadcasting over the group grid and reduced once (each
+    entry is below n_m * |G|, so the sum stays far below 2**63).
+    """
+    duals = np.asarray(duals, dtype=np.int64).reshape(-1, group.ndim)
+    k, size = len(duals), group.size
+    out = np.zeros((k,) + (1,) * group.ndim, dtype=np.int64)
+    for m, n in enumerate(group.orders):
+        axis = (duals[:, m, None] % n) * (np.arange(n, dtype=np.int64) * (size // n))
+        out = out + axis.reshape((k,) + (1,) * m + (n,) + (1,) * (group.ndim - m - 1))
+    return out.reshape(k, size) % size
+
+
+def _character_rows(group: GroupSpec, duals: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """(k, |G|) characters of k dual elements at every group element: the
+    phases of `_phase_rows` gathered from the |G| roots of unity, which equals
+    exp(2*pi*i*p/|G|) evaluated elementwise bit for bit."""
+    roots = np.exp(2j * np.pi * np.arange(group.size) / group.size)
+    return roots[_phase_rows(group, duals)]
+
+
 def character_column(group: GroupSpec, xi: Sequence[int]) -> np.ndarray:
     """The character of xi evaluated at every group element, in index order."""
-    phases = group.phase_table(xi)
-    return np.exp(2j * np.pi * phases / group.size)
+    return _character_rows(group, [group.reduce(xi)])[0]
 
 
 @dataclass(eq=False)
@@ -217,9 +235,14 @@ class Subgroup:
 
 def _flat_index(group: GroupSpec, residues: np.ndarray) -> np.ndarray:
     """Flat index of every residue row (last axis), reduced mod the orders first."""
+    # Accumulated axis by axis, out = out * n_k + (r_k mod n_k): numpy runs an
+    # int64 matmul without BLAS, several times slower than these passes.
     orders = group.orders
-    strides = np.array([prod(orders[k + 1:]) for k in range(len(orders))], dtype=np.int64)
-    return (residues % np.array(orders, dtype=np.int64)) @ strides
+    out = residues[..., 0] % orders[0]
+    for k in range(1, len(orders)):
+        out *= orders[k]
+        out += residues[..., k] % orders[k]
+    return out
 
 
 def _extend(group: GroupSpec, members: np.ndarray, gen: Element) -> np.ndarray:
@@ -308,12 +331,8 @@ def annihilator(group: GroupSpec, sub: Subgroup) -> Subgroup:
     """
     if sub.parent.orders != group.orders:
         raise ValueError("subgroup does not belong to this group")
-    keep = np.ones(group.size, dtype=bool)
-    gens = sub.generators if sub.generators else ()
-    for g in gens:
-        keep &= group.phase_table(g) == 0
-    indices = np.nonzero(keep)[0].astype(np.int64)
-    return subgroup_from_indices(group, indices)
+    phases = _phase_rows(group, sub.generators)
+    return subgroup_from_indices(group, np.flatnonzero(~phases.any(axis=0)))
 
 
 @dataclass(eq=False)
@@ -354,7 +373,13 @@ class Automorphism:
 
 
 def _perm_from_matrix(group: GroupSpec, matrix: np.ndarray) -> np.ndarray:
-    return _flat_index(group, group.residue_matrix() @ matrix.T)
+    """Flat index of A x for every x, with A x = sum_l x_l * A[:, l] summed
+    column by column (no int64 matmul)."""
+    res = group.residue_matrix()
+    image = np.zeros_like(res)
+    for l in range(group.ndim):
+        image += res[:, l, None] * matrix[:, l]
+    return _flat_index(group, image)
 
 
 def automorphism_from_matrix(group: GroupSpec, matrix: Sequence[Sequence[int]]) -> Automorphism:

@@ -6,6 +6,13 @@ A descriptor is a union of layers; each layer translates a weighted list of
 generators (one window per channel) along its subgroup.  Constructors always
 expand to this layered form, rewriting dilation-translation products so that
 every member is a plain translate of a stored window.
+
+Expansion is array-at-once: the modulated windows M_chi psi_j of every
+(j, chi) are one (P, N, |G|) product of the modulation subgroup's character
+table (from `groups`, one phase table for all chi) with the stacked windows,
+and each dilation level is one gather of that stack through alpha's
+permutation.  Each value equals the per-element `modulate`/`dilate` result
+bit for bit; generators are wrapped as views into the stack.
 """
 
 from __future__ import annotations
@@ -14,9 +21,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .errors import StructureMismatchError
 from .fourier import Signal, _roll
-from .groups import Automorphism, Element, GroupSpec, Subgroup, character_column
+from .groups import (
+    Automorphism,
+    Element,
+    GroupSpec,
+    Subgroup,
+    _character_rows,
+    character_column,
+)
 
 
 def translate(gamma: Sequence[int], f: Signal) -> Signal:
@@ -151,6 +167,44 @@ def _validate_windows(windows: Sequence[Sequence[Signal]], group: GroupSpec) -> 
     return channels
 
 
+def _window_stack(
+    windows: Sequence[Sequence[Signal]], modulation: Subgroup | None = None
+) -> np.ndarray:
+    """(P, N, |G|) values of the generators M_chi psi_j, P = len(windows) *
+    |modulation|, with (j, chi) in row-major order and chi over the
+    modulation subgroup in index order: one character table times the
+    windows, one array pass.  Without modulation, the windows themselves."""
+    values = np.stack([[w.values for w in tup] for tup in windows])
+    if modulation is None:
+        return values
+    group = modulation.parent
+    chars = _character_rows(group, group.residue_matrix()[modulation.indices])
+    return (chars[None, :, None, :] * values[:, None, :, :]).reshape(-1, *values.shape[1:])
+
+
+def _unit_layer(subgroup: Subgroup, stack: np.ndarray) -> GtiLayer:
+    """A layer on `subgroup` with one weight-1 generator per (N, |G|) row block."""
+    group = subgroup.parent
+    return GtiLayer(
+        subgroup,
+        [WeightedGenerator(1.0, tuple(Signal(group, w) for w in gen)) for gen in stack],
+    )
+
+
+def _dilation_layers(
+    stack: np.ndarray, automorphisms: Sequence[Automorphism], translation: Subgroup
+) -> list[GtiLayer]:
+    """One layer per automorphism alpha: generators D_alpha g, one gather of
+    the whole stack, translated along alpha^{-1}(Gamma)."""
+    for alpha in automorphisms:
+        if alpha.parent.orders != translation.parent.orders:
+            raise ValueError("automorphism group mismatch")
+    return [
+        _unit_layer(alpha.inverse_image(translation), stack[..., alpha.perm])
+        for alpha in automorphisms
+    ]
+
+
 def gabor_system(
     windows: Sequence[Sequence[Signal]],
     translation: Subgroup,
@@ -165,12 +219,7 @@ def gabor_system(
     if modulation.parent.orders != group.orders:
         raise ValueError("modulation subgroup must live in the dual of the same group")
     channels = _validate_windows(windows, group)
-    generators = [
-        WeightedGenerator(1.0, tuple(modulate(chi, w) for w in tup))
-        for tup in windows
-        for chi in modulation.elements()
-    ]
-    layer = GtiLayer(translation, generators)
+    layer = _unit_layer(translation, _window_stack(windows, modulation))
     return SuperSystemDescriptor(group, channels, [layer])
 
 
@@ -188,14 +237,7 @@ def wavelet_system(
     if not automorphisms:
         raise ValueError("need at least one automorphism")
     channels = _validate_windows(windows, group)
-    layers = []
-    for alpha in automorphisms:
-        if alpha.parent.orders != group.orders:
-            raise ValueError("automorphism group mismatch")
-        generators = [
-            WeightedGenerator(1.0, tuple(dilate(alpha, w) for w in tup)) for tup in windows
-        ]
-        layers.append(GtiLayer(alpha.inverse_image(translation), generators))
+    layers = _dilation_layers(_window_stack(windows), automorphisms, translation)
     return SuperSystemDescriptor(group, channels, layers)
 
 
@@ -214,16 +256,7 @@ def wavepacket_system(
     if not automorphisms:
         raise ValueError("need at least one automorphism")
     channels = _validate_windows(windows, group)
-    layers = []
-    for alpha in automorphisms:
-        if alpha.parent.orders != group.orders:
-            raise ValueError("automorphism group mismatch")
-        generators = [
-            WeightedGenerator(1.0, tuple(dilate(alpha, modulate(chi, w)) for w in tup))
-            for tup in windows
-            for chi in modulation.elements()
-        ]
-        layers.append(GtiLayer(alpha.inverse_image(translation), generators))
+    layers = _dilation_layers(_window_stack(windows, modulation), automorphisms, translation)
     return SuperSystemDescriptor(group, channels, layers)
 
 

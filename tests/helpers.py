@@ -94,6 +94,44 @@ def brute_character(group: GroupSpec, xi, x) -> complex:
     return out
 
 
+def loop_flat_index(group: GroupSpec, residues) -> int:
+    """Lexicographic index of a residue tuple, reduced with Python integers."""
+    idx = 0
+    for r, n in zip(residues, group.orders):
+        idx = idx * n + int(r) % n
+    return idx
+
+
+def loop_character_column(group: GroupSpec, chi) -> np.ndarray:
+    """Character of chi at every element: integer phases by Python loops, then
+    exp(2*pi*i*p/|G|) elementwise, the formula a modulated window is held to."""
+    size = group.size
+    phases = [
+        sum(c * v * (size // n) for c, v, n in zip(chi, x, group.orders)) % size
+        for x in group.elements()
+    ]
+    return np.exp(2j * np.pi * np.array(phases, dtype=np.int64) / size)
+
+
+def loop_expansion(windows, automorphisms, modulation) -> list:
+    """Per layer, the (P, N, |G|) generator windows D_alpha M_chi psi_j over
+    (j, chi), built one element at a time; None skips the dilation or the
+    modulation."""
+    group = windows[0][0].group
+    chars = [None] if modulation is None else [
+        loop_character_column(group, chi) for chi in modulation.elements()
+    ]
+    layers = []
+    for alpha in automorphisms or [None]:
+        rows = []
+        for tup in windows:
+            for col in chars:
+                gen = [w.values if col is None else col * w.values for w in tup]
+                rows.append([v if alpha is None else v[alpha.perm] for v in gen])
+        layers.append(np.array(rows))
+    return layers
+
+
 def brute_annihilator(group: GroupSpec, subgroup_elements) -> set:
     """All xi whose character is 1 on every subgroup element, by |chi - 1| test."""
     out = set()
@@ -169,6 +207,25 @@ def loop_analysis_entry(system: SuperSystemDescriptor, f: SuperSignal, j: int, p
             shifted = group.sub(x, gamma)
             total += f.channels[n][x] * np.conj(w[shifted])
     return total
+
+
+def loop_mixed_dual_gramian(
+    f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
+) -> np.ndarray:
+    """Mixed dual Gramian by explicit loops over layers, generators and
+    translates: sum of V_j * w_p * outer(T_gamma g, conj(T_gamma h))."""
+    size = f_system.channels * f_system.group.size
+    out = np.zeros((size, size), dtype=np.complex128)
+    for lf, lh in zip(f_system.layers, h_system.layers):
+        for gf, gh in zip(lf.generators, lh.generators):
+            scale = lf.subgroup.covolume * gf.weight
+            if scale == 0.0:
+                continue
+            for gamma in lf.subgroup.elements():
+                tg = np.concatenate([translate(gamma, w).values for w in gf.windows])
+                th = np.concatenate([translate(gamma, w).values for w in gh.windows])
+                out += scale * np.outer(tg, th.conj())
+    return out
 
 
 def loop_fiber_verdict(table, tol: float, top_k: int, dual: bool) -> Verdict:

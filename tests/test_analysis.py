@@ -29,10 +29,30 @@ from gtiframes.sweeps import (
     dual_pair,
     matched_random_pair,
     random_super_signal,
+    sweep_cases,
 )
 from gtiframes.systems import GtiLayer, SuperSystemDescriptor, WeightedGenerator
 
-from helpers import channel_split_parseval, delta_system, loop_analysis_entry, random_super
+from helpers import (
+    channel_split_parseval,
+    delta_system,
+    loop_analysis_entry,
+    loop_mixed_dual_gramian,
+    random_super,
+)
+
+
+def small_gramian_pairs():
+    """Z2xZ4 and Z3xZ3 pairs with 2-3 layers and 1-3 channels, the second
+    generator of the first layer carrying zero mass."""
+    rng = np.random.default_rng(47)
+    for orders in [(2, 4), (3, 3)]:
+        for channels in (1, 2, 3):
+            for n_layers in (2, 3):
+                pair = matched_random_pair(rng, make_group(orders), channels, n_layers, 2)
+                for system in pair:
+                    system.layers[0].generators[1].weight = 0.0
+                yield pair
 
 
 class TestAnalysisSynthesis:
@@ -223,6 +243,22 @@ class TestMixedDualGramian:
         f_sys = delta_system(g)
         h_sys = delta_system(g, scale=0.0)
         assert np.abs(mixed_dual_gramian(f_sys, h_sys)).max() == 0.0
+
+    @pytest.mark.parametrize("corpus", ["acceptance", "small"])
+    def test_matches_triple_loop(self, corpus):
+        pairs = ([(c.f_system, c.h_system) for c in sweep_cases(seed=20240801)]
+                 if corpus == "acceptance" else small_gramian_pairs())
+        for f_sys, h_sys in pairs:
+            # Relative to a bound on every entry, V_j |Gamma_j| = |G| times the
+            # sum of w_p max|g_p| max|h_p|: orthogonal pairs cancel to ~1e-16.
+            bound = f_sys.group.size * sum(
+                gf.weight * max(np.abs(w.values).max() for w in gf.windows)
+                * max(np.abs(w.values).max() for w in gh.windows)
+                for lf, lh in zip(f_sys.layers, h_sys.layers)
+                for gf, gh in zip(lf.generators, lh.generators)
+            )
+            got = mixed_dual_gramian(f_sys, h_sys)
+            assert np.abs(got - loop_mixed_dual_gramian(f_sys, h_sys)).max() <= 1e-13 * bound
 
     def test_matrix_matches_basis_vector_application(self):
         g = make_group([8])

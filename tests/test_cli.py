@@ -219,7 +219,7 @@ class TestCheckCommand:
             *[({"group": [4], "channels": 1, "layers": [{"subgroup_generators": [[1]],
                 "generators": [{"weight": weight, "windows": ["delta"]}]}]},
                "layer 0 generator 0: weight must be a finite number")
-              for weight in ([1], float("nan"), float("inf"))],
+              for weight in ([1], float("nan"), float("inf"), "1", 10**400)],
             ({"group": [4.5], "channels": 1, "layers": [{"subgroup_generators": [[1]],
               "generators": [{"windows": ["delta"]}]}]}, "group"),
             ({"group": [True], "channels": 1, "layers": [{"subgroup_generators": [[0]],
@@ -245,6 +245,7 @@ class TestCheckCommand:
               for entry in (2.5, 10**30)],
         ],
         ids=["layer", "generator", "channels", "weight-list", "weight-nan", "weight-inf",
+             "weight-string", "weight-huge",
              "group-float", "group-bool", "channels-inf", "window-re-int", "window-re-overflow",
              "gabor-number", "wavelet-list", "wavepacket-string", "channels-float",
              "channels-bool", "subgroup-float", "subgroup-string", "subgroup-bool",

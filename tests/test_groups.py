@@ -15,7 +15,13 @@ from gtiframes import (
     trivial_subgroup,
     full_subgroup,
 )
-from gtiframes.groups import GroupSpec, translation_index_table
+from gtiframes.groups import (
+    GroupSpec,
+    _character_rows,
+    _flat_index,
+    _perm_from_matrix,
+    translation_index_table,
+)
 from gtiframes.sweeps import all_small_subgroups
 
 from helpers import (
@@ -24,6 +30,7 @@ from helpers import (
     brute_character,
     brute_closure,
     loop_cosets,
+    loop_flat_index,
     loop_greedy_generators,
     loop_small_subgroups,
 )
@@ -326,3 +333,25 @@ def test_translation_index_table_consistency():
     for xi, x in enumerate(g.elements()):
         for yi, y in enumerate(g.elements()):
             assert table[xi, yi] == g.index_of(g.sub(y, x))
+
+
+@pytest.mark.parametrize("group", all_groups_upto(64), ids=str)
+def test_flat_index_and_matrix_perm_match_python_reference(group):
+    """Per-axis index arithmetic equals Python integers on residues in [-3n, 3n)."""
+    rng = np.random.default_rng(group.size)
+    residues = np.stack([rng.integers(-3 * n, 3 * n, size=(4, 9)) for n in group.orders], axis=-1)
+    expected = [[loop_flat_index(group, r) for r in row] for row in residues.tolist()]
+    assert np.array_equal(_flat_index(group, residues), expected)
+    matrix = np.stack([rng.integers(-3 * n, 3 * n, size=group.ndim) for n in group.orders])
+    images = [[sum(a * v for a, v in zip(row, x)) for row in matrix.tolist()]
+              for x in group.elements()]
+    assert np.array_equal(_perm_from_matrix(group, matrix),
+                          [loop_flat_index(group, y) for y in images])
+
+
+@pytest.mark.parametrize("group", all_groups_upto(64), ids=str)
+def test_character_rows_match_brute_character(group):
+    """The one phase primitive, gathered into characters, for every (xi, x)."""
+    elements = list(group.elements())
+    brute = [[brute_character(group, xi, x) for x in elements] for xi in elements]
+    assert np.allclose(_character_rows(group, elements), brute, rtol=0, atol=1e-12)

@@ -31,7 +31,18 @@ from gtiframes.systems import (
     translate,
 )
 
-from helpers import as_member_set, system_members
+from helpers import as_member_set, loop_character_column, loop_expansion, system_members
+
+# (orders, translation generators, modulation generators, dilation matrices
+# besides the identity) for the bit-identity checks of the expansions.
+EXPANSION_CASES = [
+    ((8,), [(2,)], [(4,)], [[[3]], [[5]]]),
+    ((12,), [(3,)], [(4,)], [[[5]], [[7]]]),
+    ((2, 4), [(1, 0)], [(0, 2)], [[[1, 1], [0, 1]]]),
+    ((3, 3), [(1, 0)], [(0, 1)], [[[1, 1], [0, 1]]]),
+    ((4, 4), [(2, 0)], [(0, 1), (2, 2)], [[[1, 1], [0, 1]], [[3, 0], [0, 1]]]),
+    ((1024,), [(16,)], [(32,)], [[[3]]]),
+]
 
 
 class TestOperators:
@@ -196,6 +207,34 @@ class TestConstructors:
                 full_subgroup(g),
                 subgroup_from_generators(g, []),
             )
+
+
+@pytest.mark.parametrize("orders, trans, mod, matrices", EXPANSION_CASES,
+                         ids=[str(c[0]) for c in EXPANSION_CASES])
+@pytest.mark.parametrize("channels, tuples", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_expansions_equal_per_element_loop_bit_for_bit(orders, trans, mod, matrices,
+                                                        channels, tuples):
+    g = make_group(orders)
+    gamma = subgroup_from_generators(g, trans)
+    lam = subgroup_from_generators(g, mod)
+    autos = [identity_automorphism(g)] + [automorphism_from_matrix(g, m) for m in matrices]
+    windows = [[random_signal(g, 10 * t + n) for n in range(channels)] for t in range(tuples)]
+
+    def stacks(system):
+        return [np.array([[w.values for w in gen.windows] for gen in layer.generators])
+                for layer in system.layers]
+
+    for got, want in [
+        (stacks(gabor_system(windows, gamma, lam)), loop_expansion(windows, None, lam)),
+        (stacks(wavelet_system(windows, autos, gamma)), loop_expansion(windows, autos, None)),
+        (stacks(wavepacket_system(windows, autos, gamma, lam)),
+         loop_expansion(windows, autos, lam)),
+    ]:
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    chi = lam.elements()[-1]
+    assert np.array_equal(modulate(chi, windows[0][0]).values,
+                          loop_character_column(g, chi) * windows[0][0].values)
 
 
 class TestDescriptors:
