@@ -12,6 +12,7 @@ to the weighted reproduction sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -243,7 +244,12 @@ def default_tolerance(
             b_h = frame_bounds(h_system, cap=cap).upper
     except CapExceededError:
         return 1e-9, None
-    return 1e-9 * max(1.0, b_f * b_h) ** 0.5, max(b_f, b_h)
+    # The product overflows for bounds past ~1e154, the product of the square
+    # roots does not; taking it only there keeps every other tolerance's bits.
+    scale = (b_f * b_h) ** 0.5
+    if math.isinf(scale):
+        scale = math.sqrt(b_f) * math.sqrt(b_h)
+    return 1e-9 * max(1.0, scale), max(b_f, b_h)
 
 
 def gramian_identity_residual(matrix: np.ndarray) -> float:
@@ -266,10 +272,10 @@ def gabor_canonical_dual(
     system = gabor_system([[window]], translation, modulation)
     op = frame_operator_matrix(system, cap=cap)
     eigs = np.linalg.eigvalsh(op)
-    lower, upper = float(eigs[0]), float(eigs[-1])
-    if upper <= 0.0 or lower <= 1e-8 * upper:
+    bounds = FrameBounds(lower=max(0.0, float(eigs[0])), upper=float(eigs[-1]))
+    if not bounds.is_frame:
         raise NotAFrameError(
-            f"gabor system is not a frame (bounds {lower:.3e}, {upper:.3e})"
+            f"gabor system is not a frame (bounds {bounds.lower:.3e}, {bounds.upper:.3e})"
         )
     dual_values = np.linalg.solve(op, window.values)
     return Signal(window.group, dual_values)

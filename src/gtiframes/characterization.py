@@ -43,19 +43,17 @@ from .groups import (
     Subgroup,
     _difference_table,
     _flat_index,
-    identity_automorphism,
     negation_index_table,
     translation_index_table,
-    trivial_subgroup,
 )
 from .systems import (
     GtiLayer,
     SuperSystemDescriptor,
     Verdict,
     Witness,
-    _validate_windows,
+    _structured_system,
+    _validate_structure,
     require_matching_structure,
-    wavepacket_system,
 )
 
 
@@ -387,13 +385,9 @@ def _structured_fibers(
         raise ValueError(
             f"window lists have different lengths ({len(f_windows)} vs {len(h_windows)})"
         )
-    channels = _validate_windows(f_windows, group)
-    if _validate_windows(h_windows, group) != channels:
+    channels = _validate_structure(f_windows, automorphisms, translation, modulation)
+    if _validate_structure(h_windows, automorphisms, translation, modulation) != channels:
         raise ValueError("all window tuples must have the same channel count")
-    if automorphisms is not None and not automorphisms:
-        raise ValueError("need at least one automorphism")
-    if any(alpha.parent.orders != group.orders for alpha in automorphisms or ()):
-        raise ValueError("automorphism group mismatch")
     spectra = np.stack([[dft(w).values for w in tup] for tup in [*f_windows, *h_windows]])
     ann = translation.annihilator
     base = _coset_fibers(spectra, np.ones(len(f_windows)), ann)
@@ -423,22 +417,17 @@ def _structured_verdict(
     """Duality verdict of a structured pair from its structured fibers.
 
     The default tolerance needs frame bounds, so it expands both systems
-    through `wavepacket_system` (Gabor: identity dilation; wavelet: trivial
-    modulation) unless they are above the cap, where the raw 1e-9 applies.
+    through `_structured_system` unless they are above the cap, where the raw
+    1e-9 applies.
     """
     table = _structured_fibers(f_windows, h_windows, automorphisms, translation, modulation)
-    group = table.group
     bessel = None
-    if tol is None and _above_cap(table.channels, group, cap):
+    if tol is None and _above_cap(table.channels, table.group, cap):
         tol = 1e-9
     elif tol is None:
-        if automorphisms is None:
-            automorphisms = [identity_automorphism(group)]
-        if modulation is None:
-            modulation = trivial_subgroup(group)
         tol, bessel = default_tolerance(
-            wavepacket_system(f_windows, automorphisms, translation, modulation),
-            wavepacket_system(h_windows, automorphisms, translation, modulation),
+            _structured_system(f_windows, automorphisms, translation, modulation),
+            _structured_system(h_windows, automorphisms, translation, modulation),
             cap=cap,
         )
     return _fiber_verdict(table, tol, top_k, bessel, dual=True)

@@ -39,11 +39,11 @@ from .configio import (
     super_signal_from_json,
     super_signal_to_json,
     vector_to_json,
-    window_from_value,
-    _subgroup_from_doc,
+    _config_doc,
+    _config_section,
+    _structured_spec,
 )
 from .errors import CapExceededError, ConfigError, GtiError
-from .groups import make_group
 from .systems import Verdict, require_matching_structure
 
 
@@ -170,21 +170,16 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_gabor_dual(args: argparse.Namespace) -> tuple[dict, int]:
-    _, doc = load_config(args.config, seed=args.seed)
-    if "gabor" not in doc:
+    doc = _config_doc(args.config)
+    group, channels, kind, sec = _config_section(doc)
+    if kind != "gabor":
         raise ConfigError("gabor-dual needs a structured 'gabor' configuration")
-    if int(doc.get("channels", 1)) != 1:
+    if channels != 1:
         raise ConfigError("gabor-dual is defined for single-channel configurations")
-    sec = doc["gabor"]
-    windows_doc = sec.get("windows")
-    if not isinstance(windows_doc, list) or len(windows_doc) != 1:
+    windows, _, translation, modulation = _structured_spec(group, channels, kind, sec, args.seed)
+    if len(windows) != 1:
         raise ConfigError("gabor-dual needs exactly one base window")
-    group = make_group(doc["group"])
-    window = window_from_value(group, windows_doc[0][0], "gabor window", args.seed)
-    translation = _subgroup_from_doc(group, sec.get("translation_generators"),
-                                     "gabor translation_generators")
-    modulation = _subgroup_from_doc(group, sec.get("modulation_generators"),
-                                    "gabor modulation_generators")
+    window = windows[0][0]
     start = time.perf_counter()
     dual = gabor_canonical_dual(window, translation, modulation, cap=args.cap)
     verdict = check_gabor_duality([[window]], [[dual]], translation, modulation,

@@ -2,8 +2,9 @@
 
 Configurations are JSON documents.  The explicit form lists layers with
 subgroup generators and per-generator weighted windows; the structured forms
-(`gabor`, `wavelet`, `wavepacket`) hold base windows plus lattice data and
-are expanded deterministically through the constructors, so a configuration
+(`gabor`, `wavelet`, `wavepacket`) hold base windows plus lattice data, are
+read by one structured reader into a wave-packet specification and expanded
+deterministically by the one wave-packet expander, so a configuration
 round-trips to an identical descriptor.  Complex vectors are stored as
 explicit re/im arrays to keep files diffable.
 """
@@ -33,9 +34,7 @@ from .systems import (
     GtiLayer,
     SuperSystemDescriptor,
     WeightedGenerator,
-    gabor_system,
-    wavelet_system,
-    wavepacket_system,
+    _structured_system,
 )
 
 
@@ -134,8 +133,9 @@ def _group_field(doc: dict, what: str) -> GroupSpec:
         raise ConfigError(f"{what} document: bad group field: {exc}") from exc
 
 
-def parse_config(doc: dict, seed: int = 0) -> SuperSystemDescriptor:
-    """Turn a configuration document into a descriptor."""
+def _config_section(doc: Any) -> tuple[GroupSpec, int, str, Any]:
+    """The group, channel count, kind and section of a configuration document;
+    the kind is 'layers', 'gabor', 'wavelet' or 'wavepacket'."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
     group = _group_field(doc, "configuration")
@@ -155,38 +155,35 @@ def parse_config(doc: dict, seed: int = 0) -> SuperSystemDescriptor:
     sec = doc[kind]
     if kind != "layers" and not isinstance(sec, dict):
         raise ConfigError(f"the '{kind}' section must be an object, got {sec!r}")
+    return group, channels, kind, sec
 
+
+def _structured_spec(
+    group: GroupSpec, channels: int, kind: str, sec: dict, seed: int
+) -> tuple[list[tuple[Signal, ...]], list | None, Subgroup, Subgroup | None]:
+    """The windows, automorphisms, translation and modulation of a 'gabor',
+    'wavelet' or 'wavepacket' section, in that order; Gabor sections have no
+    automorphisms and wavelet sections no modulation (None)."""
+    windows = _windows_from_doc(group, sec.get("windows"), channels, f"{kind} windows", seed)
+    autos = None
+    if kind != "gabor":
+        autos = _automorphisms_from_doc(group, sec.get("automorphism_matrices"),
+                                        f"{kind} automorphism_matrices")
+    translation = _subgroup_from_doc(group, sec.get("translation_generators"),
+                                     f"{kind} translation_generators")
+    modulation = None
+    if kind != "wavelet":
+        modulation = _subgroup_from_doc(group, sec.get("modulation_generators"),
+                                        f"{kind} modulation_generators")
+    return windows, autos, translation, modulation
+
+
+def parse_config(doc: dict, seed: int = 0) -> SuperSystemDescriptor:
+    """Turn a configuration document into a descriptor."""
+    group, channels, kind, sec = _config_section(doc)
     if kind == "layers":
-        system = _parse_layers(group, channels, sec, seed)
-    elif kind == "gabor":
-        windows = _windows_from_doc(group, sec.get("windows"), channels, "gabor windows", seed)
-        translation = _subgroup_from_doc(group, sec.get("translation_generators"),
-                                         "gabor translation_generators")
-        modulation = _subgroup_from_doc(group, sec.get("modulation_generators"),
-                                        "gabor modulation_generators")
-        system = gabor_system(windows, translation, modulation)
-    elif kind == "wavelet":
-        windows = _windows_from_doc(group, sec.get("windows"), channels, "wavelet windows", seed)
-        autos = _automorphisms_from_doc(group, sec.get("automorphism_matrices"),
-                                        "wavelet automorphism_matrices")
-        translation = _subgroup_from_doc(group, sec.get("translation_generators"),
-                                         "wavelet translation_generators")
-        system = wavelet_system(windows, autos, translation)
-    else:
-        windows = _windows_from_doc(group, sec.get("windows"), channels, "wavepacket windows", seed)
-        autos = _automorphisms_from_doc(group, sec.get("automorphism_matrices"),
-                                        "wavepacket automorphism_matrices")
-        translation = _subgroup_from_doc(group, sec.get("translation_generators"),
-                                         "wavepacket translation_generators")
-        modulation = _subgroup_from_doc(group, sec.get("modulation_generators"),
-                                        "wavepacket modulation_generators")
-        system = wavepacket_system(windows, autos, translation, modulation)
-
-    if system.channels != channels:
-        raise ConfigError(
-            f"declared channels={channels} but windows have {system.channels} channels"
-        )
-    return system
+        return _parse_layers(group, channels, sec, seed)
+    return _structured_system(*_structured_spec(group, channels, kind, sec, seed))
 
 
 def _automorphisms_from_doc(group: GroupSpec, doc: Any, where: str):
@@ -266,13 +263,17 @@ def descriptor_to_config(system: SuperSystemDescriptor) -> dict:
     }
 
 
-def load_config(path: str | Path, seed: int = 0) -> tuple[SuperSystemDescriptor, dict]:
+def _config_doc(path: str | Path) -> Any:
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path: str | Path, seed: int = 0) -> tuple[SuperSystemDescriptor, dict]:
+    doc = _config_doc(path)
     return parse_config(doc, seed=seed), doc
 
 

@@ -44,8 +44,8 @@ SWEEP_GROUP_ORDERS: tuple[tuple[int, ...], ...] = (
 _subgroup_cache: dict[tuple[int, ...], list[Subgroup]] = {}
 
 
-def all_small_subgroups(group: GroupSpec, max_generators: int = 2) -> list[Subgroup]:
-    """Every distinct subgroup generated by at most `max_generators` elements.
+def all_small_subgroups(group: GroupSpec) -> list[Subgroup]:
+    """Every distinct subgroup generated by at most two elements.
 
     Ordered by first generating set among (), the elements, then element pairs.
     <x, y> depends only on <x> and <y>, and the first pair giving two distinct
@@ -64,10 +64,9 @@ def all_small_subgroups(group: GroupSpec, max_generators: int = 2) -> list[Subgr
         k = np.arange(cyclic[-1].order)
         marked[_flat_index(group, k[np.gcd(k, k.size) == 1, None] * np.asarray(x))] = True
     seen = {s.indices.tobytes(): s for s in [subgroup_from_generators(group, []), *cyclic]}
-    if max_generators >= 2:
-        for a, b in combinations(cyclic, 2):
-            joined = _extend(group, a.indices, b.generators[0])
-            seen.setdefault(joined.tobytes(), Subgroup(group, a.generators + b.generators, joined))
+    for a, b in combinations(cyclic, 2):
+        joined = _extend(group, a.indices, b.generators[0])
+        seen.setdefault(joined.tobytes(), Subgroup(group, a.generators + b.generators, joined))
     # Groups needing more than two generators (e.g. three Z_2 factors) would
     # otherwise miss their own improper subgroup.
     whole = full_subgroup(group)

@@ -7,12 +7,17 @@ generators (one window per channel) along its subgroup.  Constructors always
 expand to this layered form, rewriting dilation-translation products so that
 every member is a plain translate of a stored window.
 
-Expansion is array-at-once: the modulated windows M_chi psi_j of every
-(j, chi) are one (P, N, |G|) product of the modulation subgroup's character
-table (from `groups`, one phase table for all chi) with the stacked windows,
-and each dilation level is one gather of that stack through alpha's
-permutation.  Each value equals the per-element `modulate`/`dilate` result
-bit for bit; generators are wrapped as views into the stack.
+A wave-packet specification {D_alpha T_gamma M_chi psi_j} is four values:
+windows, automorphisms, translation subgroup and modulation subgroup.  Gabor
+systems are the case with no automorphisms (alpha = id) and wavelet systems
+the case with no modulation (Lambda = {0}); one validator checks and one
+expander, `_structured_system`, expands all three kinds.  Expansion is
+array-at-once: the modulated windows M_chi psi_j of every (j, chi) are one
+(P, N, |G|) product of the modulation subgroup's character table (from
+`groups`, one phase table for all chi) with the stacked windows, and each
+dilation level is one gather of that stack through alpha's permutation.
+Each value equals the per-element `modulate`/`dilate` result bit for bit;
+generators are wrapped as views into the stack.
 """
 
 from __future__ import annotations
@@ -167,42 +172,54 @@ def _validate_windows(windows: Sequence[Sequence[Signal]], group: GroupSpec) -> 
     return channels
 
 
-def _window_stack(
-    windows: Sequence[Sequence[Signal]], modulation: Subgroup | None = None
-) -> np.ndarray:
-    """(P, N, |G|) values of the generators M_chi psi_j, P = len(windows) *
-    |modulation|, with (j, chi) in row-major order and chi over the
-    modulation subgroup in index order: one character table times the
-    windows, one array pass.  Without modulation, the windows themselves."""
-    values = np.stack([[w.values for w in tup] for tup in windows])
-    if modulation is None:
-        return values
-    group = modulation.parent
-    chars = _character_rows(group, group.residue_matrix()[modulation.indices])
-    return (chars[None, :, None, :] * values[:, None, :, :]).reshape(-1, *values.shape[1:])
+def _validate_structure(
+    windows: Sequence[Sequence[Signal]],
+    automorphisms: Sequence[Automorphism] | None,
+    translation: Subgroup,
+    modulation: Subgroup | None,
+) -> int:
+    """Channel count of a wave-packet specification, after checking that its
+    modulation subgroup, its (nonempty) automorphism list and its windows all
+    live on the translation's group; None skips that part."""
+    group = translation.parent
+    if modulation is not None and modulation.parent.orders != group.orders:
+        raise ValueError("modulation subgroup must live in the dual of the same group")
+    if automorphisms is not None and not automorphisms:
+        raise ValueError("need at least one automorphism")
+    if any(alpha.parent.orders != group.orders for alpha in automorphisms or ()):
+        raise ValueError("automorphism group mismatch")
+    return _validate_windows(windows, group)
 
 
-def _unit_layer(subgroup: Subgroup, stack: np.ndarray) -> GtiLayer:
-    """A layer on `subgroup` with one weight-1 generator per (N, |G|) row block."""
-    group = subgroup.parent
-    return GtiLayer(
-        subgroup,
-        [WeightedGenerator(1.0, tuple(Signal(group, w) for w in gen)) for gen in stack],
-    )
+def _structured_system(
+    windows: Sequence[Sequence[Signal]],
+    automorphisms: Sequence[Automorphism] | None,
+    translation: Subgroup,
+    modulation: Subgroup | None,
+) -> SuperSystemDescriptor:
+    """Expand {D_alpha T_gamma M_chi psi_j} into weight-1 layers.
 
-
-def _dilation_layers(
-    stack: np.ndarray, automorphisms: Sequence[Automorphism], translation: Subgroup
-) -> list[GtiLayer]:
-    """One layer per automorphism alpha: generators D_alpha g, one gather of
-    the whole stack, translated along alpha^{-1}(Gamma)."""
-    for alpha in automorphisms:
-        if alpha.parent.orders != translation.parent.orders:
-            raise ValueError("automorphism group mismatch")
-    return [
-        _unit_layer(alpha.inverse_image(translation), stack[..., alpha.perm])
-        for alpha in automorphisms
+    The generators M_chi psi_j over (j, chi), chi over the modulation subgroup
+    in index order, are one character table times the windows; None
+    modulation (wavelets) leaves the windows as they are.  Each automorphism
+    alpha gives one layer: one gather D_alpha of that stack, translated along
+    alpha^{-1}(Gamma).  None automorphisms (Gabor) give one layer on Gamma.
+    """
+    channels = _validate_structure(windows, automorphisms, translation, modulation)
+    group = translation.parent
+    stack = np.stack([[w.values for w in tup] for tup in windows])
+    if modulation is not None:
+        chars = _character_rows(group, group.residue_matrix()[modulation.indices])
+        stack = (chars[None, :, None, :] * stack[:, None, :, :]).reshape(-1, *stack.shape[1:])
+    levels = [(translation, stack)] if automorphisms is None else [
+        (alpha.inverse_image(translation), stack[..., alpha.perm]) for alpha in automorphisms
     ]
+    layers = [
+        GtiLayer(sub, [WeightedGenerator(1.0, tuple(Signal(group, w) for w in gen))
+                       for gen in values])
+        for sub, values in levels
+    ]
+    return SuperSystemDescriptor(group, channels, layers)
 
 
 def gabor_system(
@@ -215,12 +232,7 @@ def gabor_system(
     One generator per (j, chi) pair, window M_chi psi_j, weight 1; chi runs
     over the modulation subgroup in index order, so the expansion is stable.
     """
-    group = translation.parent
-    if modulation.parent.orders != group.orders:
-        raise ValueError("modulation subgroup must live in the dual of the same group")
-    channels = _validate_windows(windows, group)
-    layer = _unit_layer(translation, _window_stack(windows, modulation))
-    return SuperSystemDescriptor(group, channels, [layer])
+    return _structured_system(windows, None, translation, modulation)
 
 
 def wavelet_system(
@@ -233,12 +245,7 @@ def wavelet_system(
     The rewrite D_alpha T_gamma = T_{alpha^{-1} gamma} D_alpha turns each
     dilation level into translates of D_alpha psi_j along alpha^{-1}(Gamma).
     """
-    group = translation.parent
-    if not automorphisms:
-        raise ValueError("need at least one automorphism")
-    channels = _validate_windows(windows, group)
-    layers = _dilation_layers(_window_stack(windows), automorphisms, translation)
-    return SuperSystemDescriptor(group, channels, layers)
+    return _structured_system(windows, automorphisms, translation, None)
 
 
 def wavepacket_system(
@@ -250,14 +257,7 @@ def wavepacket_system(
     """Expand {D_alpha T_gamma M_chi psi_j}: one layer per automorphism with
     generators D_alpha M_chi psi_j over (j, chi), translated along
     alpha^{-1}(Gamma)."""
-    group = translation.parent
-    if modulation.parent.orders != group.orders:
-        raise ValueError("modulation subgroup must live in the dual of the same group")
-    if not automorphisms:
-        raise ValueError("need at least one automorphism")
-    channels = _validate_windows(windows, group)
-    layers = _dilation_layers(_window_stack(windows, modulation), automorphisms, translation)
-    return SuperSystemDescriptor(group, channels, layers)
+    return _structured_system(windows, automorphisms, translation, modulation)
 
 
 def restrict_channel(system: SuperSystemDescriptor, channel: int) -> SuperSystemDescriptor:

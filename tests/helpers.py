@@ -35,15 +35,13 @@ def brute_closure(group: GroupSpec, gens) -> set:
     return current
 
 
-def loop_small_subgroups(group: GroupSpec, max_generators: int = 2) -> list:
+def loop_small_subgroups(group: GroupSpec) -> list:
     """(sorted indices, generators) of every distinct subgroup generated by at
-    most `max_generators` elements, in the order of its first generating set
-    among (), the single elements and the element pairs, by element order;
-    the whole group last if no such set generates it."""
+    most two elements, in the order of its first generating set among (), the
+    single elements and the element pairs, by element order; the whole group
+    last if no such set generates it."""
     elements = list(group.elements())
-    gen_sets = [()] + [(x,) for x in elements]
-    if max_generators >= 2:
-        gen_sets += list(combinations(elements, 2))
+    gen_sets = [()] + [(x,) for x in elements] + list(combinations(elements, 2))
     # Closures are shared between generating sets with the same cyclic parts.
     cyclic = {x: frozenset(brute_closure(group, [x])) for x in elements}
     joins: dict = {}

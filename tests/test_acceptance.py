@@ -443,7 +443,7 @@ def test_criterion_10_exact_integer_layer():
     ok = True
     n_subgroups = 0
     for g in all_groups_upto(64):
-        for sub in all_small_subgroups(g, max_generators=2):
+        for sub in all_small_subgroups(g):
             ann = sub.annihilator
             if sub.order * ann.order != g.size:
                 ok = False

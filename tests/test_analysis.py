@@ -11,11 +11,13 @@ from gtiframes import (
     SuperSignal,
     UncertifiedPairError,
     analysis_coeffs,
+    default_tolerance,
     frame_bounds,
     frame_operator_matrix,
     full_subgroup,
     gabor_canonical_dual,
     gabor_system,
+    indicator_signal,
     make_group,
     mixed_dual_gramian,
     multiplex_decode,
@@ -26,6 +28,7 @@ from gtiframes import (
 )
 from gtiframes.sweeps import (
     _fiberwise_pair_layer,
+    all_small_subgroups,
     dual_pair,
     matched_random_pair,
     random_super_signal,
@@ -228,6 +231,24 @@ class TestFrameOperator:
         with pytest.raises(CapExceededError):
             frame_operator_matrix(delta_system(g), cap=8)
 
+    def test_tolerance_finite_for_finite_bounds(self):
+        # B_F * B_H overflows past ~1e154; the tolerance must not.
+        g = make_group([4])
+        for f_scale, h_scale in [(1e100, 1e100), (1e150, 1e30), (1e-100, 1e154)]:
+            f_sys, h_sys = delta_system(g, scale=f_scale), delta_system(g, scale=h_scale)
+            b_f, b_h = frame_bounds(f_sys).upper, frame_bounds(h_sys).upper
+            tol, bessel = default_tolerance(f_sys, h_sys)
+            assert np.isfinite(b_f) and np.isfinite(b_h)
+            assert np.isfinite(tol)
+            assert tol == pytest.approx(1e-9 * max(1.0, np.sqrt(b_f) * np.sqrt(b_h)), rel=1e-12)
+            assert bessel == max(b_f, b_h)
+
+    def test_tolerance_bits_where_product_is_finite(self):
+        g = make_group([4])
+        f_sys, h_sys = delta_system(g, scale=1.5), delta_system(g, scale=np.pi)
+        b_f, b_h = frame_bounds(f_sys).upper, frame_bounds(h_sys).upper
+        assert default_tolerance(f_sys, h_sys)[0] == 1e-9 * max(1.0, b_f * b_h) ** 0.5
+
 
 class TestMixedDualGramian:
     def test_self_pair_equals_frame_operator(self):
@@ -299,6 +320,25 @@ class TestCanonicalDual:
         dual = gabor_canonical_dual(w, gamma, lam)
         verdict = check_gabor_duality([[w]], [[dual]], gamma, lam)
         assert verdict.passed
+
+    def test_refuses_exactly_the_non_frames_z12(self):
+        # One rule: the dual exists exactly where frame_bounds says is_frame.
+        g = make_group([12])
+        subgroups = all_small_subgroups(g)
+        windows = [random_signal(g, 13), indicator_signal(g, subgroup_from_generators(g, [(4,)]))]
+        outcomes = set()
+        for w in windows:
+            for gamma in subgroups:
+                for lam in subgroups:
+                    is_frame = frame_bounds(gabor_system([[w]], gamma, lam)).is_frame
+                    try:
+                        gabor_canonical_dual(w, gamma, lam)
+                        refused = False
+                    except NotAFrameError:
+                        refused = True
+                    assert refused == (not is_frame), (gamma.generators, lam.generators)
+                    outcomes.add(refused)
+        assert outcomes == {True, False}
 
     def test_zero_window_is_not_a_frame(self):
         g = make_group([4])

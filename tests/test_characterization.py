@@ -489,6 +489,30 @@ class TestSpecializedChecks:
                 scale = max(1.0, float(np.abs(expanded.stack).max()))
                 assert np.abs(table.stack - expanded.stack).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize(
+        "orders, step, foreign, foreign_step, tol",
+        [(8, 2, 4, 2, 1e-9), (8, 2, 4, 2, None), (512, 8, 256, 4, None)],
+        ids=["Z8-tol", "Z8-default", "Z512-above-cap"],
+    )
+    def test_foreign_lattice_refused(self, orders, step, foreign, foreign_step, tol):
+        # A modulation subgroup (or automorphism) of another group is refused
+        # with or without a tolerance, below and above the cap; it used to
+        # give a verdict from the other group's cosets.
+        g, other = make_group([orders]), make_group([foreign])
+        gamma = subgroup_from_generators(g, [(step,)])
+        lam = subgroup_from_generators(g, [(orders // 2,)])
+        bad_lam = subgroup_from_generators(other, [(foreign_step,)])
+        w = [(random_signal(g, 3),)]
+        autos = [identity_automorphism(g)]
+        with pytest.raises(ValueError, match="modulation subgroup"):
+            check_gabor_duality(w, w, gamma, bad_lam, tol=tol)
+        with pytest.raises(ValueError, match="modulation subgroup"):
+            check_wavepacket_duality(w, w, autos, gamma, bad_lam, tol=tol)
+        with pytest.raises(ValueError, match="automorphism group"):
+            check_wavelet_duality(w, w, [identity_automorphism(other)], gamma, tol=tol)
+        with pytest.raises(ValueError, match="automorphism group"):
+            check_wavepacket_duality(w, w, [identity_automorphism(other)], gamma, lam, tol=tol)
+
     def test_empty_automorphism_list_refused(self):
         g = make_group([4])
         windows = [[delta_signal(g)]]

@@ -1,11 +1,17 @@
 """Front-end behaviour: config round trips, exit codes, command flows."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gtiframes import make_group
 from gtiframes.cli import main
@@ -257,6 +263,17 @@ class TestCheckCommand:
         assert code == 2 and report is None
         assert err.startswith("error:") and where in err
 
+    def test_overflowing_frame_bounds_fail_closed(self, tmp_path, capsys):
+        # B_F * B_H = 1e400 overflows; the tolerance must stay finite, so a
+        # residual of 1e200 fails instead of passing under an inf tolerance.
+        doc = {"group": [4], "channels": 1, "layers": [{"subgroup_generators": [[1]],
+               "generators": [{"weight": 1e200, "windows": ["delta"]}]}]}
+        cfg = write_json(tmp_path / "o.json", doc)
+        code, report, _ = run_cli(capsys, "check", "parseval", cfg)
+        assert code == 1
+        assert report["verdict"]["max_residual"] == pytest.approx(1e200)
+        assert report["verdict"]["tolerance"] == pytest.approx(1e-9 * 1e200)
+
     def test_nan_window_sample_exit_two_naming_window(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         f_sys, h_sys = dual_pair(rng, make_group([8]), channels=2)
@@ -364,6 +381,104 @@ class TestGaborDualCommand:
                                str(tmp_path / "out.json"))
         assert code == 2
         assert "not a frame" in err
+
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            (PARSEVAL_DOC, "structured 'gabor'"),
+            ({**GABOR_DOC, "gabor": {**GABOR_DOC["gabor"],
+              "windows": [["delta"], ["constant"]]}}, "exactly one base window"),
+            ({**GABOR_DOC, "channels": 2, "gabor": {**GABOR_DOC["gabor"],
+              "windows": [["delta", "delta"]]}}, "single-channel"),
+            ({**GABOR_DOC, "gabor": {**GABOR_DOC["gabor"], "modulation_generators": 3}},
+             "gabor modulation_generators"),
+        ],
+        ids=["layers", "two-windows", "two-channels", "bad-modulation"],
+    )
+    def test_malformed_config_exit_two(self, tmp_path, capsys, doc, where):
+        cfg = write_json(tmp_path / "m.json", doc)
+        out = tmp_path / "out.json"
+        code, report, err = run_cli(capsys, "gabor-dual", cfg, "--dual-output", str(out))
+        assert code == 2 and report is None and not out.exists()
+        assert err.startswith("error:") and where in err
+
+
+# Valid documents of every kind on groups of order <= 16, for the fuzz test.
+FUZZ_DOCS = [
+    PARSEVAL_DOC,
+    {"group": [2, 4], "channels": 1, "layers": [
+        {"subgroup_generators": [[0, 2]], "generators": [
+            {"weight": 0.5, "windows": ["random:1"]},
+            {"windows": [{"re": [1, 0, 0, 0, 0, 0, 0, 2], "im": [0] * 8}]}]},
+        {"subgroup_generators": [[1, 0]], "generators": [{"windows": ["indicator:[[0, 2]]"]}]},
+    ]},
+    GABOR_DOC,
+    {"group": [12], "channels": 1, "gabor": {"windows": [["random"]],
+     "translation_generators": [[3]], "modulation_generators": [[2]]}},
+    {"group": [16], "channels": 2, "wavelet": {
+        "windows": [["random:1", "delta"], ["constant", "random:2"]],
+        "automorphism_matrices": [[[1]], [[3]]], "translation_generators": [[4]]}},
+    {"group": [4, 4], "channels": 1, "wavepacket": {
+        "windows": [["random:5"]],
+        "automorphism_matrices": [[[1, 0], [0, 1]], [[1, 1], [0, 1]]],
+        "translation_generators": [[2, 0], [0, 2]], "modulation_generators": [[0, 2]]}},
+]
+
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "", "delta", "random", "indicator:[[1]]", [], {},
+                     [[]], 1.5, -0.0, float("nan"), float("inf"), -float("inf"),
+                     10**400, -10**30, 2**63]),
+    st.integers(-20, 20),
+)
+
+
+def _paths(doc, prefix=()):
+    """Every place in a JSON document, the root first."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, op, value):
+    """`doc` with the value at `path` replaced, deleted or wrapped one level deeper."""
+    if not path:
+        return {"replace": value, "list": [doc], "dict": {"x": doc}}.get(op, {})
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if op == "delete":
+        del parent[key]
+    else:
+        parent[key] = {"replace": value, "list": [parent[key]], "dict": {"x": parent[key]}}[op]
+    return doc
+
+
+class TestCliContractFuzz:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_mutated_documents_exit_zero_one_or_two(self, data):
+        # The CLI contract: any document ends in exit 0, 1 or 2, never in a
+        # traceback; a refused document prints an error and no report.
+        doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_DOCS)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_paths(doc))))
+            op = data.draw(st.sampled_from(["replace", "delete", "list", "dict"]))
+            doc = _mutated(doc, path, op, data.draw(FUZZ_VALUES))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "c.json"
+            cfg.write_text(json.dumps(doc))
+            for argv in (["info", str(cfg)], ["check", "parseval", str(cfg)],
+                         ["gabor-dual", str(cfg), "--dual-output", str(Path(tmp) / "d.json")]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2), (argv, doc)
+                if code == 2:
+                    assert out.getvalue() == "" and err.getvalue().startswith("error:")
+                else:
+                    json.loads(out.getvalue())
 
 
 class TestMultiplexCommand:
