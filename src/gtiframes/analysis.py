@@ -26,6 +26,8 @@ from .systems import (
 )
 
 DEFAULT_CAP = 256
+# The verdict tolerance before any scaling by frame bounds.
+RAW_TOLERANCE = 1e-9
 
 
 @dataclass(eq=False)
@@ -113,6 +115,7 @@ def _check_signal_match(system: SuperSystemDescriptor, f: SuperSignal) -> None:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below, not warned of
 def analysis_coeffs(system: SuperSystemDescriptor, f: SuperSignal) -> CoefficientMap:
     """Plain pairings <f, T_gamma g> summed over channels, no weights applied.
 
@@ -130,9 +133,13 @@ def analysis_coeffs(system: SuperSystemDescriptor, f: SuperSignal) -> Coefficien
             pairing = np.einsum("png,ng->pg", g_hat.conj(), f_hat)
             rows[:] = _transform(pairing, group, inverse=True)[:, layer.subgroup.indices]
         entries.append(rows)
+    # Synthesis never reads the rows of zero-mass generators; the others must be finite.
+    _require_finite("analysis", *(rows[[gen.weight != 0.0 for gen in layer.generators]]
+                                  for rows, layer in zip(entries, system.layers)))
     return CoefficientMap(group, system.channels, entries)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below, not warned of
 def synthesis(system: SuperSystemDescriptor, coeffs: CoefficientMap) -> SuperSignal:
     """Weighted reproduction sum: covolume per layer, mass per generator.
 
@@ -143,6 +150,9 @@ def synthesis(system: SuperSystemDescriptor, coeffs: CoefficientMap) -> SuperSig
     """
     if coeffs.group.orders != system.group.orders:
         raise ValueError("coefficient group does not match system group")
+    if coeffs.channels != system.channels:
+        raise ValueError(f"coefficients have {coeffs.channels} channels, "
+                         f"system expects {system.channels}")
     if len(coeffs.entries) != len(system.layers):
         raise ValueError("coefficient layer count does not match system")
     group = system.group
@@ -160,7 +170,15 @@ def synthesis(system: SuperSystemDescriptor, coeffs: CoefficientMap) -> SuperSig
         placed[:, layer.subgroup.indices] = scales[live, None] * rows[live]
         g_hat = _spectra([layer.generators[p].windows for p in live], group)
         out_hat += np.einsum("pg,png->ng", _transform(placed, group), g_hat)
-    return SuperSignal.from_stacked(group, _transform(out_hat, group, inverse=True))
+    out = _transform(out_hat, group, inverse=True)
+    _require_finite("synthesis", out)
+    return SuperSignal.from_stacked(group, out)
+
+
+def _require_finite(what: str, *arrays: np.ndarray) -> None:
+    """Refuse a result that overflowed float64; numpy's warnings are off where it is computed."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{what} overflows float64: weights, windows or input values too large")
 
 
 def _above_cap(channels: int, group: GroupSpec, cap: int) -> bool:
@@ -168,14 +186,7 @@ def _above_cap(channels: int, group: GroupSpec, cap: int) -> bool:
     return channels * group.size > cap
 
 
-def _require_cap(system: SuperSystemDescriptor, cap: int) -> None:
-    if _above_cap(system.channels, system.group, cap):
-        raise CapExceededError(
-            f"dense operation needs {system.channels * system.group.size} rows, "
-            f"above the cap of {cap}"
-        )
-
-
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below, not warned of
 def mixed_dual_gramian(
     f_system: SuperSystemDescriptor,
     h_system: SuperSystemDescriptor,
@@ -193,9 +204,10 @@ def mixed_dual_gramian(
     product, or one per group of generators when P|Gamma| > N|G|.
     """
     require_matching_structure(f_system, h_system)
-    _require_cap(f_system, cap)
     n = f_system.channels
     size = f_system.group.size
+    if _above_cap(n, f_system.group, cap):
+        raise CapExceededError(f"dense operation needs {n * size} rows, above the cap of {cap}")
     out = np.zeros((n * size, n * size), dtype=np.complex128)
     for lf, lh in zip(f_system.layers, h_system.layers):
         scales = lf.subgroup.covolume * np.array([gen.weight for gen in lf.generators])
@@ -213,6 +225,7 @@ def mixed_dual_gramian(
             # Row (p, i) of each half is the channel-major T_{gamma_i} of generator p.
             tg, th = values[:, :, table].transpose(0, 2, 1, 3).reshape(2, -1, n * size)
             out += (tg * np.repeat(scales[part], table.shape[0])[:, None]).T @ th.conj()
+    _require_finite("dense operator", out)
     return out
 
 
@@ -230,26 +243,21 @@ def frame_bounds(system: SuperSystemDescriptor, cap: int = DEFAULT_CAP) -> Frame
 
 
 def default_tolerance(
-    f_system: SuperSystemDescriptor,
-    h_system: SuperSystemDescriptor | None = None,
-    cap: int = DEFAULT_CAP,
+    f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
 ) -> tuple[float, float | None]:
-    """Residual tolerance 1e-9 * max(1, B_F * B_H)^(1/2) and the recorded
-    Bessel bound; falls back to the raw 1e-9 above the matrix cap."""
-    try:
-        b_f = frame_bounds(f_system, cap=cap).upper
-        if h_system is None or h_system is f_system:
-            b_h = b_f
-        else:
-            b_h = frame_bounds(h_system, cap=cap).upper
-    except CapExceededError:
-        return 1e-9, None
+    """Residual tolerance RAW_TOLERANCE * max(1, B_F * B_H)^(1/2) and the recorded
+    Bessel bound when N*|G| <= DEFAULT_CAP, else RAW_TOLERANCE and no bound.  The
+    threshold is fixed: a verdict does not depend on the cap of a dense operation."""
+    if _above_cap(f_system.channels, f_system.group, DEFAULT_CAP):
+        return RAW_TOLERANCE, None
+    b_f = frame_bounds(f_system).upper
+    b_h = b_f if h_system is f_system else frame_bounds(h_system).upper
     # The product overflows for bounds past ~1e154, the product of the square
     # roots does not; taking it only there keeps every other tolerance's bits.
     scale = (b_f * b_h) ** 0.5
     if math.isinf(scale):
         scale = math.sqrt(b_f) * math.sqrt(b_h)
-    return 1e-9 * max(1.0, scale), max(b_f, b_h)
+    return RAW_TOLERANCE * max(1.0, scale), max(b_f, b_h)
 
 
 def gramian_identity_residual(matrix: np.ndarray) -> float:
@@ -285,13 +293,12 @@ def _require_certified(
     f_system: SuperSystemDescriptor,
     h_system: SuperSystemDescriptor,
     tol: float | None,
-    cap: int,
 ) -> None:
     """Raise UncertifiedPairError unless the fiber verdict calls the pair dual."""
     # characterization imports this module, so the verdict is imported here.
     from .characterization import check_super_duality
 
-    verdict = check_super_duality(f_system, h_system, tol=tol, cap=cap)
+    verdict = check_super_duality(f_system, h_system, tol=tol)
     if not verdict.passed:
         raise UncertifiedPairError(
             f"pair is not a certified dual pair (residual {verdict.max_residual:.3e} "
@@ -304,12 +311,11 @@ def multiplex_encode(
     signals: SuperSignal,
     force: bool = False,
     tol: float | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> CoefficientMap:
     """Push N channels through one coefficient stream of the analysis system."""
     f_system, h_system = pair
     if not force:
-        _require_certified(f_system, h_system, tol, cap)
+        _require_certified(f_system, h_system, tol)
     return analysis_coeffs(f_system, signals)
 
 
@@ -318,10 +324,9 @@ def multiplex_decode(
     coeffs: CoefficientMap,
     force: bool = False,
     tol: float | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> SuperSignal:
     """Recover all N channels from one coefficient stream via the dual system."""
     f_system, h_system = pair
     if not force:
-        _require_certified(f_system, h_system, tol, cap)
+        _require_certified(f_system, h_system, tol)
     return synthesis(h_system, coeffs)

@@ -30,6 +30,7 @@ import numpy as np
 
 from .analysis import (
     DEFAULT_CAP,
+    RAW_TOLERANCE,
     _above_cap,
     default_tolerance,
     mixed_dual_gramian,
@@ -216,13 +217,12 @@ def check_orthogonality(
     h_system: SuperSystemDescriptor,
     tol: float | None = None,
     top_k: int = 10,
-    cap: int = DEFAULT_CAP,
 ) -> Verdict:
     """Pass when every fiber vanishes, offset 0 included (zero mixed Gramian)."""
     table = fiber_table(f_system, h_system)
     bessel = None
     if tol is None:
-        tol, bessel = default_tolerance(f_system, h_system, cap=cap)
+        tol, bessel = default_tolerance(f_system, h_system)
     return _fiber_verdict(table, tol, top_k, bessel, dual=False)
 
 
@@ -231,7 +231,6 @@ def check_super_duality(
     h_system: SuperSystemDescriptor,
     tol: float | None = None,
     top_k: int = 10,
-    cap: int = DEFAULT_CAP,
 ) -> Verdict:
     """Pass when diagonal fibers are delta at offset 0 and cross fibers vanish.
 
@@ -242,7 +241,7 @@ def check_super_duality(
     table = fiber_table(f_system, h_system)
     bessel = None
     if tol is None:
-        tol, bessel = default_tolerance(f_system, h_system, cap=cap)
+        tol, bessel = default_tolerance(f_system, h_system)
     return _fiber_verdict(table, tol, top_k, bessel, dual=True)
 
 
@@ -250,10 +249,9 @@ def check_parseval_super(
     system: SuperSystemDescriptor,
     tol: float | None = None,
     top_k: int = 10,
-    cap: int = DEFAULT_CAP,
 ) -> Verdict:
     """Self-duality: the system reproduces every signal with its own analysis."""
-    return check_super_duality(system, system, tol=tol, top_k=top_k, cap=cap)
+    return check_super_duality(system, system, tol=tol, top_k=top_k)
 
 
 def multiplier_symbol(
@@ -261,7 +259,6 @@ def multiplier_symbol(
     h_system: SuperSystemDescriptor,
     channel: int | None = None,
     tol: float | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> Spectrum:
     """Zero-offset diagonal fiber, valid only when the mixed dual Gramian
     commutes with translations (all other fibers vanish); raises
@@ -274,7 +271,7 @@ def multiplier_symbol(
     if not 0 <= channel < table.channels:
         raise ValueError(f"channel {channel} out of range")
     if tol is None:
-        tol, _ = default_tolerance(f_system, h_system, cap=cap)
+        tol, _ = default_tolerance(f_system, h_system)
     resid = np.abs(table.stack)
     diagonal = np.arange(table.channels)
     resid[0, diagonal, diagonal] = 0.0  # the zero-offset diagonal is the symbol
@@ -412,23 +409,21 @@ def _structured_verdict(
     modulation: Subgroup | None,
     tol: float | None,
     top_k: int,
-    cap: int,
 ) -> Verdict:
     """Duality verdict of a structured pair from its structured fibers.
 
     The default tolerance needs frame bounds, so it expands both systems
-    through `_structured_system` unless they are above the cap, where the raw
-    1e-9 applies.
+    through `_structured_system` unless they are above `DEFAULT_CAP`, where
+    `default_tolerance` would take the raw tolerance anyway.
     """
     table = _structured_fibers(f_windows, h_windows, automorphisms, translation, modulation)
     bessel = None
-    if tol is None and _above_cap(table.channels, table.group, cap):
-        tol = 1e-9
+    if tol is None and _above_cap(table.channels, table.group, DEFAULT_CAP):
+        tol = RAW_TOLERANCE
     elif tol is None:
         tol, bessel = default_tolerance(
             _structured_system(f_windows, automorphisms, translation, modulation),
             _structured_system(h_windows, automorphisms, translation, modulation),
-            cap=cap,
         )
     return _fiber_verdict(table, tol, top_k, bessel, dual=True)
 
@@ -440,12 +435,11 @@ def check_gabor_duality(
     modulation: Subgroup,
     tol: float | None = None,
     top_k: int = 10,
-    cap: int = DEFAULT_CAP,
 ) -> Verdict:
     """Duality of two time-frequency systems over the same lattice pair,
     evaluated directly from base-window spectra."""
     return _structured_verdict(
-        f_windows, h_windows, None, translation, modulation, tol, top_k, cap
+        f_windows, h_windows, None, translation, modulation, tol, top_k
     )
 
 
@@ -456,12 +450,11 @@ def check_wavelet_duality(
     translation: Subgroup,
     tol: float | None = None,
     top_k: int = 10,
-    cap: int = DEFAULT_CAP,
 ) -> Verdict:
     """Duality of two dilation-translation systems, evaluated from base-window
     spectra with adjoint-pulled-back frequencies."""
     return _structured_verdict(
-        f_windows, h_windows, automorphisms, translation, None, tol, top_k, cap
+        f_windows, h_windows, automorphisms, translation, None, tol, top_k
     )
 
 
@@ -473,10 +466,9 @@ def check_wavepacket_duality(
     modulation: Subgroup,
     tol: float | None = None,
     top_k: int = 10,
-    cap: int = DEFAULT_CAP,
 ) -> Verdict:
     """Duality of two dilation-translation-modulation systems, evaluated from
     base-window spectra."""
     return _structured_verdict(
-        f_windows, h_windows, automorphisms, translation, modulation, tol, top_k, cap
+        f_windows, h_windows, automorphisms, translation, modulation, tol, top_k
     )

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    DEFAULT_CAP,
     frame_bounds,
     gabor_canonical_dual,
     gramian_identity_residual,
@@ -142,14 +143,11 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
 
     start = time.perf_counter()
     if args.kind == "duality":
-        verdict = check_super_duality(f_system, h_system, tol=args.tol,
-                                      top_k=args.top_k, cap=args.cap)
+        verdict = check_super_duality(f_system, h_system, tol=args.tol, top_k=args.top_k)
     elif args.kind == "orthogonality":
-        verdict = check_orthogonality(f_system, h_system, tol=args.tol,
-                                      top_k=args.top_k, cap=args.cap)
+        verdict = check_orthogonality(f_system, h_system, tol=args.tol, top_k=args.top_k)
     else:
-        verdict = check_parseval_super(f_system, tol=args.tol,
-                                       top_k=args.top_k, cap=args.cap)
+        verdict = check_parseval_super(f_system, tol=args.tol, top_k=args.top_k)
     report["verdict"] = _verdict_json(verdict)
     if args.oracle:
         try:
@@ -183,7 +181,7 @@ def cmd_gabor_dual(args: argparse.Namespace) -> tuple[dict, int]:
     start = time.perf_counter()
     dual = gabor_canonical_dual(window, translation, modulation, cap=args.cap)
     verdict = check_gabor_duality([[window]], [[dual]], translation, modulation,
-                                  tol=args.tol, top_k=args.top_k, cap=args.cap)
+                                  tol=args.tol, top_k=args.top_k)
     dual_doc = {
         "group": list(group.orders),
         "channels": 1,
@@ -215,7 +213,7 @@ def cmd_multiplex(args: argparse.Namespace) -> tuple[dict, int]:
         "config_digest_h": config_digest(h_doc),
     }
     start = time.perf_counter()
-    verdict = check_super_duality(f_system, h_system, tol=args.tol, cap=args.cap)
+    verdict = check_super_duality(f_system, h_system, tol=args.tol)
     report["certification"] = _verdict_json(verdict)
     if not verdict.passed and not args.force:
         raise GtiError(
@@ -272,11 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, dense: bool = True) -> None:
         p.add_argument("--tol", type=float, default=None,
-                       help="residual tolerance (default: 1e-9 scaled by frame bounds)")
-        p.add_argument("--cap", type=int, default=256,
-                       help="max N*|G| for dense-matrix operations")
+                       help="residual tolerance (default: 1e-9, scaled by the frame "
+                            f"bounds when N*|G| <= {DEFAULT_CAP})")
+        if dense:
+            p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                           help="max N*|G| for dense-matrix operations (info's bounds, "
+                                "check --oracle, the gabor-dual solve); verdicts ignore it")
         p.add_argument("--top-k", type=int, default=10, help="witnesses to keep")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for bare 'random' window shorthands")
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mux.add_argument("--coeffs-out", default=None, help="output coefficients file")
     p_mux.add_argument("--force", action="store_true",
                        help="run even when the pair fails certification")
-    common(p_mux)
+    common(p_mux, dense=False)
     p_mux.set_defaults(handler=cmd_multiplex)
     return parser
 

@@ -40,7 +40,7 @@ from .systems import (
 
 def vector_to_json(values: np.ndarray) -> dict[str, list[float]]:
     arr = np.asarray(values, dtype=np.complex128)
-    return {"re": [float(v) for v in arr.real], "im": [float(v) for v in arr.imag]}
+    return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
 
 
 def _re_im(doc: Any, where: str) -> tuple[list, list]:
@@ -57,13 +57,13 @@ def vector_from_json(doc: Any, expected_len: int, where: str) -> np.ndarray:
             f"{where}: vector length {len(re)}/{len(im)} does not match group size {expected_len}"
         )
     try:
-        values = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: 're' and 'im' must hold numbers ({exc})") from exc
-    bad = np.flatnonzero(~np.isfinite(values))
+    bad = np.flatnonzero(~(np.isfinite(re) & np.isfinite(im)))
     if bad.size:
         raise ConfigError(f"{where}: non-finite value at index {int(bad[0])}")
-    return values
+    return re + 1j * im
 
 
 def window_from_value(group: GroupSpec, value: Any, where: str, seed: int = 0) -> Signal:

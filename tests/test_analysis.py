@@ -12,6 +12,7 @@ from gtiframes import (
     UncertifiedPairError,
     analysis_coeffs,
     default_tolerance,
+    delta_signal,
     frame_bounds,
     frame_operator_matrix,
     full_subgroup,
@@ -93,6 +94,24 @@ class TestAnalysisSynthesis:
             e[:] = 0.0
         out = synthesis(sys, coeffs)
         assert out.norm() == 0.0
+
+    def test_synthesis_refuses_another_channel_count(self):
+        g = make_group([4])
+        coeffs = analysis_coeffs(delta_system(g), SuperSignal((random_signal(g, 1),)))
+        with pytest.raises(ValueError, match="1 channels, system expects 2"):
+            synthesis(delta_system(g, channels=2), coeffs)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_refused_not_returned(self):
+        # Each step is finite on its own; the transforms overflow float64.
+        g = make_group([4])
+        sys = delta_system(g, scale=1e200)
+        big = SuperSignal((Signal(g, [1e200, 1e200, 0, 0]),))
+        with pytest.raises(ValueError, match="analysis overflows"):
+            analysis_coeffs(sys, big)
+        coeffs = analysis_coeffs(delta_system(g), big)
+        with pytest.raises(ValueError, match="synthesis overflows"):
+            synthesis(sys, coeffs)
 
     def test_delta_system_roundtrip_identity(self):
         g = make_group([7])
@@ -230,6 +249,13 @@ class TestFrameOperator:
         g = make_group([16])
         with pytest.raises(CapExceededError):
             frame_operator_matrix(delta_system(g), cap=8)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_weights_refused(self):
+        g = make_group([4])
+        layer = GtiLayer(full_subgroup(g), [WeightedGenerator(1.7e308, (delta_signal(g),))] * 2)
+        with pytest.raises(ValueError, match="dense operator overflows float64"):
+            frame_operator_matrix(SuperSystemDescriptor(g, 1, [layer]))
 
     def test_tolerance_finite_for_finite_bounds(self):
         # B_F * B_H overflows past ~1e154; the tolerance must not.

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import subprocess
@@ -13,13 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gtiframes import make_group
+from gtiframes import analysis_coeffs, make_group
 from gtiframes.cli import main
 from gtiframes.configio import (
+    coefficients_to_json,
     config_digest,
     descriptor_to_config,
     parse_config,
     super_signal_to_json,
+    vector_to_json,
 )
 from gtiframes.sweeps import dual_pair, matched_random_pair, random_super_signal
 
@@ -235,7 +238,8 @@ class TestCheckCommand:
             *[({"group": [4], "channels": 1, "layers": [{"subgroup_generators": [[1]],
                 "generators": [{"windows": [window]}]}]}, "layer 0 generator 0 window 0")
               for window in ({"re": 5, "im": 5},
-                             {"re": [10**400, 0, 0, 0], "im": [0, 0, 0, 0]})],
+                             {"re": [10**400, 0, 0, 0], "im": [0, 0, 0, 0]},
+                             {"re": [0, 0, 0, 0], "im": [float("inf"), 0, 0, 0]})],
             ({"group": [4], "channels": 1, "gabor": 5}, "'gabor' section"),
             ({"group": [4], "channels": 1, "wavelet": []}, "'wavelet' section"),
             ({"group": [4], "channels": 1, "wavepacket": "delta"}, "'wavepacket' section"),
@@ -253,10 +257,11 @@ class TestCheckCommand:
         ids=["layer", "generator", "channels", "weight-list", "weight-nan", "weight-inf",
              "weight-string", "weight-huge",
              "group-float", "group-bool", "channels-inf", "window-re-int", "window-re-overflow",
-             "gabor-number", "wavelet-list", "wavepacket-string", "channels-float",
-             "channels-bool", "subgroup-float", "subgroup-string", "subgroup-bool",
-             "automorphism-float", "automorphism-huge"],
+             "window-im-inf", "gabor-number", "wavelet-list", "wavepacket-string",
+             "channels-float", "channels-bool", "subgroup-float", "subgroup-string",
+             "subgroup-bool", "automorphism-float", "automorphism-huge"],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_config_exit_two(self, tmp_path, capsys, doc, where):
         cfg = write_json(tmp_path / "m.json", doc)
         code, report, err = run_cli(capsys, "check", "parseval", cfg)
@@ -273,6 +278,46 @@ class TestCheckCommand:
         assert code == 1
         assert report["verdict"]["max_residual"] == pytest.approx(1e200)
         assert report["verdict"]["tolerance"] == pytest.approx(1e-9 * 1e200)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", [["check", "parseval"], ["info"]], ids=["check", "info"])
+    def test_overflowing_frame_operator_exit_two_naming_overflow(self, tmp_path, capsys, command):
+        # Two generators of weight 1.7e308 sum past the float range in the
+        # frame operator; that is reported as such, with no numpy warning.
+        doc = {"group": [4], "channels": 1, "layers": [{"subgroup_generators": [[1]],
+               "generators": [{"weight": 1.7e308, "windows": ["delta"]}] * 2}]}
+        cfg = write_json(tmp_path / "o.json", doc)
+        code, report, err = run_cli(capsys, *command, cfg)
+        assert code == 2 and report is None
+        assert err.startswith("error:") and "overflows" in err and "weights" in err
+
+    def test_verdict_does_not_depend_on_cap(self, tmp_path, capsys):
+        # A painless Gabor pair on Z256 (N*|G| = 256) whose dual has one sample
+        # off by 2e-7: residual 3.57e-9, under the bounds-scaled tolerance
+        # 4.45e-9 and over the raw 1e-9, which a --cap below 256 used to select.
+        n, step, modulations = 256, 16, 32
+        rng = np.random.default_rng(3)
+        window = np.zeros(n, dtype=np.complex128)
+        window[:modulations] = (rng.standard_normal(modulations)
+                                + 1j * rng.standard_normal(modulations))
+        periodized = sum(np.abs(np.roll(window, k * step)) ** 2 for k in range(n // step))
+        dual = window / (step * modulations * periodized)
+        dual[5] *= 1 + 2e-7
+        cfgs = [
+            write_json(tmp_path / f"{name}.json", {
+                "group": [n], "channels": 1,
+                "gabor": {"windows": [[vector_to_json(w)]], "translation_generators": [[step]],
+                          "modulation_generators": [[n // modulations]]},
+            })
+            for name, w in (("g", window), ("h", dual))
+        ]
+        verdicts = []
+        for cap in ("1", "255", "256", "100000"):
+            code, report, _ = run_cli(capsys, "check", "duality", *cfgs, "--cap", cap)
+            assert code == 0, cap
+            verdicts.append(report["verdict"])
+        assert all(v == verdicts[0] for v in verdicts)
+        assert verdicts[0]["max_residual"] > 1e-9 and "bessel_bound" in verdicts[0]
 
     def test_nan_window_sample_exit_two_naming_window(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -455,30 +500,100 @@ def _mutated(doc, path, op, value):
     return doc
 
 
+def _mutate(data, doc, values):
+    """One to three random replacements, deletions or wrappings of a copy of
+    `doc`.  Drawn values are copied too: a shared `[[]]` mutated in place
+    would change the strategy itself and could nest into itself."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        op = data.draw(st.sampled_from(["replace", "delete", "list", "dict"]))
+        doc = _mutated(doc, path, op, copy.deepcopy(data.draw(values)))
+    return doc
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity constants Python writes."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestCliContractFuzz:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(st.data())
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_mutated_documents_exit_zero_one_or_two(self, data):
         # The CLI contract: any document ends in exit 0, 1 or 2, never in a
-        # traceback; a refused document prints an error and no report.
-        doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_DOCS)))
-        for _ in range(data.draw(st.integers(1, 3))):
-            path = data.draw(st.sampled_from(list(_paths(doc))))
-            op = data.draw(st.sampled_from(["replace", "delete", "list", "dict"]))
-            doc = _mutated(doc, path, op, data.draw(FUZZ_VALUES))
+        # traceback or a numpy warning; a refused document prints an error
+        # and no report.
+        doc = _mutate(data, data.draw(st.sampled_from(FUZZ_DOCS)), FUZZ_VALUES)
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "c.json"
             cfg.write_text(json.dumps(doc))
             for argv in (["info", str(cfg)], ["check", "parseval", str(cfg)],
                          ["gabor-dual", str(cfg), "--dual-output", str(Path(tmp) / "d.json")]):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(argv)
+                code, out, err = _run_main(argv)
                 assert code in (0, 1, 2), (argv, doc)
                 if code == 2:
-                    assert out.getvalue() == "" and err.getvalue().startswith("error:")
+                    assert out == "" and err.startswith("error:")
                 else:
-                    json.loads(out.getvalue())
+                    json.loads(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _multiplex_docs():
+    """A 2-channel dual pair on Z8 with a signal and its coefficients, as
+    JSON text: (f config, h config, signals, coefficients)."""
+    rng = np.random.default_rng(11)
+    g = make_group([8])
+    f_sys, h_sys = dual_pair(rng, g, channels=2)
+    signals = random_super_signal(rng, g, 2)
+    coeffs = coefficients_to_json(analysis_coeffs(f_sys, signals))
+    return tuple(json.dumps(d) for d in (descriptor_to_config(f_sys), descriptor_to_config(h_sys),
+                                         super_signal_to_json(signals), coeffs))
+
+
+class TestMultiplexContractFuzz:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_mutated_signals_and_coefficients(self, data):
+        # Signal documents through encode and roundtrip, coefficient documents
+        # through decode: exit 0, 1 or 2 with no numpy warning, an error and
+        # no report on exit 2, and otherwise strict JSON on stdout and in
+        # every file written.
+        f_text, h_text, sig_text, coeff_text = _multiplex_docs()
+        kind = data.draw(st.sampled_from(["signals", "coeffs"]))
+        base = json.loads(sig_text if kind == "signals" else coeff_text)
+        doc = _mutate(data, base, st.one_of(FUZZ_VALUES, st.just(1e308)))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, text in (("f", f_text), ("h", h_text), ("in", json.dumps(doc))):
+                (tmp / f"{name}.json").write_text(text)
+            pair = [str(tmp / "f.json"), str(tmp / "h.json"), f"--{kind}", str(tmp / "in.json")]
+            out_file = tmp / "out.json"
+            if kind == "signals":
+                runs = [["--mode", "encode", "--coeffs-out", str(out_file)],
+                        ["--mode", "roundtrip", "--signals-out", str(out_file)]]
+            else:
+                runs = [["--mode", "decode", "--signals-out", str(out_file)]]
+            for extra in runs:
+                out_file.unlink(missing_ok=True)
+                code, out, err = _run_main(["multiplex", *pair, *extra])
+                assert code in (0, 1, 2), (extra, doc)
+                if code == 2:
+                    assert out == "" and err.startswith("error:"), (extra, doc)
+                else:
+                    _strict_json(out)
+                    _strict_json(out_file.read_text())
 
 
 class TestMultiplexCommand:
@@ -547,11 +662,13 @@ class TestMultiplexCommand:
             ({"layers": []}, "'group'"),
             *[({"group": [8], "channels": 2, "layers": [{"entries": rows}]},
                "coefficients layer 0 row 0")
-              for rows in ([1], [{}], [{"re": [10**400], "im": [0]}])],
+              for rows in ([1], [{}], [{"re": [10**400], "im": [0]}],
+                           [{"re": [0], "im": [float("inf")]}])],
         ],
         ids=["no-entries", "not-an-object", "no-group", "entries-int", "entries-empty-object",
-             "re-overflow"],
+             "re-overflow", "im-inf"],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_coefficients_exit_two(self, tmp_path, capsys, doc, where):
         f_cfg, h_cfg, _ = self._dual_pair_files(tmp_path)
         coeffs = write_json(tmp_path / "bad_c.json", doc)
@@ -564,9 +681,11 @@ class TestMultiplexCommand:
     @pytest.mark.parametrize(
         "doc, where",
         [({"channels": 5}, "'channels' list"),
-         ({"channels": [{"re": [10**400] + [0] * 7, "im": [0] * 8}]}, "signal channel 0")],
-        ids=["channels-int", "re-overflow"],
+         ({"channels": [{"re": [10**400] + [0] * 7, "im": [0] * 8}]}, "signal channel 0"),
+         ({"channels": [{"re": [0] * 8, "im": [float("inf")] + [0] * 7}]}, "signal channel 0")],
+        ids=["channels-int", "re-overflow", "im-inf"],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_signals_exit_two(self, tmp_path, capsys, doc, where):
         f_cfg, h_cfg, _ = self._dual_pair_files(tmp_path)
         sig = write_json(tmp_path / "bad_s.json", doc)
@@ -575,6 +694,44 @@ class TestMultiplexCommand:
         )
         assert code == 2 and report is None
         assert err.startswith("error:") and where in err
+
+    def _encoded(self, tmp_path, capsys):
+        f_cfg, h_cfg, sig = self._dual_pair_files(tmp_path)
+        coeffs = tmp_path / "c.json"
+        run_cli(capsys, "multiplex", f_cfg, h_cfg, "--signals", sig,
+                "--mode", "encode", "--coeffs-out", str(coeffs))
+        return f_cfg, h_cfg, json.loads(coeffs.read_text())
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda doc: doc.update(channels=7), "coefficients have 7 channels, system expects 2"),
+         (lambda doc: doc["layers"][0]["entries"].pop(),
+          "coefficient block 0 has shape (1, 8), expected (2, 8)")],
+        ids=["channels", "block-shape"],
+    )
+    def test_decode_refuses_coefficients_of_another_system(self, tmp_path, capsys, edit, message):
+        f_cfg, h_cfg, doc = self._encoded(tmp_path, capsys)
+        edit(doc)
+        bad = write_json(tmp_path / "bad_c.json", doc)
+        code, report, err = run_cli(
+            capsys, "multiplex", f_cfg, h_cfg, "--coeffs", bad, "--mode", "decode"
+        )
+        assert code == 2 and report is None
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_roundtrip_exit_two_naming_overflow(self, tmp_path, capsys):
+        # Two samples of 1e308 overflow the transform; the report used to
+        # say "max_relative_error": NaN, which is not JSON.
+        f_cfg, h_cfg, sig = self._dual_pair_files(tmp_path)
+        doc = json.loads(Path(sig).read_text())
+        doc["channels"][0]["re"][:2] = [1e308, 1e308]
+        big = write_json(tmp_path / "big.json", doc)
+        code, report, err = run_cli(
+            capsys, "multiplex", f_cfg, h_cfg, "--signals", big, "--mode", "roundtrip"
+        )
+        assert code == 2 and report is None
+        assert err.startswith("error:") and "overflows" in err
 
     def test_non_integer_coefficients_group_exit_two(self, tmp_path, capsys):
         f_cfg, h_cfg, sig = self._dual_pair_files(tmp_path)
