@@ -101,7 +101,7 @@ def _coset_fibers(spectra: np.ndarray, weights: np.ndarray, ann: Subgroup) -> np
 
         out[k, n1, n2, xi] = sum_p weights[p] * conj(Hhat_p,n1(xi)) * Fhat_p,n2(xi + a_k).
 
-    The spectra of one coset c + A form (P, N|A|) blocks F_c and H_c, column
+    The spectra of one coset c + A form (N|A|, P) blocks F_c and H_c, row
     (n, i) at c + a_i, and the fiber Gramian H_c* W F_c holds
     fiber[a_k](c + a_i) at entry [(n1, i), (n2, j)], where a_j = a_i + a_k.
     """
@@ -110,24 +110,32 @@ def _coset_fibers(spectra: np.ndarray, weights: np.ndarray, ann: Subgroup) -> np
     _, n, size = spectra.shape
     cosets = ann.cosets
     count, order = cosets.shape
-    cols = (cosets[:, None, :] + size * np.arange(n)[:, None]).reshape(count, n * order)
-    blocks = spectra.reshape(2 * p, n * size)[:, cols]  # F_c and H_c, as (2P, C, N|A|)
-    np.conjugate(blocks[p:], out=blocks[p:])
-    blocks[p:] *= weights[:, None, None]
-    # einsum adds the generators in index order whatever the block shape, so
-    # a fiber does not depend on how its layer falls into cosets.
-    products = np.einsum("pci,pcj->cij", blocks[p:], blocks[:p])
-    del blocks  # freed before the output is gathered
+    width = n * order
+    cols = (cosets[:, None, :] + size * np.arange(n)[:, None]).reshape(count, width)
+    flat = spectra.reshape(2 * p, n * size)
+    f_blocks = flat[:p].T[cols]  # (C, N|A|, P)
+    h_blocks = flat[p:].T[cols]
+    np.conjugate(h_blocks, out=h_blocks)
+    # One batched BLAS product; its sum over the generators runs in the BLAS
+    # kernel's order, so fibers agree with the definition to rounding.  An
+    # overflow is left as inf for the caller to refuse or fail on.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_blocks *= weights
+        products = np.matmul(h_blocks, f_blocks.transpose(0, 2, 1))
+    del f_blocks, h_blocks  # freed before the output is gathered
     # Coset row and column of every frequency; moved[k, xi] is the column of xi + a_k.
     position = np.empty(size, dtype=np.int64)
     position[cosets.ravel()] = np.arange(size)
     row, col = np.divmod(position, order)
     res = group.residue_matrix()[ann.indices]
-    moved = col[_flat_index(group, res[:, None, :] + res[None, :, :])][:, col]
-    channel = np.arange(n)
-    return products.reshape(count, n, order, n, order)[
-        row, channel[:, None, None], col, channel[:, None], moved[:, None, None, :]
-    ]
+    moved = col[_flat_index(group, res[:, None, :] + res[None, :, :])].take(col, axis=1)
+    # Flat position of products[row, n1, col, n2, moved] in the
+    # (C, N, |A|, N, |A|) layout, read with one take.
+    channel = np.arange(n) * order
+    point = moved + (row * width + col) * width
+    pair = channel[:, None] * width + channel[None, :]
+    index = point[:, None, None, :] + pair[:, :, None]
+    return products.take(index)
 
 
 def _summed_table(
@@ -137,13 +145,19 @@ def _summed_table(
     parts: Iterable[np.ndarray | None],
 ) -> FiberTable:
     """Add each part's (len(keys[j]), N, N, |G|) fibers (None: zeros) at its
-    offset indices keys[j], into one table over the sorted union of the keys."""
+    offset indices keys[j], into one table over the sorted union of the keys.
+
+    Parts are fresh arrays owned by the caller; a first part whose keys are
+    already the sorted union becomes the stack and the rest add into it."""
     member = np.zeros((len(keys), group.size), dtype=bool)
     for j, k in enumerate(keys):
         member[j, k] = True
     offsets = np.flatnonzero(member.any(axis=0))
     stack = None
     for k, part in zip(keys, parts):
+        if stack is None and part is not None and np.array_equal(k, offsets):
+            stack = part
+            continue
         # Allocated once the first part is done and its temporaries are freed.
         if stack is None:
             stack = np.zeros((offsets.size, channels, channels, group.size), dtype=np.complex128)
@@ -159,6 +173,8 @@ def fiber_table(
 
     Offset membership in each layer annihilator is decided by exact integer
     congruences, so the offset set is the exact union of the annihilators.
+    A non-finite fiber from finite windows is float64 overflow, refused with
+    a ValueError; non-finite windows leave their fibers to fail the verdict.
     """
     require_matching_structure(f_system, h_system)
     group = f_system.group
@@ -170,12 +186,24 @@ def fiber_table(
         weights = np.array([gen.weight for gen in lf.generators])
         return _coset_fibers(spectra, weights, lf.subgroup.annihilator)
 
-    return _summed_table(
-        group,
-        f_system.channels,
-        [layer.subgroup.annihilator.indices for layer in f_system.layers],
-        (layer_fibers(lf, lh) for lf, lh in zip(f_system.layers, h_system.layers)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _summed_table(
+            group,
+            f_system.channels,
+            [layer.subgroup.annihilator.indices for layer in f_system.layers],
+            (layer_fibers(lf, lh) for lf, lh in zip(f_system.layers, h_system.layers)),
+        )
+    if not np.isfinite(table.stack).all() and all(
+        np.isfinite(w.values).all()
+        for system in (f_system, h_system)
+        for layer in system.layers
+        for gen in layer.generators
+        for w in gen.windows
+    ):
+        raise ValueError(
+            "fiber table overflows float64: weights, windows or input values too large"
+        )
+    return table
 
 
 def _fiber_verdict(

@@ -213,7 +213,7 @@ def cmd_multiplex(args: argparse.Namespace) -> tuple[dict, int]:
         "config_digest_h": config_digest(h_doc),
     }
     start = time.perf_counter()
-    verdict = check_super_duality(f_system, h_system, tol=args.tol)
+    verdict = check_super_duality(f_system, h_system, tol=args.tol, top_k=args.top_k)
     report["certification"] = _verdict_json(verdict)
     if not verdict.passed and not args.force:
         raise GtiError(
@@ -250,8 +250,11 @@ def cmd_multiplex(args: argparse.Namespace) -> tuple[dict, int]:
         recovered = synthesis(h_system, coeffs)
         errors = []
         for orig, back in zip(signals.channels, recovered.channels):
-            scale = max(orig.norm(), 1e-300)
-            errors.append(float(np.linalg.norm(back.values - orig.values)) / scale)
+            # Both norms of the channel scaled to a largest modulus of 1, so
+            # their sums of squares cannot overflow.
+            peak = float(np.abs(orig.values).max()) or 1.0
+            norm = max(float(np.linalg.norm(orig.values / peak)), 1e-300)
+            errors.append(float(np.linalg.norm(back.values / peak - orig.values / peak)) / norm)
         report["relative_errors_per_channel"] = errors
         report["max_relative_error"] = max(errors)
         if args.signals_out:

@@ -115,7 +115,8 @@ def _transform(values: np.ndarray, group: GroupSpec, inverse: bool = False) -> n
 
 def _spectra(tuples: Sequence[Sequence[Signal]], group: GroupSpec) -> np.ndarray:
     """(P, N, |G|) transforms of P window tuples of N channels each, in one call."""
-    return _transform(np.stack([[w.values for w in tup] for tup in tuples]), group)
+    values = np.stack([w.values for tup in tuples for w in tup])
+    return _transform(values.reshape(len(tuples), -1, group.size), group)
 
 
 def _roll(values: np.ndarray, group: GroupSpec, offset: Sequence[int]) -> np.ndarray:

@@ -123,6 +123,71 @@ class TestFiberTable:
                             got = table.data[off_idx][n1, n2, g.index_of(xi)]
                             assert got == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "orders, layer_gens",
+        [
+            # Nested annihilators, largest first: the first layer covers every offset.
+            ((16,), [[(8,)], [(4,)], [(2,)]]),
+            ((2, 4), [[(1, 1)], [(0, 2)], [(1, 0)]]),
+            ((3, 3), [[(1, 1)], [(1, 0)], [(0, 1)]]),
+            ((2, 2, 2), [[(1, 0, 0)], [(1, 1, 0)], [(0, 0, 1), (0, 1, 0)]]),
+        ],
+        ids=["Z16", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2"],
+    )
+    def test_matches_rolled_definition(self, orders, layer_gens):
+        # fiber[a](n1, n2, xi) = sum over the layers whose annihilator holds a
+        # and their generators p of w_p conj(Hhat_p,n1(xi)) Fhat_p,n2(xi + a),
+        # one offset at a time from numpy's fftn and np.roll on the group grid.
+        g = make_group(list(orders))
+        axes = tuple(range(len(orders)))
+        rng = np.random.default_rng(len(orders) * 100 + g.size)
+
+        def hat(window):
+            return np.fft.fftn(window.values.reshape(orders))
+
+        for channels in (1, 2, 3):
+            layers_f, layers_h = [], []
+            for gens in layer_gens[:channels]:
+                sub = subgroup_from_generators(g, gens)
+                weights = rng.random(2)
+                if len(layers_f) == channels - 1:
+                    weights[0] = 0.0
+                layers_f.append(GtiLayer(sub, [WeightedGenerator(w, tuple(
+                    random_signal(g, rng) for _ in range(channels))) for w in weights]))
+                layers_h.append(GtiLayer(sub, [WeightedGenerator(w, tuple(
+                    random_signal(g, rng) for _ in range(channels))) for w in weights]))
+            f_sys = SuperSystemDescriptor(g, channels, layers_f)
+            h_sys = SuperSystemDescriptor(g, channels, layers_h)
+            expected: dict = {}
+            for lf, lh in zip(layers_f, layers_h):
+                for a_idx in lf.subgroup.annihilator.indices.tolist():
+                    shift = [-r for r in g.element_at(a_idx)]
+                    block = expected.setdefault(
+                        a_idx, np.zeros((channels, channels, g.size), dtype=complex)
+                    )
+                    for gf, gh in zip(lf.generators, lh.generators):
+                        for n1 in range(channels):
+                            for n2 in range(channels):
+                                moved = np.roll(hat(gf.windows[n2]), shift, axis=axes)
+                                term = np.conj(hat(gh.windows[n1])) * moved
+                                block[n1, n2] += gf.weight * term.reshape(-1)
+            table = fiber_table(f_sys, h_sys)
+            assert table.offset_indices.tolist() == sorted(expected)
+            for k, off in enumerate(table.offset_indices.tolist()):
+                np.testing.assert_allclose(table.stack[k], expected[off], rtol=0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("layers, gens", [(1, 2), (2, 1)], ids=["one-layer", "two-layers"])
+    def test_overflow_refused(self, layers, gens):
+        # Every weight and window is finite; the generator sum inside one
+        # layer, or the sum across layers, passes the float64 range.
+        g = make_group([4])
+        sub = subgroup_from_generators(g, [(1,)])
+        layer = GtiLayer(sub, [WeightedGenerator(1.7e308, (delta_signal(g),))] * gens)
+        sys = SuperSystemDescriptor(g, 1, [layer] * layers)
+        with pytest.raises(ValueError, match="fiber table overflows float64"):
+            fiber_table(sys, sys)
+
     def test_contributing_layers_recorded(self):
         g = make_group([4])
         sub = subgroup_from_generators(g, [(2,)])

@@ -291,6 +291,18 @@ class TestCheckCommand:
         assert code == 2 and report is None
         assert err.startswith("error:") and "overflows" in err and "weights" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_fiber_table_exit_two_naming_overflow(self, tmp_path, capsys):
+        # With --tol given no dense operator runs: the fiber table itself
+        # overflows, and is refused instead of printing "max_residual": Infinity.
+        doc = {"group": [4], "channels": 1, "layers": [{"subgroup_generators": [[1]],
+               "generators": [{"weight": 1.7e308, "windows": ["delta"]}] * 2}]}
+        cfg = write_json(tmp_path / "o.json", doc)
+        code = main(["check", "parseval", cfg, "--tol", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: fiber table overflows")
+
     def test_verdict_does_not_depend_on_cap(self, tmp_path, capsys):
         # A painless Gabor pair on Z256 (N*|G| = 256) whose dual has one sample
         # off by 2e-7: residual 3.57e-9, under the bounds-scaled tolerance
@@ -614,6 +626,37 @@ class TestMultiplexCommand:
         )
         assert code == 0
         assert report["max_relative_error"] < 1e-10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("hit", [[0], [0, 1]], ids=["one-channel", "both-channels"])
+    def test_roundtrip_errors_finite_for_huge_samples(self, tmp_path, capsys, hit):
+        # The sum of squares of a 1e160 sample overflows; that channel's error
+        # used to read 0.0 with a numpy warning.  A channel left at unit scale
+        # beside a 1e160 one keeps the codec's rounding leak (~1e144 relative),
+        # which is float64 range, not a reporting fault.
+        f_cfg, h_cfg, sig = self._dual_pair_files(tmp_path)
+        doc = json.loads(Path(sig).read_text())
+        for n in hit:
+            doc["channels"][n]["re"][0] = 1e160
+        big = write_json(tmp_path / "big.json", doc)
+        code, report, _ = run_cli(
+            capsys, "multiplex", f_cfg, h_cfg, "--signals", big, "--mode", "roundtrip"
+        )
+        assert code == 0
+        errors = report["relative_errors_per_channel"]
+        assert len(errors) == 2 and all(np.isfinite(errors))
+        assert all(errors[n] <= 1e-9 for n in hit)
+        assert report["max_relative_error"] == max(errors)
+
+    @pytest.mark.parametrize("top_k", [1, 3])
+    def test_top_k_limits_certification_witnesses(self, tmp_path, capsys, top_k):
+        f_cfg, h_cfg, sig = self._dual_pair_files(tmp_path)
+        _, full, _ = run_cli(capsys, "multiplex", f_cfg, h_cfg, "--signals", sig)
+        code, report, _ = run_cli(
+            capsys, "multiplex", f_cfg, h_cfg, "--signals", sig, "--top-k", str(top_k)
+        )
+        assert code == 0 and len(full["certification"]["witnesses"]) > top_k
+        assert len(report["certification"]["witnesses"]) == top_k
 
     def test_encode_then_decode_files(self, tmp_path, capsys):
         f_cfg, h_cfg, sig = self._dual_pair_files(tmp_path)
