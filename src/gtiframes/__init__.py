@@ -3,87 +3,58 @@ abelian groups: exact group arithmetic, transforms, system constructors,
 dense oracles and fiber-based verdicts, plus a multiplexing codec."""
 
 from .analysis import (
-    CoefficientMap,
-    FrameBounds,
-    SuperSignal,
-    analysis_coeffs,
-    default_tolerance,
-    frame_bounds,
-    frame_operator_matrix,
-    gabor_canonical_dual,
-    gramian_identity_residual,
-    mixed_dual_gramian,
-    multiplex_decode,
-    multiplex_encode,
-    synthesis,
+    CoefficientMap, FrameBounds, SuperSignal, analysis_coeffs, default_tolerance, frame_bounds,
+    frame_operator_matrix, gabor_canonical_dual, gramian_identity_residual, mixed_dual_gramian,
+    multiplex_decode, multiplex_encode, synthesis,
 )
 from .characterization import (
-    FiberTable,
-    QuadraticSeriesReport,
-    check_gabor_duality,
-    check_orthogonality,
-    check_parseval_super,
-    check_super_duality,
-    check_wavelet_duality,
-    check_wavepacket_duality,
-    commutation_defect,
-    fiber_table,
-    multiplier_symbol,
-    quadratic_form_series,
+    FiberTable, QuadraticSeriesReport, check_gabor_duality, check_orthogonality,
+    check_parseval_super, check_super_duality, check_wavelet_duality, check_wavepacket_duality,
+    commutation_defect, fiber_table, multiplier_symbol, quadratic_form_series,
 )
 from .errors import (
-    CapExceededError,
-    ConfigError,
-    GtiError,
-    NotAFrameError,
-    NotAMultiplierError,
-    StructureMismatchError,
-    UncertifiedPairError,
+    CapExceededError, ConfigError, GtiError, NotAFrameError, NotAMultiplierError,
+    StructureMismatchError, UncertifiedPairError,
 )
 from .fourier import (
-    Signal,
-    Spectrum,
-    apply_multiplier,
-    constant_signal,
-    delta_signal,
-    dft,
-    dft_naive,
-    idft,
-    idft_naive,
-    indicator_signal,
-    inner,
-    random_signal,
-    shift_spectrum,
+    Signal, Spectrum, apply_multiplier, constant_signal, delta_signal, dft, dft_naive, idft,
+    idft_naive, indicator_signal, inner, random_signal, shift_spectrum,
 )
 from .groups import (
-    Automorphism,
-    GroupSpec,
-    Subgroup,
-    annihilator,
-    automorphism_from_matrix,
-    character_column,
-    character_eval,
-    full_subgroup,
-    identity_automorphism,
-    make_group,
-    subgroup_from_generators,
-    subgroup_from_indices,
-    trivial_subgroup,
+    Automorphism, GroupSpec, Subgroup, annihilator, automorphism_from_matrix, character_column,
+    character_eval, full_subgroup, identity_automorphism, make_group, subgroup_from_generators,
+    subgroup_from_indices, trivial_subgroup,
 )
 from .systems import (
-    GtiLayer,
-    SuperSystemDescriptor,
-    Verdict,
-    WeightedGenerator,
-    Witness,
-    dilate,
-    gabor_system,
-    modulate,
-    require_matching_structure,
-    restrict_channel,
-    translate,
-    wavelet_system,
+    GtiLayer, SuperSystemDescriptor, Verdict, WeightedGenerator, Witness, dilate, gabor_system,
+    modulate, require_matching_structure, restrict_channel, translate, wavelet_system,
     wavepacket_system,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # analysis
+    "CoefficientMap", "FrameBounds", "SuperSignal", "analysis_coeffs", "default_tolerance",
+    "frame_bounds", "frame_operator_matrix", "gabor_canonical_dual",
+    "gramian_identity_residual", "mixed_dual_gramian", "multiplex_decode", "multiplex_encode",
+    "synthesis",
+    # characterization
+    "FiberTable", "QuadraticSeriesReport", "check_gabor_duality", "check_orthogonality",
+    "check_parseval_super", "check_super_duality", "check_wavelet_duality",
+    "check_wavepacket_duality", "commutation_defect", "fiber_table", "multiplier_symbol",
+    "quadratic_form_series",
+    # errors
+    "CapExceededError", "ConfigError", "GtiError", "NotAFrameError", "NotAMultiplierError",
+    "StructureMismatchError", "UncertifiedPairError",
+    # fourier
+    "Signal", "Spectrum", "apply_multiplier", "constant_signal", "delta_signal", "dft",
+    "dft_naive", "idft", "idft_naive", "indicator_signal", "inner", "random_signal",
+    "shift_spectrum",
+    # groups
+    "Automorphism", "GroupSpec", "Subgroup", "annihilator", "automorphism_from_matrix",
+    "character_column", "character_eval", "full_subgroup", "identity_automorphism",
+    "make_group", "subgroup_from_generators", "subgroup_from_indices", "trivial_subgroup",
+    # systems
+    "GtiLayer", "SuperSystemDescriptor", "Verdict", "WeightedGenerator", "Witness", "dilate",
+    "gabor_system", "modulate", "require_matching_structure", "restrict_channel", "translate",
+    "wavelet_system", "wavepacket_system",
+]

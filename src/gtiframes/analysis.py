@@ -60,10 +60,6 @@ class SuperSignal:
         """Channel-major (N, |G|) matrix of values."""
         return np.stack([s.values for s in self.channels])
 
-    def flattened(self) -> np.ndarray:
-        """Channel-major flat vector of length N*|G|."""
-        return self.stacked().reshape(-1)
-
     @classmethod
     def from_stacked(cls, group: GroupSpec, values: np.ndarray) -> "SuperSignal":
         mat = np.asarray(values, dtype=np.complex128).reshape(-1, group.size)
@@ -84,9 +80,6 @@ class CoefficientMap:
 
     def total_size(self) -> int:
         return sum(e.size for e in self.entries)
-
-    def max_abs(self) -> float:
-        return max((float(np.abs(e).max()) if e.size else 0.0) for e in self.entries)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -65,6 +65,9 @@ class FiberTable:
 
     `layer_mask[k, j]` says whether offset k lies in the annihilator of
     layer j; `data` and `contributors` give the same by offset index.
+    The benchmark harness in `perfbench/` reads both views; `contributors`
+    has no other reader, `data` also feeds `check --dump-fibers` and
+    `scripts/run_sweep.py`.
     """
 
     group: GroupSpec
@@ -87,12 +90,6 @@ class FiberTable:
     @property
     def offsets(self) -> tuple[Element, ...]:
         return tuple(self.group.element_at(i) for i in self.offset_indices.tolist())
-
-    def fiber(self, n1: int, n2: int, offset: Sequence[int]) -> Spectrum:
-        idx = self.group.index_of(offset)
-        if idx not in self.data:
-            raise KeyError(f"offset {tuple(offset)} is not in any layer annihilator")
-        return Spectrum(self.group, self.data[idx][n1, n2].copy())
 
 
 def _coset_fibers(spectra: np.ndarray, weights: np.ndarray, ann: Subgroup) -> np.ndarray:
@@ -166,6 +163,22 @@ def _summed_table(
     return FiberTable(group, channels, offsets, stack, member[:, offsets].T)
 
 
+def _finite_fibers(build: Callable[[], FiberTable], windows: Iterable[Signal]) -> FiberTable:
+    """The table `build` returns, formed with float64 overflow left as inf.
+
+    A non-finite fiber from finite windows is float64 overflow, refused with
+    a ValueError; non-finite windows leave their fibers to fail the verdict.
+    `windows` is read only when the table is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = build()
+    if not np.isfinite(table.stack).all() and all(np.isfinite(w.values).all() for w in windows):
+        raise ValueError(
+            "fiber table overflows float64: weights, windows or input values too large"
+        )
+    return table
+
+
 def fiber_table(
     f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
 ) -> FiberTable:
@@ -173,8 +186,7 @@ def fiber_table(
 
     Offset membership in each layer annihilator is decided by exact integer
     congruences, so the offset set is the exact union of the annihilators.
-    A non-finite fiber from finite windows is float64 overflow, refused with
-    a ValueError; non-finite windows leave their fibers to fail the verdict.
+    Overflow is refused as in `_finite_fibers`.
     """
     require_matching_structure(f_system, h_system)
     group = f_system.group
@@ -186,24 +198,17 @@ def fiber_table(
         weights = np.array([gen.weight for gen in lf.generators])
         return _coset_fibers(spectra, weights, lf.subgroup.annihilator)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = _summed_table(
+    windows = (w for system in (f_system, h_system) for layer in system.layers
+               for gen in layer.generators for w in gen.windows)
+    return _finite_fibers(
+        lambda: _summed_table(
             group,
             f_system.channels,
             [layer.subgroup.annihilator.indices for layer in f_system.layers],
             (layer_fibers(lf, lh) for lf, lh in zip(f_system.layers, h_system.layers)),
-        )
-    if not np.isfinite(table.stack).all() and all(
-        np.isfinite(w.values).all()
-        for system in (f_system, h_system)
-        for layer in system.layers
-        for gen in layer.generators
-        for w in gen.windows
-    ):
-        raise ValueError(
-            "fiber table overflows float64: weights, windows or input values too large"
-        )
-    return table
+        ),
+        windows,
+    )
 
 
 def _fiber_verdict(
@@ -317,13 +322,12 @@ def multiplier_symbol(
 def commutation_defect(
     f_system: SuperSystemDescriptor,
     h_system: SuperSystemDescriptor,
-    cap: int = DEFAULT_CAP,
     matrix: np.ndarray | None = None,
 ) -> float:
     """max over group points x of the Frobenius norm of Theta T_x - T_x Theta,
     computed on the dense mixed dual Gramian matrix."""
     if matrix is None:
-        matrix = mixed_dual_gramian(f_system, h_system, cap=cap)
+        matrix = mixed_dual_gramian(f_system, h_system)
     group = f_system.group
     n = f_system.channels
     size = group.size
@@ -354,7 +358,6 @@ def quadratic_form_series(
     f_system: SuperSystemDescriptor,
     h_system: SuperSystemDescriptor,
     f: Signal,
-    cap: int = DEFAULT_CAP,
     matrix: np.ndarray | None = None,
     fibers: FiberTable | None = None,
 ) -> QuadraticSeriesReport:
@@ -368,7 +371,7 @@ def quadratic_form_series(
     if f.group.orders != f_system.group.orders:
         raise ValueError("signal group does not match system group")
     if matrix is None:
-        matrix = mixed_dual_gramian(f_system, h_system, cap=cap)
+        matrix = mixed_dual_gramian(f_system, h_system)
     group = f.group
     size = group.size
     shifts = f.values[translation_index_table(group)]  # row x is T_x f
@@ -404,6 +407,7 @@ def _structured_fibers(
     adjoint beta, then moves offset delta to beta(delta) and pulls the
     frequency back through beta^-1; no automorphisms is the Gabor case, one
     level with no relabelling.  Contributors are the dilation levels.
+    Overflow is refused as in `_finite_fibers`.
     """
     group = translation.parent
     if len(f_windows) != len(h_windows):
@@ -413,20 +417,26 @@ def _structured_fibers(
     channels = _validate_structure(f_windows, automorphisms, translation, modulation)
     if _validate_structure(h_windows, automorphisms, translation, modulation) != channels:
         raise ValueError("all window tuples must have the same channel count")
-    spectra = np.stack([[dft(w).values for w in tup] for tup in [*f_windows, *h_windows]])
-    ann = translation.annihilator
-    base = _coset_fibers(spectra, np.ones(len(f_windows)), ann)
-    if modulation is not None:
-        cosets = modulation.cosets
-        base[..., cosets] = base[..., cosets].sum(axis=-1, keepdims=True)
-    if automorphisms is None:
-        return FiberTable(group, channels, ann.indices, base, np.ones((ann.order, 1), dtype=bool))
-    return _summed_table(
-        group,
-        channels,
-        [alpha.adjoint_perm[ann.indices] for alpha in automorphisms],
-        (base[..., alpha.adjoint_inv_perm] for alpha in automorphisms),
-    )
+    tuples = [*f_windows, *h_windows]
+
+    def build() -> FiberTable:
+        spectra = np.stack([[dft(w).values for w in tup] for tup in tuples])
+        ann = translation.annihilator
+        base = _coset_fibers(spectra, np.ones(len(f_windows)), ann)
+        if modulation is not None:
+            cosets = modulation.cosets
+            base[..., cosets] = base[..., cosets].sum(axis=-1, keepdims=True)
+        if automorphisms is None:
+            mask = np.ones((ann.order, 1), dtype=bool)
+            return FiberTable(group, channels, ann.indices, base, mask)
+        return _summed_table(
+            group,
+            channels,
+            [alpha.adjoint_perm[ann.indices] for alpha in automorphisms],
+            (base[..., alpha.adjoint_inv_perm] for alpha in automorphisms),
+        )
+
+    return _finite_fibers(build, (w for tup in tuples for w in tup))
 
 
 def _structured_verdict(

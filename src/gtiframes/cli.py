@@ -265,6 +265,13 @@ def cmd_multiplex(args: argparse.Namespace) -> tuple[dict, int]:
     return report, 0
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtiframes",
@@ -281,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                            help="max N*|G| for dense-matrix operations (info's bounds, "
                                 "check --oracle, the gabor-dual solve); verdicts ignore it")
-        p.add_argument("--top-k", type=int, default=10, help="witnesses to keep")
+        p.add_argument("--top-k", type=_non_negative_int, default=10,
+                       help="witnesses to keep")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for bare 'random' window shorthands")
         p.add_argument("--output", default=None, help="also write the report here")

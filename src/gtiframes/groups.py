@@ -98,14 +98,6 @@ class GroupSpec:
     def elements(self) -> Iterable[Element]:
         return (tuple(int(v) for v in row) for row in self.residue_matrix())
 
-    def phase_table(self, fixed: Sequence[int]) -> np.ndarray:
-        """Integer phases p[y] = sum_k fixed_k * y_k * (size/n_k) mod size, over all y.
-
-        exp(2*pi*i*p[y]/size) is then the exact character pairing of `fixed`
-        against every group element y.
-        """
-        return _phase_rows(self, [self.reduce(fixed)])[0]
-
     def __str__(self) -> str:
         return "Z" + "xZ".join(str(n) for n in self.orders)
 
@@ -196,9 +188,6 @@ class Subgroup:
 
     def elements(self) -> list[Element]:
         return [self.parent.element_at(int(i)) for i in self.indices]
-
-    def contains(self, element: Sequence[int]) -> bool:
-        return self.parent.index_of(element) in self.indices
 
     def same_set(self, other: "Subgroup") -> bool:
         return self.parent.orders == other.parent.orders and np.array_equal(
@@ -337,36 +326,22 @@ def annihilator(group: GroupSpec, sub: Subgroup) -> Subgroup:
 
 @dataclass(eq=False)
 class Automorphism:
-    """An automorphism x -> A x (mod orders) with its exact dual-side adjoint."""
+    """An automorphism x -> A x (mod orders) with its exact dual-side adjoint.
+
+    perm[index(x)] = index(A x); adjoint_perm does the same for the adjoint
+    on dual indices; inv_perm and adjoint_inv_perm are their inverses.
+    """
 
     parent: GroupSpec
     matrix: tuple[tuple[int, ...], ...]
-    adjoint_matrix: tuple[tuple[int, ...], ...]
     perm: np.ndarray = field(repr=False)
     inv_perm: np.ndarray = field(repr=False)
     adjoint_perm: np.ndarray = field(repr=False)
     adjoint_inv_perm: np.ndarray = field(repr=False)
 
-    def apply(self, x: Sequence[int]) -> Element:
-        return self.parent.element_at(int(self.perm[self.parent.index_of(x)]))
-
-    def apply_inverse(self, x: Sequence[int]) -> Element:
-        return self.parent.element_at(int(self.inv_perm[self.parent.index_of(x)]))
-
-    def adjoint_apply(self, xi: Sequence[int]) -> Element:
-        return self.parent.element_at(int(self.adjoint_perm[self.parent.index_of(xi)]))
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.perm, np.arange(self.parent.size)))
-
     def inverse_image(self, sub: Subgroup) -> Subgroup:
         """The subgroup alpha^{-1}(Gamma)."""
         return subgroup_from_indices(self.parent, self.inv_perm[sub.indices])
-
-    def adjoint_image(self, sub: Subgroup) -> Subgroup:
-        """The subgroup beta(Lambda) on the dual side."""
-        return subgroup_from_indices(self.parent, self.adjoint_perm[sub.indices])
 
     def __str__(self) -> str:
         return f"automorphism {list(map(list, self.matrix))} of {self.parent}"
@@ -417,7 +392,6 @@ def automorphism_from_matrix(group: GroupSpec, matrix: Sequence[Sequence[int]]) 
     return Automorphism(
         parent=group,
         matrix=tuple(tuple(int(v) for v in row) for row in a),
-        adjoint_matrix=tuple(tuple(int(v) for v in row) for row in b),
         perm=perm,
         inv_perm=np.argsort(perm).astype(np.int64),
         adjoint_perm=adjoint_perm,

@@ -100,15 +100,15 @@ def random_descriptor(
     n_layers: int,
     gens_per_layer: int,
     subgroups: list[Subgroup] | None = None,
-    random_weights: bool = False,
 ) -> SuperSystemDescriptor:
+    """Unit-weight layers with independent random windows."""
     layers = []
     for j in range(n_layers):
         sub = subgroups[j] if subgroups is not None else random_subgroup(rng, group)
-        gens = []
-        for _ in range(gens_per_layer):
-            weight = float(rng.uniform(0.5, 2.0)) if random_weights else 1.0
-            gens.append(WeightedGenerator(weight, _random_windows(rng, group, channels)))
+        gens = [
+            WeightedGenerator(1.0, _random_windows(rng, group, channels))
+            for _ in range(gens_per_layer)
+        ]
         layers.append(GtiLayer(sub, gens))
     return SuperSystemDescriptor(group, channels, layers)
 
@@ -150,15 +150,13 @@ def _fiberwise_pair_layer(
     channels: int,
     extra_generators: int,
     orthogonal: bool,
-    random_weights: bool,
 ) -> tuple[GtiLayer, GtiLayer]:
-    """One layer of an exact dual (or orthogonal) pair over the subgroup."""
+    """One layer of an exact dual (or orthogonal) pair over the subgroup,
+    with random weights in [0.5, 2)."""
     cosets = sub.annihilator.cosets
     width = channels * sub.annihilator.order
     n_gens = width + extra_generators
-    weights = (
-        rng.uniform(0.5, 2.0, size=n_gens) if random_weights else np.ones(n_gens)
-    )
+    weights = rng.uniform(0.5, 2.0, size=n_gens)
     g_hat = np.zeros((n_gens, channels, group.size), dtype=np.complex128)
     h_hat = np.zeros_like(g_hat)
     for coset in cosets:
@@ -192,24 +190,19 @@ def dual_pair(
     group: GroupSpec,
     channels: int,
     n_layers: int = 1,
-    max_annihilator: int | None = None,
-    random_weights: bool = True,
 ) -> tuple[SuperSystemDescriptor, SuperSystemDescriptor]:
     """An exact super dual frame pair with the requested layer count.
 
-    Each layer is an exact dual pair on its own subgroup; layers are scaled
-    by split masses summing to one, which keeps the combined pair dual.
+    Each layer is an exact dual pair on its own subgroup, of index at most
+    max(1, 4 // channels); layers are scaled by split masses summing to one,
+    which keeps the combined pair dual.
     """
-    if max_annihilator is None:
-        max_annihilator = max(1, 4 // channels)
     masses = rng.dirichlet(np.ones(n_layers)) if n_layers > 1 else np.array([1.0])
     f_layers = []
     h_layers = []
     for j in range(n_layers):
-        sub = random_subgroup(rng, group, max_index=max_annihilator)
-        lf, lh = _fiberwise_pair_layer(
-            rng, group, sub, channels, 0, orthogonal=False, random_weights=random_weights
-        )
+        sub = random_subgroup(rng, group, max_index=max(1, 4 // channels))
+        lf, lh = _fiberwise_pair_layer(rng, group, sub, channels, 0, orthogonal=False)
         scale = float(np.sqrt(masses[j]))
         for gen in lf.generators:
             for w in gen.windows:
@@ -229,27 +222,22 @@ def orthogonal_pair(
     rng: np.random.Generator,
     group: GroupSpec,
     channels: int,
-    random_weights: bool = True,
 ) -> tuple[SuperSystemDescriptor, SuperSystemDescriptor]:
     """An exact orthogonal pair (zero mixed dual Gramian), single layer."""
-    max_annihilator = max(1, 3 // channels)
-    sub = random_subgroup(rng, group, max_index=max_annihilator)
-    lf, lh = _fiberwise_pair_layer(
-        rng, group, sub, channels, 1, orthogonal=True, random_weights=random_weights
-    )
+    sub = random_subgroup(rng, group, max_index=max(1, 3 // channels))
+    lf, lh = _fiberwise_pair_layer(rng, group, sub, channels, 1, orthogonal=True)
     return (
         SuperSystemDescriptor(group, channels, [lf]),
         SuperSystemDescriptor(group, channels, [lh]),
     )
 
 
-def random_automorphism(
-    rng: np.random.Generator, group: GroupSpec, max_tries: int = 64
-) -> Automorphism:
-    """A random valid automorphism: diagonal units plus an admissible shear."""
+def random_automorphism(rng: np.random.Generator, group: GroupSpec) -> Automorphism:
+    """A random valid automorphism: diagonal units plus an admissible shear,
+    drawn up to 64 times."""
     d = group.ndim
     orders = group.orders
-    for _ in range(max_tries):
+    for _ in range(64):
         mat = np.zeros((d, d), dtype=np.int64)
         for k, n in enumerate(orders):
             units = [u for u in range(1, n + 1) if np.gcd(u, n) == 1] or [1]

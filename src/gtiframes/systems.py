@@ -142,6 +142,9 @@ class Verdict:
         top_k: int = 10,
         bessel_bound: float | None = None,
     ) -> "Verdict":
+        if top_k < 0:
+            raise ValueError(f"top_k must be non-negative, got {top_k}")
+
         # A non-finite residual ranks and fails as +inf, so NaN never passes.
         def worst(w: Witness) -> float:
             return w.residual if math.isfinite(w.residual) else math.inf

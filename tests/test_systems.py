@@ -275,3 +275,9 @@ class TestDescriptors:
         assert not v.passed and v.max_residual == 1.5
         assert v.witnesses[0].residual == 1.5
         assert Verdict.from_witnesses(w, tolerance=2.0).passed
+
+    def test_verdict_refuses_negative_top_k(self):
+        w = [Witness((0, 0), (0,), (1,), 0.5), Witness((0, 0), (2,), (0,), 1.5)]
+        assert Verdict.from_witnesses(w, tolerance=1.0, top_k=0).witnesses == []
+        with pytest.raises(ValueError, match="top_k must be non-negative"):
+            Verdict.from_witnesses(w, tolerance=1.0, top_k=-1)
