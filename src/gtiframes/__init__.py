@@ -4,13 +4,13 @@ dense oracles and fiber-based verdicts, plus a multiplexing codec."""
 
 from .analysis import (
     CoefficientMap, FrameBounds, SuperSignal, analysis_coeffs, default_tolerance, frame_bounds,
-    frame_operator_matrix, gabor_canonical_dual, gramian_identity_residual, mixed_dual_gramian,
-    multiplex_decode, multiplex_encode, synthesis,
+    gramian_identity_residual, mixed_dual_gramian, multiplex_decode, multiplex_encode, synthesis,
 )
 from .characterization import (
     FiberTable, QuadraticSeriesReport, check_gabor_duality, check_orthogonality,
     check_parseval_super, check_super_duality, check_wavelet_duality, check_wavepacket_duality,
-    commutation_defect, fiber_table, multiplier_symbol, quadratic_form_series,
+    commutation_defect, fiber_table, gabor_canonical_dual, multiplier_symbol,
+    quadratic_form_series,
 )
 from .errors import (
     CapExceededError, ConfigError, GtiError, NotAFrameError, NotAMultiplierError,
@@ -34,14 +34,13 @@ from .systems import (
 __all__ = [
     # analysis
     "CoefficientMap", "FrameBounds", "SuperSignal", "analysis_coeffs", "default_tolerance",
-    "frame_bounds", "frame_operator_matrix", "gabor_canonical_dual",
-    "gramian_identity_residual", "mixed_dual_gramian", "multiplex_decode", "multiplex_encode",
-    "synthesis",
+    "frame_bounds", "gramian_identity_residual", "mixed_dual_gramian", "multiplex_decode",
+    "multiplex_encode", "synthesis",
     # characterization
     "FiberTable", "QuadraticSeriesReport", "check_gabor_duality", "check_orthogonality",
     "check_parseval_super", "check_super_duality", "check_wavelet_duality",
-    "check_wavepacket_duality", "commutation_defect", "fiber_table", "multiplier_symbol",
-    "quadratic_form_series",
+    "check_wavepacket_duality", "commutation_defect", "fiber_table", "gabor_canonical_dual",
+    "multiplier_symbol", "quadratic_form_series",
     # errors
     "CapExceededError", "ConfigError", "GtiError", "NotAFrameError", "NotAMultiplierError",
     "StructureMismatchError", "UncertifiedPairError",

@@ -1,8 +1,8 @@
 """Frame computations: the dense-matrix oracle and the multiplexing codec.
 
 The oracle works in the time domain from translate tables: the mixed dual
-Gramian, the frame operator and its bounds, and the canonical Gabor dual
-window.  Translate tables are read nowhere else.  Analysis and synthesis,
+Gramian, which for equal systems is the frame operator, and the frame
+bounds.  Translate tables are read nowhere else.  Analysis and synthesis,
 and the multiplexing codec built on them for a certified dual pair, work by
 transforms over the group grid (correlation and convolution theorems).
 Synthesis carries the full measure weighting (covolume per layer, user mass
@@ -16,14 +16,10 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import CapExceededError, NotAFrameError, UncertifiedPairError
+from .errors import CapExceededError, UncertifiedPairError
 from .fourier import Signal, _spectra, _transform
-from .groups import GroupSpec, Subgroup
-from .systems import (
-    SuperSystemDescriptor,
-    gabor_system,
-    require_matching_structure,
-)
+from .groups import GroupSpec
+from .systems import SuperSystemDescriptor, require_matching_structure
 
 DEFAULT_CAP = 256
 # The verdict tolerance before any scaling by frame bounds.
@@ -222,17 +218,10 @@ def mixed_dual_gramian(
     return out
 
 
-def frame_operator_matrix(
-    system: SuperSystemDescriptor, cap: int = DEFAULT_CAP
-) -> np.ndarray:
-    """Dense matrix of synthesis after analysis; Hermitian positive semidefinite."""
-    return mixed_dual_gramian(system, system, cap=cap)
-
-
 def frame_bounds(system: SuperSystemDescriptor, cap: int = DEFAULT_CAP) -> FrameBounds:
     """Extreme eigenvalues of the frame operator."""
-    eigs = np.linalg.eigvalsh(frame_operator_matrix(system, cap=cap))
-    return FrameBounds(lower=max(0.0, float(eigs[0])), upper=float(eigs[-1]))
+    eigs = np.linalg.eigvalsh(mixed_dual_gramian(system, system, cap=cap))
+    return FrameBounds(max(0.0, float(eigs.min())), float(eigs.max()))
 
 
 def default_tolerance(
@@ -256,30 +245,6 @@ def default_tolerance(
 def gramian_identity_residual(matrix: np.ndarray) -> float:
     """Entrywise max deviation from the identity."""
     return float(np.abs(matrix - np.eye(matrix.shape[0])).max())
-
-
-def gabor_canonical_dual(
-    window: Signal,
-    translation: Subgroup,
-    modulation: Subgroup,
-    cap: int = DEFAULT_CAP,
-) -> Signal:
-    """Solve the frame-operator system S h = g for the single-window case.
-
-    The frame operator of a Gabor layer commutes with its translations and
-    modulations, so S^{-1} g generates the canonical dual over the same
-    lattice pair.  Raises NotAFrameError when the lower bound vanishes.
-    """
-    system = gabor_system([[window]], translation, modulation)
-    op = frame_operator_matrix(system, cap=cap)
-    eigs = np.linalg.eigvalsh(op)
-    bounds = FrameBounds(lower=max(0.0, float(eigs[0])), upper=float(eigs[-1]))
-    if not bounds.is_frame:
-        raise NotAFrameError(
-            f"gabor system is not a frame (bounds {bounds.lower:.3e}, {bounds.upper:.3e})"
-        )
-    dual_values = np.linalg.solve(op, window.values)
-    return Signal(window.group, dual_values)
 
 
 def _require_certified(

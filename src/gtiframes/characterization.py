@@ -31,11 +31,13 @@ import numpy as np
 from .analysis import (
     DEFAULT_CAP,
     RAW_TOLERANCE,
+    FrameBounds,
     _above_cap,
+    _require_finite,
     default_tolerance,
     mixed_dual_gramian,
 )
-from .errors import NotAMultiplierError
+from .errors import NotAFrameError, NotAMultiplierError
 from .fourier import Signal, Spectrum, _spectra, _transform, dft
 from .groups import (
     Automorphism,
@@ -54,6 +56,7 @@ from .systems import (
     Witness,
     _structured_system,
     _validate_structure,
+    gabor_system,
     require_matching_structure,
 )
 
@@ -92,37 +95,42 @@ class FiberTable:
         return tuple(self.group.element_at(i) for i in self.offset_indices.tolist())
 
 
+def _coset_gramians(f_spectra: np.ndarray, h_spectra: np.ndarray, weights: np.ndarray,
+                    ann: Subgroup) -> np.ndarray:
+    """(C, N|A|, N|A|) Gramians H_c* W F_c on the cosets c + A of A, from the
+    (P, N, |G|) spectra of P generators in F and in H, plain weights, no covolume:
+    entry [(n1, i), (n2, j)] is sum_p weights[p] conj(Hhat_p,n1(c + a_i)) Fhat_p,n2(c + a_j).
+    """
+    p, n, size = f_spectra.shape
+    count, order = ann.cosets.shape
+    cols = (ann.cosets[:, None, :] + size * np.arange(n)[:, None]).reshape(count, n * order)
+    f_blocks = f_spectra.reshape(p, n * size).T[cols]  # (C, N|A|, P), row (n, i) at c + a_i
+    h_blocks = h_spectra.reshape(p, n * size).T[cols]
+    np.conjugate(h_blocks, out=h_blocks)
+    # One batched BLAS product, summed over the generators in the kernel's order
+    # (so to rounding); an overflow is left as inf for the caller to refuse or fail on.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_blocks *= weights
+        return np.matmul(h_blocks, f_blocks.transpose(0, 2, 1))
+
+
 def _coset_fibers(spectra: np.ndarray, weights: np.ndarray, ann: Subgroup) -> np.ndarray:
     """(|A|, N, N, |G|) fibers of one layer at the offsets a_k of its annihilator A,
     from the (2P, N, |G|) spectra of its P generators in F and then in H:
 
         out[k, n1, n2, xi] = sum_p weights[p] * conj(Hhat_p,n1(xi)) * Fhat_p,n2(xi + a_k).
 
-    The spectra of one coset c + A form (N|A|, P) blocks F_c and H_c, row
-    (n, i) at c + a_i, and the fiber Gramian H_c* W F_c holds
-    fiber[a_k](c + a_i) at entry [(n1, i), (n2, j)], where a_j = a_i + a_k.
+    The coset Gramian of c + A holds fiber[a_k](c + a_i) at entry
+    [(n1, i), (n2, j)], where a_j = a_i + a_k.
     """
-    group = ann.parent
     p = len(weights)
+    products = _coset_gramians(spectra[:p], spectra[p:], weights, ann)
+    group, order = ann.parent, ann.order
     _, n, size = spectra.shape
-    cosets = ann.cosets
-    count, order = cosets.shape
     width = n * order
-    cols = (cosets[:, None, :] + size * np.arange(n)[:, None]).reshape(count, width)
-    flat = spectra.reshape(2 * p, n * size)
-    f_blocks = flat[:p].T[cols]  # (C, N|A|, P)
-    h_blocks = flat[p:].T[cols]
-    np.conjugate(h_blocks, out=h_blocks)
-    # One batched BLAS product; its sum over the generators runs in the BLAS
-    # kernel's order, so fibers agree with the definition to rounding.  An
-    # overflow is left as inf for the caller to refuse or fail on.
-    with np.errstate(over="ignore", invalid="ignore"):
-        h_blocks *= weights
-        products = np.matmul(h_blocks, f_blocks.transpose(0, 2, 1))
-    del f_blocks, h_blocks  # freed before the output is gathered
     # Coset row and column of every frequency; moved[k, xi] is the column of xi + a_k.
     position = np.empty(size, dtype=np.int64)
-    position[cosets.ravel()] = np.arange(size)
+    position[ann.cosets.ravel()] = np.arange(size)
     row, col = np.divmod(position, order)
     res = group.residue_matrix()[ann.indices]
     moved = col[_flat_index(group, res[:, None, :] + res[None, :, :])].take(col, axis=1)
@@ -173,9 +181,7 @@ def _finite_fibers(build: Callable[[], FiberTable], windows: Iterable[Signal]) -
     with np.errstate(over="ignore", invalid="ignore"):
         table = build()
     if not np.isfinite(table.stack).all() and all(np.isfinite(w.values).all() for w in windows):
-        raise ValueError(
-            "fiber table overflows float64: weights, windows or input values too large"
-        )
+        _require_finite("fiber table", table.stack)
     return table
 
 
@@ -253,9 +259,7 @@ def check_orthogonality(
 ) -> Verdict:
     """Pass when every fiber vanishes, offset 0 included (zero mixed Gramian)."""
     table = fiber_table(f_system, h_system)
-    bessel = None
-    if tol is None:
-        tol, bessel = default_tolerance(f_system, h_system)
+    tol, bessel = default_tolerance(f_system, h_system) if tol is None else (tol, None)
     return _fiber_verdict(table, tol, top_k, bessel, dual=False)
 
 
@@ -272,9 +276,7 @@ def check_super_duality(
     pairwise orthogonality checks.
     """
     table = fiber_table(f_system, h_system)
-    bessel = None
-    if tol is None:
-        tol, bessel = default_tolerance(f_system, h_system)
+    tol, bessel = default_tolerance(f_system, h_system) if tol is None else (tol, None)
     return _fiber_verdict(table, tol, top_k, bessel, dual=True)
 
 
@@ -479,6 +481,27 @@ def check_gabor_duality(
     return _structured_verdict(
         f_windows, h_windows, None, translation, modulation, tol, top_k
     )
+
+
+def gabor_canonical_dual(window: Signal, translation: Subgroup, modulation: Subgroup) -> Signal:
+    """The window S^-1 g of the canonical dual over the same lattice pair.  S is block
+    diagonal over the cosets of ann(translation), acting on each as the conjugate of
+    the Hermitian coset Gramian: bounds are its extreme eigenvalues (NotAFrameError
+    when the lower one vanishes), and each block is solved on its coset."""
+    group = window.group
+    (layer,) = gabor_system([[window]], translation, modulation).layers
+    spectra = _spectra([gen.windows for gen in layer.generators], group)
+    cosets = translation.annihilator.cosets
+    gramians = _coset_gramians(spectra, spectra, np.ones(len(spectra)), translation.annihilator)
+    _require_finite("gabor frame operator", gramians)
+    eigs = np.linalg.eigvalsh(gramians)
+    bounds = FrameBounds(max(0.0, float(eigs.min())), float(eigs.max()))
+    if not bounds.is_frame:
+        raise NotAFrameError(f"gabor system is not a frame "
+                             f"(bounds {bounds.lower:.3e}, {bounds.upper:.3e})")
+    dual_hat = np.empty(group.size, dtype=np.complex128)
+    dual_hat[cosets] = np.linalg.solve(gramians.conj(), dft(window).values[cosets, None])[..., 0]
+    return Signal(group, _transform(dual_hat, group, inverse=True))
 
 
 def check_wavelet_duality(

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -17,7 +19,6 @@ import numpy as np
 from .analysis import (
     DEFAULT_CAP,
     frame_bounds,
-    gabor_canonical_dual,
     gramian_identity_residual,
     mixed_dual_gramian,
     multiplex_decode,
@@ -31,6 +32,7 @@ from .characterization import (
     check_parseval_super,
     check_super_duality,
     fiber_table,
+    gabor_canonical_dual,
 )
 from .configio import (
     coefficients_from_json,
@@ -74,10 +76,16 @@ def _verdict_json(verdict: Verdict) -> dict:
 
 
 def _emit(report: dict, output: str | None) -> None:
+    """Write the report to `output`, then print it: a failed write prints nothing."""
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
     if output:
         Path(output).write_text(text + "\n")
+    print(text)
+    sys.stdout.flush()
+
+
+def _write_json(path: str, doc: dict) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_info(args: argparse.Namespace) -> tuple[dict, int]:
@@ -179,7 +187,7 @@ def cmd_gabor_dual(args: argparse.Namespace) -> tuple[dict, int]:
         raise ConfigError("gabor-dual needs exactly one base window")
     window = windows[0][0]
     start = time.perf_counter()
-    dual = gabor_canonical_dual(window, translation, modulation, cap=args.cap)
+    dual = gabor_canonical_dual(window, translation, modulation)
     verdict = check_gabor_duality([[window]], [[dual]], translation, modulation,
                                   tol=args.tol, top_k=args.top_k)
     dual_doc = {
@@ -191,7 +199,7 @@ def cmd_gabor_dual(args: argparse.Namespace) -> tuple[dict, int]:
             "modulation_generators": sec["modulation_generators"],
         },
     }
-    Path(args.dual_output).write_text(json.dumps(dual_doc, indent=2, sort_keys=True) + "\n")
+    _write_json(args.dual_output, dual_doc)
     report = {
         "command": "gabor-dual",
         "config_digest": config_digest(doc),
@@ -231,9 +239,7 @@ def cmd_multiplex(args: argparse.Namespace) -> tuple[dict, int]:
         signals = read_signals()
         coeffs = multiplex_encode((f_system, h_system), signals, force=True)
         if args.coeffs_out:
-            Path(args.coeffs_out).write_text(
-                json.dumps(coefficients_to_json(coeffs), indent=2, sort_keys=True) + "\n"
-            )
+            _write_json(args.coeffs_out, coefficients_to_json(coeffs))
         report["coefficient_count"] = coeffs.total_size()
     elif args.mode == "decode":
         if not args.coeffs:
@@ -241,9 +247,7 @@ def cmd_multiplex(args: argparse.Namespace) -> tuple[dict, int]:
         coeffs = coefficients_from_json(json.loads(Path(args.coeffs).read_text()))
         signals = multiplex_decode((f_system, h_system), coeffs, force=True)
         if args.signals_out:
-            Path(args.signals_out).write_text(
-                json.dumps(super_signal_to_json(signals), indent=2, sort_keys=True) + "\n"
-            )
+            _write_json(args.signals_out, super_signal_to_json(signals))
     else:  # roundtrip
         signals = read_signals()
         coeffs = analysis_coeffs(f_system, signals)
@@ -258,9 +262,7 @@ def cmd_multiplex(args: argparse.Namespace) -> tuple[dict, int]:
         report["relative_errors_per_channel"] = errors
         report["max_relative_error"] = max(errors)
         if args.signals_out:
-            Path(args.signals_out).write_text(
-                json.dumps(super_signal_to_json(recovered), indent=2, sort_keys=True) + "\n"
-            )
+            _write_json(args.signals_out, super_signal_to_json(recovered))
     report["timing_seconds"] = time.perf_counter() - start
     return report, 0
 
@@ -269,6 +271,13 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {value}")
     return value
 
 
@@ -281,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p: argparse.ArgumentParser, dense: bool = True) -> None:
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_tolerance, default=None,
                        help="residual tolerance (default: 1e-9, scaled by the frame "
                             f"bounds when N*|G| <= {DEFAULT_CAP})")
         if dense:
             p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                            help="max N*|G| for dense-matrix operations (info's bounds, "
-                                "check --oracle, the gabor-dual solve); verdicts ignore it")
+                                "check --oracle); verdicts ignore it")
         p.add_argument("--top-k", type=_non_negative_int, default=10,
                        help="witnesses to keep")
         p.add_argument("--seed", type=int, default=0,
@@ -314,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument("config")
     p_dual.add_argument("--dual-output", default="dual_window.json",
                         help="path for the emitted dual-window configuration")
-    common(p_dual)
+    common(p_dual, dense=False)
     p_dual.set_defaults(handler=cmd_gabor_dual)
 
     p_mux = sub.add_parser("multiplex", help="encode/decode channels through a dual pair")
@@ -337,13 +346,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = args.handler(args)
-    except (ConfigError, GtiError) as exc:
+        _emit(report, args.output)
+    except (GtiError, ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # stdout was closed: the rest goes to devnull, so the flush at exit raises nothing.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(report, args.output)
     return code
 
 

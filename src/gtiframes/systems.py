@@ -144,6 +144,9 @@ class Verdict:
     ) -> "Verdict":
         if top_k < 0:
             raise ValueError(f"top_k must be non-negative, got {top_k}")
+        # An infinite tolerance would pass a NaN residual, which ranks as +inf.
+        if not math.isfinite(tolerance) or tolerance < 0:
+            raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
 
         # A non-finite residual ranks and fails as +inf, so NaN never passes.
         def worst(w: Witness) -> float:

@@ -11,10 +11,10 @@ from gtiframes import (
     SuperSignal,
     UncertifiedPairError,
     analysis_coeffs,
+    check_gabor_duality,
     default_tolerance,
     delta_signal,
     frame_bounds,
-    frame_operator_matrix,
     full_subgroup,
     gabor_canonical_dual,
     gabor_system,
@@ -27,6 +27,8 @@ from gtiframes import (
     subgroup_from_generators,
     synthesis,
 )
+from gtiframes.characterization import _coset_gramians
+from gtiframes.fourier import _spectra
 from gtiframes.sweeps import (
     _fiberwise_pair_layer,
     all_small_subgroups,
@@ -123,7 +125,7 @@ class TestAnalysisSynthesis:
         g = make_group([8])
         rng = np.random.default_rng(23)
         sys, _ = matched_random_pair(rng, g, 2, 2, 3)
-        matrix = frame_operator_matrix(sys)
+        matrix = mixed_dual_gramian(sys, sys)
         f = random_super(rng, g, 2)
         applied = synthesis(sys, analysis_coeffs(sys, f)).stacked().reshape(-1)
         expected = matrix @ f.stacked().reshape(-1)
@@ -197,13 +199,14 @@ class TestTransformCodec:
 class TestFrameOperator:
     def test_delta_system_is_identity(self):
         g = make_group([6])
-        matrix = frame_operator_matrix(delta_system(g))
+        system = delta_system(g)
+        matrix = mixed_dual_gramian(system, system)
         assert np.abs(matrix - np.eye(6)).max() < 1e-13
 
     def test_empty_generator_layer_gives_zero(self):
         g = make_group([4])
         sys = SuperSystemDescriptor(g, 1, [GtiLayer(full_subgroup(g), [])])
-        assert np.abs(frame_operator_matrix(sys)).max() == 0.0
+        assert np.abs(mixed_dual_gramian(sys, sys)).max() == 0.0
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_full_gabor_gives_size_times_identity(self, n):
@@ -211,7 +214,7 @@ class TestFrameOperator:
         w = random_signal(g, n)
         w = Signal(g, w.values / w.norm())
         sys = gabor_system([[w]], full_subgroup(g), full_subgroup(g))
-        matrix = frame_operator_matrix(sys)
+        matrix = mixed_dual_gramian(sys, sys)
         assert np.abs(matrix - n * np.eye(n)).max() < 1e-10 * n
 
     def test_hermitian_psd(self):
@@ -219,7 +222,7 @@ class TestFrameOperator:
         for orders, channels in [((8,), 1), ((2, 4), 2), ((3, 3), 3)]:
             g = make_group(orders)
             sys, _ = matched_random_pair(rng, g, channels, 2, 2)
-            matrix = frame_operator_matrix(sys)
+            matrix = mixed_dual_gramian(sys, sys)
             scale = np.abs(matrix).max()
             assert np.abs(matrix - matrix.conj().T).max() <= 1e-10 * scale
             assert np.linalg.eigvalsh(matrix).min() >= -1e-10 * scale
@@ -248,13 +251,14 @@ class TestFrameOperator:
     def test_cap_enforced(self):
         g = make_group([16])
         with pytest.raises(CapExceededError):
-            frame_operator_matrix(delta_system(g), cap=8)
+            mixed_dual_gramian(delta_system(g), delta_system(g), cap=8)
 
     def test_overflowing_weights_refused(self):
         g = make_group([4])
         layer = GtiLayer(full_subgroup(g), [WeightedGenerator(1.7e308, (delta_signal(g),))] * 2)
+        system = SuperSystemDescriptor(g, 1, [layer])
         with pytest.raises(ValueError, match="dense operator overflows float64"):
-            frame_operator_matrix(SuperSystemDescriptor(g, 1, [layer]))
+            mixed_dual_gramian(system, system)
 
     def test_tolerance_finite_for_finite_bounds(self):
         # B_F * B_H overflows past ~1e154; the tolerance must not.
@@ -276,13 +280,22 @@ class TestFrameOperator:
 
 
 class TestMixedDualGramian:
-    def test_self_pair_equals_frame_operator(self):
-        g = make_group([8])
-        rng = np.random.default_rng(41)
-        sys, _ = matched_random_pair(rng, g, 1, 2, 2)
-        assert np.abs(
-            mixed_dual_gramian(sys, sys) - frame_operator_matrix(sys)
-        ).max() < 1e-12
+    def test_self_pair_is_block_diagonal_over_annihilator_cosets(self):
+        # In frequency the frame operator of a Gabor layer keeps every coset
+        # c + A of A = ann(Gamma), and acts there as the conjugate of the
+        # coset Gramian that fibers and canonical duals are read from.
+        g = make_group([12])
+        gamma = subgroup_from_generators(g, [(3,)])
+        sys = gabor_system([[random_signal(g, 43)]], gamma, subgroup_from_generators(g, [(4,)]))
+        dft_matrix = np.fft.fft(np.eye(12), axis=0)
+        freq = dft_matrix @ mixed_dual_gramian(sys, sys) @ np.linalg.inv(dft_matrix)
+        spectra = _spectra([gen.windows for gen in sys.layers[0].generators], g)
+        ann = gamma.annihilator
+        blocks = _coset_gramians(spectra, spectra, np.ones(len(spectra)), ann)
+        expected = np.zeros((12, 12), dtype=np.complex128)
+        for coset, block in zip(ann.cosets, blocks):
+            expected[np.ix_(coset, coset)] = block.conj()
+        assert np.abs(freq - expected).max() < 1e-12 * np.abs(expected).max()
 
     def test_zero_analysis_side_gives_zero(self):
         g = make_group([4])
@@ -336,8 +349,6 @@ class TestCanonicalDual:
         assert np.abs(dual.values - w.values).max() < 1e-12
 
     def test_lattice_dual_certifies(self):
-        from gtiframes import check_gabor_duality
-
         g = make_group([6])
         gamma = subgroup_from_generators(g, [(2,)])
         lam = subgroup_from_generators(g, [(3,)])
@@ -346,24 +357,55 @@ class TestCanonicalDual:
         verdict = check_gabor_duality([[w]], [[dual]], gamma, lam)
         assert verdict.passed
 
-    def test_refuses_exactly_the_non_frames_z12(self):
-        # One rule: the dual exists exactly where frame_bounds says is_frame.
-        g = make_group([12])
+    @staticmethod
+    def refusals_and_duals_match_dense(order):
+        # One rule: the dual exists exactly where frame_bounds says is_frame,
+        # and then it is the dense solve S h = w.
+        g = make_group([order])
         subgroups = all_small_subgroups(g)
         windows = [random_signal(g, 13), indicator_signal(g, subgroup_from_generators(g, [(4,)]))]
         outcomes = set()
         for w in windows:
             for gamma in subgroups:
                 for lam in subgroups:
-                    is_frame = frame_bounds(gabor_system([[w]], gamma, lam)).is_frame
+                    system = gabor_system([[w]], gamma, lam)
+                    is_frame = frame_bounds(system).is_frame
                     try:
-                        gabor_canonical_dual(w, gamma, lam)
+                        dual = gabor_canonical_dual(w, gamma, lam)
                         refused = False
                     except NotAFrameError:
                         refused = True
                     assert refused == (not is_frame), (gamma.generators, lam.generators)
                     outcomes.add(refused)
+                    if not refused:
+                        dense = np.linalg.solve(mixed_dual_gramian(system, system), w.values)
+                        scale = max(1.0, np.abs(dense).max())
+                        assert np.abs(dual.values - dense).max() <= 1e-12 * scale
         assert outcomes == {True, False}
+
+    def test_refuses_exactly_the_non_frames_z12(self):
+        self.refusals_and_duals_match_dense(12)
+
+    def test_refuses_exactly_the_non_frames_z24(self):
+        self.refusals_and_duals_match_dense(24)
+
+    def test_certifies_above_the_dense_cap(self):
+        # Z2048 with 256 translations and 128 modulations: 16 coset blocks of
+        # 8x8 where the dense operator would be 2048x2048.
+        g = make_group([2048])
+        gamma = subgroup_from_generators(g, [(8,)])
+        lam = subgroup_from_generators(g, [(16,)])
+        w = random_signal(g, 3)
+        dual = gabor_canonical_dual(w, gamma, lam)
+        assert check_gabor_duality([[w]], [[dual]], gamma, lam).passed
+
+    def test_overflowing_gramian_refused(self):
+        # Four samples of 1e160 give coset Gramian entries past the float range.
+        g = make_group([16])
+        lattice = subgroup_from_generators(g, [(4,)])
+        window = Signal(g, np.r_[np.full(4, 1e160), np.zeros(12)])
+        with pytest.raises(ValueError, match="overflows float64"):
+            gabor_canonical_dual(window, lattice, lattice)
 
     def test_zero_window_is_not_a_frame(self):
         g = make_group([4])

@@ -19,7 +19,6 @@ from gtiframes import (
     delta_signal,
     dft_naive,
     fiber_table,
-    frame_operator_matrix,
     full_subgroup,
     gabor_system,
     gramian_identity_residual,
@@ -326,7 +325,8 @@ class TestParseval:
         gamma = subgroup_from_generators(g, [(2,)])
         lam = subgroup_from_generators(g, [(2,)])
         w = random_signal(g, 83)
-        op = frame_operator_matrix(gabor_system([[w]], gamma, lam))
+        system = gabor_system([[w]], gamma, lam)
+        op = mixed_dual_gramian(system, system)
         eigvals, eigvecs = np.linalg.eigh(op)
         inv_sqrt = (eigvecs * (1.0 / np.sqrt(eigvals))) @ eigvecs.conj().T
         tight = Signal(g, inv_sqrt @ w.values)
@@ -680,6 +680,18 @@ class TestVerdictProperties:
         assert verdict.max_residual == np.inf
         assert np.isnan(verdict.witnesses[0].residual)
         assert not verdict.blocks[(1, 1)].passed
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+    def test_invalid_tolerance_refused(self, tol):
+        # NaN ranks as +inf, and inf <= inf: an infinite tolerance would pass it.
+        g = make_group([4])
+        window = random_signal(g, 5)
+        window.values[1] = np.nan
+        sys = SuperSystemDescriptor(
+            g, 1, [GtiLayer(full_subgroup(g), [WeightedGenerator(1.0, (window,))])]
+        )
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            check_parseval_super(sys, tol=tol)
 
     def test_bessel_bound_recorded(self):
         g = make_group([4])

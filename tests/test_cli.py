@@ -5,6 +5,7 @@ import copy
 import functools
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -61,6 +62,14 @@ GABOR_DOC = {
         "translation_generators": [[2]],
         "modulation_generators": [[2]],
     },
+}
+
+# One layer on <2> of Z8 with two random generators: a failing Parseval check.
+Z8_DOC = {
+    "group": [8],
+    "channels": 1,
+    "layers": [{"subgroup_generators": [[2]], "generators": [
+        {"windows": ["random:1"]}, {"windows": ["random:2"]}]}],
 }
 
 
@@ -181,13 +190,7 @@ class TestCheckCommand:
         assert report["verdict"]["max_residual"] == pytest.approx(1.0)
 
     def test_negative_top_k_exit_two(self, tmp_path, capsys):
-        doc = {
-            "group": [8],
-            "channels": 1,
-            "layers": [{"subgroup_generators": [[2]], "generators": [
-                {"windows": ["random:1"]}, {"windows": ["random:2"]}]}],
-        }
-        cfg = write_json(tmp_path / "z8.json", doc)
+        cfg = write_json(tmp_path / "z8.json", Z8_DOC)
         _, report, _ = run_cli(capsys, "check", "parseval", cfg, "--top-k", "0")
         assert report["verdict"]["witnesses"] == []
         _, report, _ = run_cli(capsys, "check", "parseval", cfg)
@@ -197,6 +200,36 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert "--top-k: must be a non-negative integer" in captured.err
+
+    def test_closed_stdout_exit_two_without_traceback(self, tmp_path):
+        cfg = write_json(tmp_path / "z8.json", Z8_DOC)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gtiframes", "check", "parseval", cfg, "--top-k", "0"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "Broken pipe" in proc.stderr
+
+    def test_unwritable_output_exit_two_prints_nothing(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "z8.json", Z8_DOC)
+        out = tmp_path / "missing" / "report.json"
+        code, report, err = run_cli(capsys, "check", "parseval", cfg, "--output", str(out))
+        assert code == 2 and report is None and not out.exists()
+        assert err.startswith("error:") and "No such file or directory" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_non_finite_or_negative_tol_exit_two(self, tmp_path, capsys, tol):
+        cfg = write_json(tmp_path / "z8.json", Z8_DOC)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "parseval", cfg, "--tol", tol])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--tol: must be a finite non-negative number" in captured.err
 
     def test_random_pair_oracle_agreement(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -437,6 +470,16 @@ class TestGaborDualCommand:
         code, report, _ = run_cli(capsys, "check", "duality", cfg, str(dual_path), "--oracle")
         assert code == 0
         assert report["verdict_agrees_with_oracle"] is True
+
+    def test_cap_is_not_an_option(self, tmp_path, capsys):
+        # The dual is solved per coset block; no dense operator bounds it.
+        cfg = write_json(tmp_path / "g.json", GABOR_DOC)
+        out = tmp_path / "dual.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["gabor-dual", cfg, "--cap", "8", "--dual-output", str(out)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "" and not out.exists()
+        assert "unrecognized arguments: --cap 8" in captured.err
 
     def test_zero_window_not_a_frame_exit_two(self, tmp_path, capsys):
         doc = {

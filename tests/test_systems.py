@@ -281,3 +281,10 @@ class TestDescriptors:
         assert Verdict.from_witnesses(w, tolerance=1.0, top_k=0).witnesses == []
         with pytest.raises(ValueError, match="top_k must be non-negative"):
             Verdict.from_witnesses(w, tolerance=1.0, top_k=-1)
+
+    @pytest.mark.parametrize("tolerance", [np.inf, np.nan, -1e-9])
+    def test_verdict_refuses_invalid_tolerance(self, tolerance):
+        w = [Witness((0, 0), (0,), (1,), np.nan)]
+        assert Verdict.from_witnesses(w, tolerance=0.0).passed is False
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            Verdict.from_witnesses(w, tolerance=tolerance)
