@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from gtiframes import (
+    analysis_coeffs,
     check_super_duality,
-    multiplex_decode,
     multiplex_encode,
+    synthesis,
 )
 from gtiframes.configio import descriptor_to_config, super_signal_to_json
 from gtiframes.sweeps import dual_pair, random_super_signal
@@ -47,8 +48,8 @@ def main() -> int:
     worst = 0.0
     for t in range(args.trials):
         signals = random_super_signal(rng, group, args.channels)
-        coeffs = multiplex_encode((f_sys, h_sys), signals, force=True)
-        back = multiplex_decode((f_sys, h_sys), coeffs, force=True)
+        # The pair was certified by the first encode, so the trials run the codec directly.
+        back = synthesis(h_sys, analysis_coeffs(f_sys, signals))
         err = max(
             np.abs(a.values - b.values).max() / max(a.norm(), 1e-300)
             for a, b in zip(signals.channels, back.channels)

@@ -247,16 +247,12 @@ def gramian_identity_residual(matrix: np.ndarray) -> float:
     return float(np.abs(matrix - np.eye(matrix.shape[0])).max())
 
 
-def _require_certified(
-    f_system: SuperSystemDescriptor,
-    h_system: SuperSystemDescriptor,
-    tol: float | None,
-) -> None:
+def _require_certified(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor) -> None:
     """Raise UncertifiedPairError unless the fiber verdict calls the pair dual."""
     # characterization imports this module, so the verdict is imported here.
     from .characterization import check_super_duality
 
-    verdict = check_super_duality(f_system, h_system, tol=tol)
+    verdict = check_super_duality(f_system, h_system)
     if not verdict.passed:
         raise UncertifiedPairError(
             f"pair is not a certified dual pair (residual {verdict.max_residual:.3e} "
@@ -265,26 +261,20 @@ def _require_certified(
 
 
 def multiplex_encode(
-    pair: tuple[SuperSystemDescriptor, SuperSystemDescriptor],
-    signals: SuperSignal,
-    force: bool = False,
-    tol: float | None = None,
+    pair: tuple[SuperSystemDescriptor, SuperSystemDescriptor], signals: SuperSignal
 ) -> CoefficientMap:
-    """Push N channels through one coefficient stream of the analysis system."""
+    """Push N channels through one coefficient stream of the analysis system,
+    once the pair is certified dual (`analysis_coeffs` skips the certification)."""
     f_system, h_system = pair
-    if not force:
-        _require_certified(f_system, h_system, tol)
+    _require_certified(f_system, h_system)
     return analysis_coeffs(f_system, signals)
 
 
 def multiplex_decode(
-    pair: tuple[SuperSystemDescriptor, SuperSystemDescriptor],
-    coeffs: CoefficientMap,
-    force: bool = False,
-    tol: float | None = None,
+    pair: tuple[SuperSystemDescriptor, SuperSystemDescriptor], coeffs: CoefficientMap
 ) -> SuperSignal:
-    """Recover all N channels from one coefficient stream via the dual system."""
+    """Recover all N channels from one coefficient stream via the dual system,
+    once the pair is certified dual (`synthesis` skips the certification)."""
     f_system, h_system = pair
-    if not force:
-        _require_certified(f_system, h_system, tol)
+    _require_certified(f_system, h_system)
     return synthesis(h_system, coeffs)

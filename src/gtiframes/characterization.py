@@ -489,6 +489,10 @@ def gabor_canonical_dual(window: Signal, translation: Subgroup, modulation: Subg
     the Hermitian coset Gramian: bounds are its extreme eigenvalues (NotAFrameError
     when the lower one vanishes), and each block is solved on its coset."""
     group = window.group
+    # Refused here: expanded and transformed, a NaN or inf reads as overflow.
+    bad = np.flatnonzero(~np.isfinite(window.values))
+    if bad.size:
+        raise ValueError(f"gabor window has a non-finite value at index {int(bad[0])}")
     (layer,) = gabor_system([[window]], translation, modulation).layers
     spectra = _spectra([gen.windows for gen in layer.generators], group)
     cosets = translation.annihilator.cosets

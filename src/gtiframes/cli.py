@@ -21,8 +21,6 @@ from .analysis import (
     frame_bounds,
     gramian_identity_residual,
     mixed_dual_gramian,
-    multiplex_decode,
-    multiplex_encode,
     analysis_coeffs,
     synthesis,
 )
@@ -232,12 +230,13 @@ def cmd_multiplex(args: argparse.Namespace) -> tuple[dict, int]:
     def read_signals() -> "SuperSignal":
         if not args.signals:
             raise ConfigError(f"mode {args.mode} needs --signals")
-        doc = json.loads(Path(args.signals).read_text())
-        return super_signal_from_json(doc, f_system.group)
+        return super_signal_from_json(json.loads(Path(args.signals).read_text()))
 
+    # The certification above stops an uncertified pair unless --force, so the
+    # codec runs without repeating it.
     if args.mode == "encode":
         signals = read_signals()
-        coeffs = multiplex_encode((f_system, h_system), signals, force=True)
+        coeffs = analysis_coeffs(f_system, signals)
         if args.coeffs_out:
             _write_json(args.coeffs_out, coefficients_to_json(coeffs))
         report["coefficient_count"] = coeffs.total_size()
@@ -245,7 +244,7 @@ def cmd_multiplex(args: argparse.Namespace) -> tuple[dict, int]:
         if not args.coeffs:
             raise ConfigError("mode decode needs --coeffs")
         coeffs = coefficients_from_json(json.loads(Path(args.coeffs).read_text()))
-        signals = multiplex_decode((f_system, h_system), coeffs, force=True)
+        signals = synthesis(h_system, coeffs)
         if args.signals_out:
             _write_json(args.signals_out, super_signal_to_json(signals))
     else:  # roundtrip
@@ -289,26 +288,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, dense: bool = True) -> None:
-        p.add_argument("--tol", type=_tolerance, default=None,
-                       help="residual tolerance (default: 1e-9, scaled by the frame "
-                            f"bounds when N*|G| <= {DEFAULT_CAP})")
-        if dense:
-            p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                           help="max N*|G| for dense-matrix operations (info's bounds, "
-                                "check --oracle); verdicts ignore it")
-        p.add_argument("--top-k", type=_non_negative_int, default=10,
-                       help="witnesses to keep")
-        p.add_argument("--seed", type=int, default=0,
+    # Each flag goes to the subcommands that read it.
+    every = argparse.ArgumentParser(add_help=False)
+    every.add_argument("--seed", type=int, default=0,
                        help="seed for bare 'random' window shorthands")
-        p.add_argument("--output", default=None, help="also write the report here")
+    every.add_argument("--output", default=None, help="also write the report here")
+    verdict = argparse.ArgumentParser(add_help=False)
+    verdict.add_argument("--tol", type=_tolerance, default=None,
+                         help="residual tolerance (default: 1e-9, scaled by the frame "
+                              f"bounds when N*|G| <= {DEFAULT_CAP})")
+    verdict.add_argument("--top-k", type=_non_negative_int, default=10,
+                         help="witnesses to keep")
+    dense = argparse.ArgumentParser(add_help=False)
+    dense.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                       help="max N*|G| for dense-matrix operations (info's bounds, "
+                            "check --oracle); verdicts ignore it")
 
-    p_info = sub.add_parser("info", help="describe a configuration")
+    p_info = sub.add_parser("info", parents=[every, dense], help="describe a configuration")
     p_info.add_argument("config")
-    common(p_info)
     p_info.set_defaults(handler=cmd_info)
 
-    p_check = sub.add_parser("check", help="run a duality/orthogonality/parseval verdict")
+    p_check = sub.add_parser("check", parents=[every, verdict, dense],
+                             help="run a duality/orthogonality/parseval verdict")
     p_check.add_argument("kind", choices=["duality", "orthogonality", "parseval"])
     p_check.add_argument("config_f")
     p_check.add_argument("config_h", nargs="?", default=None)
@@ -316,17 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also run the dense Gramian oracle and report agreement")
     p_check.add_argument("--dump-fibers", action="store_true",
                          help="include the full fiber table in the report")
-    common(p_check)
     p_check.set_defaults(handler=cmd_check)
 
-    p_dual = sub.add_parser("gabor-dual", help="compute the canonical dual window")
+    p_dual = sub.add_parser("gabor-dual", parents=[every, verdict],
+                            help="compute the canonical dual window")
     p_dual.add_argument("config")
     p_dual.add_argument("--dual-output", default="dual_window.json",
                         help="path for the emitted dual-window configuration")
-    common(p_dual, dense=False)
     p_dual.set_defaults(handler=cmd_gabor_dual)
 
-    p_mux = sub.add_parser("multiplex", help="encode/decode channels through a dual pair")
+    p_mux = sub.add_parser("multiplex", parents=[every, verdict],
+                           help="encode/decode channels through a dual pair")
     p_mux.add_argument("config_f")
     p_mux.add_argument("config_h")
     p_mux.add_argument("--mode", choices=["encode", "decode", "roundtrip"],
@@ -337,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mux.add_argument("--coeffs-out", default=None, help="output coefficients file")
     p_mux.add_argument("--force", action="store_true",
                        help="run even when the pair fails certification")
-    common(p_mux, dense=False)
     p_mux.set_defaults(handler=cmd_multiplex)
     return parser
 

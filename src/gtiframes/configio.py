@@ -50,16 +50,24 @@ def _re_im(doc: Any, where: str) -> tuple[list, list]:
     return doc["re"], doc["im"]
 
 
+# JSON numbers only: a float conversion would also read "1" and true as 1.0.
+_SAMPLE_TYPES = frozenset({int, float})
+
+
 def vector_from_json(doc: Any, expected_len: int, where: str) -> np.ndarray:
     re, im = _re_im(doc, where)
     if len(re) != expected_len or len(im) != expected_len:
         raise ConfigError(
             f"{where}: vector length {len(re)}/{len(im)} does not match group size {expected_len}"
         )
+    for name, part in (("re", re), ("im", im)):
+        if not _SAMPLE_TYPES.issuperset(map(type, part)):
+            i = next(i for i, x in enumerate(part) if type(x) not in _SAMPLE_TYPES)
+            raise ConfigError(f"{where}: '{name}' sample {i} must be a number, got {part[i]!r}")
     try:
         re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: 're' and 'im' must hold numbers ({exc})") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"{where}: a sample is outside the float range ({exc})") from exc
     bad = np.flatnonzero(~(np.isfinite(re) & np.isfinite(im)))
     if bad.size:
         raise ConfigError(f"{where}: non-finite value at index {int(bad[0])}")
@@ -104,24 +112,16 @@ def _subgroup_from_doc(group: GroupSpec, gens: Any, where: str) -> Subgroup:
         raise ConfigError(f"{where}: bad subgroup generators: {exc}") from exc
 
 
-def _windows_from_doc(
+def _window_tuple(
     group: GroupSpec, doc: Any, channels: int, where: str, seed: int
-) -> list[tuple[Signal, ...]]:
-    if not isinstance(doc, list) or not doc:
-        raise ConfigError(f"{where}: expected a nonempty list of window tuples")
-    out = []
-    for j, tup in enumerate(doc):
-        if not isinstance(tup, list) or len(tup) != channels:
-            raise ConfigError(
-                f"{where} entry {j}: expected {channels} channel windows"
-            )
-        out.append(
-            tuple(
-                window_from_value(group, w, f"{where} entry {j} channel {n}", seed)
-                for n, w in enumerate(tup)
-            )
-        )
-    return out
+) -> tuple[Signal, ...]:
+    """One window per channel; messages name the tuple `where` and its windows
+    `where window n`."""
+    if not isinstance(doc, list) or len(doc) != channels:
+        raise ConfigError(f"{where}: expected {channels} channel windows")
+    return tuple(
+        window_from_value(group, w, f"{where} window {n}", seed) for n, w in enumerate(doc)
+    )
 
 
 def _group_field(doc: dict, what: str) -> GroupSpec:
@@ -164,7 +164,11 @@ def _structured_spec(
     """The windows, automorphisms, translation and modulation of a 'gabor',
     'wavelet' or 'wavepacket' section, in that order; Gabor sections have no
     automorphisms and wavelet sections no modulation (None)."""
-    windows = _windows_from_doc(group, sec.get("windows"), channels, f"{kind} windows", seed)
+    windows_doc = sec.get("windows")
+    if not isinstance(windows_doc, list) or not windows_doc:
+        raise ConfigError(f"{kind} windows: expected a nonempty list of window tuples")
+    windows = [_window_tuple(group, tup, channels, f"{kind} windows entry {j}", seed)
+               for j, tup in enumerate(windows_doc)]
     autos = None
     if kind != "gabor":
         autos = _automorphisms_from_doc(group, sec.get("automorphism_matrices"),
@@ -228,15 +232,8 @@ def _parse_layers(group: GroupSpec, channels: int, doc: Any, seed: int) -> Super
                 )
             if weight < 0:
                 raise ConfigError(f"layer {j} generator {p}: negative weight {weight}")
-            windows_doc = gen_doc.get("windows")
-            if not isinstance(windows_doc, list) or len(windows_doc) != channels:
-                raise ConfigError(
-                    f"layer {j} generator {p}: expected {channels} channel windows"
-                )
-            windows = tuple(
-                window_from_value(group, w, f"layer {j} generator {p} window {n}", seed)
-                for n, w in enumerate(windows_doc)
-            )
+            windows = _window_tuple(group, gen_doc.get("windows"), channels,
+                                    f"layer {j} generator {p}", seed)
             gens.append(WeightedGenerator(weight, windows))
         layers.append(GtiLayer(sub, gens))
     return SuperSystemDescriptor(group, channels, layers)
@@ -289,11 +286,10 @@ def super_signal_to_json(signals: SuperSignal) -> dict:
     }
 
 
-def super_signal_from_json(doc: Any, group: GroupSpec | None = None) -> SuperSignal:
+def super_signal_from_json(doc: Any) -> SuperSignal:
     if not isinstance(doc, dict) or not isinstance(doc.get("channels"), list):
         raise ConfigError("signals document needs a 'channels' list")
-    if group is None:
-        group = _group_field(doc, "signals")
+    group = _group_field(doc, "signals")
     channels = [
         Signal(group, vector_from_json(ch, group.size, f"signal channel {n}"))
         for n, ch in enumerate(doc["channels"])

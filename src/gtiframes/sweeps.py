@@ -120,15 +120,15 @@ def matched_random_pair(
     n_layers: int,
     gens_per_layer: int,
     full_group_layers: bool = False,
-    random_weights: bool = True,
 ) -> tuple[SuperSystemDescriptor, SuperSystemDescriptor]:
-    """Two structure-matched descriptors with independent random windows."""
+    """Two structure-matched descriptors with independent random windows and
+    shared random weights in [0.5, 2)."""
     if full_group_layers:
         subgroups = [full_subgroup(group) for _ in range(n_layers)]
     else:
         subgroups = [random_subgroup(rng, group) for _ in range(n_layers)]
     weights = [
-        [float(rng.uniform(0.5, 2.0)) if random_weights else 1.0 for _ in range(gens_per_layer)]
+        [float(rng.uniform(0.5, 2.0)) for _ in range(gens_per_layer)]
         for _ in range(n_layers)
     ]
     def build() -> SuperSystemDescriptor:
@@ -148,14 +148,14 @@ def _fiberwise_pair_layer(
     group: GroupSpec,
     sub: Subgroup,
     channels: int,
-    extra_generators: int,
     orthogonal: bool,
 ) -> tuple[GtiLayer, GtiLayer]:
     """One layer of an exact dual (or orthogonal) pair over the subgroup,
-    with random weights in [0.5, 2)."""
+    with random weights in [0.5, 2).  An orthogonal pair takes one generator
+    more than the coset width, so that the orthocomplement is not trivial."""
     cosets = sub.annihilator.cosets
     width = channels * sub.annihilator.order
-    n_gens = width + extra_generators
+    n_gens = width + int(orthogonal)
     weights = rng.uniform(0.5, 2.0, size=n_gens)
     g_hat = np.zeros((n_gens, channels, group.size), dtype=np.complex128)
     h_hat = np.zeros_like(g_hat)
@@ -202,7 +202,7 @@ def dual_pair(
     h_layers = []
     for j in range(n_layers):
         sub = random_subgroup(rng, group, max_index=max(1, 4 // channels))
-        lf, lh = _fiberwise_pair_layer(rng, group, sub, channels, 0, orthogonal=False)
+        lf, lh = _fiberwise_pair_layer(rng, group, sub, channels, orthogonal=False)
         scale = float(np.sqrt(masses[j]))
         for gen in lf.generators:
             for w in gen.windows:
@@ -225,7 +225,7 @@ def orthogonal_pair(
 ) -> tuple[SuperSystemDescriptor, SuperSystemDescriptor]:
     """An exact orthogonal pair (zero mixed dual Gramian), single layer."""
     sub = random_subgroup(rng, group, max_index=max(1, 3 // channels))
-    lf, lh = _fiberwise_pair_layer(rng, group, sub, channels, 1, orthogonal=True)
+    lf, lh = _fiberwise_pair_layer(rng, group, sub, channels, orthogonal=True)
     return (
         SuperSystemDescriptor(group, channels, [lf]),
         SuperSystemDescriptor(group, channels, [lh]),

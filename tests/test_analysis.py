@@ -1,6 +1,8 @@
 """Dense oracle computations: analysis/synthesis, frame operator, Gramians,
 canonical duals, multiplexing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -407,6 +409,19 @@ class TestCanonicalDual:
         with pytest.raises(ValueError, match="overflows float64"):
             gabor_canonical_dual(window, lattice, lattice)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_window_named(self, bad):
+        # Expanded and transformed, a NaN or inf sample read as overflow (and
+        # an inf warned from the transform first).
+        g = make_group([8])
+        lattice = subgroup_from_generators(g, [(2,)])
+        values = random_signal(g, 5).values.copy()
+        values[3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite value at index 3"):
+                gabor_canonical_dual(Signal(g, values), lattice, lattice)
+
     def test_zero_window_is_not_a_frame(self):
         g = make_group([4])
         with pytest.raises(NotAFrameError):
@@ -444,23 +459,25 @@ class TestMultiplex:
         )
         assert err < 1e-9 * signals.norm()
 
-    def test_uncertified_pair_refused_unless_forced(self):
+    def test_uncertified_pair_refused_analysis_runs_directly(self):
+        # The codec always certifies; analysis_coeffs and synthesis never do.
         g = make_group([4])
         rng = np.random.default_rng(53)
         f_sys, h_sys = matched_random_pair(rng, g, 1, 1, 2)
         signals = random_super_signal(rng, g, 1)
         with pytest.raises(UncertifiedPairError):
             multiplex_encode((f_sys, h_sys), signals)
-        coeffs = multiplex_encode((f_sys, h_sys), signals, force=True)
+        coeffs = analysis_coeffs(f_sys, signals)
         assert coeffs.total_size() > 0
+        with pytest.raises(UncertifiedPairError):
+            multiplex_decode((f_sys, h_sys), coeffs)
 
     def test_certified_pair_above_dense_cap_needs_no_force(self):
         g = make_group([144])  # 2 channels x 144 points is above the cap of 256
         rng = np.random.default_rng(59)
         # dual_pair would enumerate every subgroup of Z_144; build its layer directly.
         f_layer, h_layer = _fiberwise_pair_layer(
-            rng, g, subgroup_from_generators(g, [(2,)]), 2, 0,
-            orthogonal=False,
+            rng, g, subgroup_from_generators(g, [(2,)]), 2, orthogonal=False,
         )
         f_sys = SuperSystemDescriptor(g, 2, [f_layer])
         h_sys = SuperSystemDescriptor(g, 2, [h_layer])

@@ -348,12 +348,13 @@ class TestMultiplierSymbol:
     def test_full_group_symbol_matches_window_product_and_oracle(self):
         g = make_group([8])
         rng = np.random.default_rng(89)
-        f_sys, h_sys = matched_random_pair(rng, g, 1, 1, 1, full_group_layers=True,
-                                           random_weights=False)
+        f_sys, h_sys = matched_random_pair(rng, g, 1, 1, 1, full_group_layers=True)
         s = multiplier_symbol(f_sys, h_sys)
-        g_hat = dft_naive(f_sys.layers[0].generators[0].windows[0]).values
+        (gen,) = f_sys.layers[0].generators
+        g_hat = dft_naive(gen.windows[0]).values
         h_hat = dft_naive(h_sys.layers[0].generators[0].windows[0]).values
-        assert np.abs(s.values - h_hat.conj() * g_hat).max() < 1e-10
+        # On the full group the covolume is 1, so only the shared weight scales.
+        assert np.abs(s.values - gen.weight * h_hat.conj() * g_hat).max() < 1e-10
         matrix = mixed_dual_gramian(f_sys, h_sys)
         for col in range(g.size):
             basis = Signal(g, np.eye(g.size)[col])

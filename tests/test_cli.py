@@ -290,7 +290,9 @@ class TestCheckCommand:
                 "generators": [{"windows": [window]}]}]}, "layer 0 generator 0 window 0")
               for window in ({"re": 5, "im": 5},
                              {"re": [10**400, 0, 0, 0], "im": [0, 0, 0, 0]},
-                             {"re": [0, 0, 0, 0], "im": [float("inf"), 0, 0, 0]})],
+                             {"re": [0, 0, 0, 0], "im": [float("inf"), 0, 0, 0]},
+                             {"re": ["1", 0, 0, 0], "im": [0, 0, 0, 0]},
+                             {"re": [1, 0, 0, 0], "im": [0, 0, True, 0]})],
             ({"group": [4], "channels": 1, "gabor": 5}, "'gabor' section"),
             ({"group": [4], "channels": 1, "wavelet": []}, "'wavelet' section"),
             ({"group": [4], "channels": 1, "wavepacket": "delta"}, "'wavepacket' section"),
@@ -308,7 +310,8 @@ class TestCheckCommand:
         ids=["layer", "generator", "channels", "weight-list", "weight-nan", "weight-inf",
              "weight-string", "weight-huge",
              "group-float", "group-bool", "channels-inf", "window-re-int", "window-re-overflow",
-             "window-im-inf", "gabor-number", "wavelet-list", "wavepacket-string",
+             "window-im-inf", "window-re-string", "window-im-bool", "gabor-number",
+             "wavelet-list", "wavepacket-string",
              "channels-float", "channels-bool", "subgroup-float", "subgroup-string",
              "subgroup-bool", "automorphism-float", "automorphism-huge"],
     )
@@ -456,6 +459,27 @@ class TestInfoCommand:
         code, _, err = run_cli(capsys, "info", cfg)
         assert code == 2
         assert "layer 0 generator 0" in err
+
+    def test_info_string_and_bool_samples_exit_two(self, tmp_path, capsys):
+        # A float conversion reads "1" and true as 1.0; samples must be JSON numbers.
+        doc = {"group": [4], "channels": 1, "layers": [{"subgroup_generators": [[1]],
+               "generators": [{"windows": [{"re": ["1", True, 0, 0],
+                                            "im": [0, 0, False, "0"]}]}]}]}
+        cfg = write_json(tmp_path / "i.json", doc)
+        code, report, err = run_cli(capsys, "info", cfg)
+        assert code == 2 and report is None
+        assert err == ("error: layer 0 generator 0 window 0: 're' sample 0 must be a number, "
+                       "got '1'\n")
+
+    @pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--top-k", "3"]], ids=["tol", "top-k"])
+    def test_verdict_flags_are_not_options(self, tmp_path, capsys, flag):
+        # info runs no verdict, so nothing would read them.
+        cfg = write_json(tmp_path / "i.json", PARSEVAL_DOC)
+        with pytest.raises(SystemExit) as exc:
+            main(["info", cfg, *flag])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
 class TestGaborDualCommand:
@@ -761,10 +785,11 @@ class TestMultiplexCommand:
             *[({"group": [8], "channels": 2, "layers": [{"entries": rows}]},
                "coefficients layer 0 row 0")
               for rows in ([1], [{}], [{"re": [10**400], "im": [0]}],
-                           [{"re": [0], "im": [float("inf")]}])],
+                           [{"re": [0], "im": [float("inf")]}],
+                           [{"re": ["1"], "im": [0]}], [{"re": [0], "im": [True]}])],
         ],
         ids=["no-entries", "not-an-object", "no-group", "entries-int", "entries-empty-object",
-             "re-overflow", "im-inf"],
+             "re-overflow", "im-inf", "re-string", "im-bool"],
     )
     def test_malformed_coefficients_exit_two(self, tmp_path, capsys, doc, where):
         f_cfg, h_cfg, _ = self._dual_pair_files(tmp_path)
@@ -778,9 +803,17 @@ class TestMultiplexCommand:
     @pytest.mark.parametrize(
         "doc, where",
         [({"channels": 5}, "'channels' list"),
-         ({"channels": [{"re": [10**400] + [0] * 7, "im": [0] * 8}]}, "signal channel 0"),
-         ({"channels": [{"re": [0] * 8, "im": [float("inf")] + [0] * 7}]}, "signal channel 0")],
-        ids=["channels-int", "re-overflow", "im-inf"],
+         ({"group": [8], "channels": [{"re": [10**400] + [0] * 7, "im": [0] * 8}]},
+          "signal channel 0"),
+         ({"group": [8], "channels": [{"re": [0] * 8, "im": [float("inf")] + [0] * 7}]},
+          "signal channel 0"),
+         # Two channels of the pair's group: read as 1.0, these would decode.
+         ({"group": [8], "channels": [{"re": ["1"] + [0] * 7, "im": [0] * 8},
+                                      {"re": [0] * 8, "im": [0] * 8}]}, "signal channel 0"),
+         ({"group": [8], "channels": [{"re": [0] * 8, "im": [0] * 8},
+                                      {"re": [0] * 8, "im": [0] * 7 + [True]}]},
+          "signal channel 1: 'im' sample 7")],
+        ids=["channels-int", "re-overflow", "im-inf", "re-string", "im-bool"],
     )
     def test_malformed_signals_exit_two(self, tmp_path, capsys, doc, where):
         f_cfg, h_cfg, _ = self._dual_pair_files(tmp_path)
@@ -790,6 +823,24 @@ class TestMultiplexCommand:
         )
         assert code == 2 and report is None
         assert err.startswith("error:") and where in err
+
+    @pytest.mark.parametrize("mode", ["encode", "roundtrip"])
+    @pytest.mark.parametrize("group", [[2, 4], None, [999999999]],
+                             ids=["other-group", "no-group", "too-large"])
+    def test_signals_group_is_read_and_checked(self, tmp_path, capsys, mode, group):
+        f_cfg, h_cfg, sig = self._dual_pair_files(tmp_path)
+        doc = json.loads(Path(sig).read_text())
+        if group is None:
+            del doc["group"]
+        else:
+            doc["group"] = group
+        bad = write_json(tmp_path / "bad_s.json", doc)
+        out = tmp_path / "out.json"
+        out_flag = "--coeffs-out" if mode == "encode" else "--signals-out"
+        code, report, err = run_cli(capsys, "multiplex", f_cfg, h_cfg, "--signals", bad,
+                                    "--mode", mode, out_flag, str(out))
+        assert code == 2 and report is None and not out.exists()
+        assert err.startswith("error:") and "group" in err
 
     def _encoded(self, tmp_path, capsys):
         f_cfg, h_cfg, sig = self._dual_pair_files(tmp_path)

@@ -15,11 +15,15 @@ from gtiframes import (
     SuperSignal,
     commutation_defect,
     gabor_canonical_dual,
+    multiplex_decode,
+    multiplex_encode,
     quadratic_form_series,
 )
+from gtiframes.configio import super_signal_from_json
 from gtiframes.sweeps import (
     _fiberwise_pair_layer,
     dual_pair,
+    matched_random_pair,
     orthogonal_pair,
     random_automorphism,
     random_descriptor,
@@ -72,9 +76,15 @@ def test_removed_parameters_stay_removed():
         quadratic_form_series: ["cap"],
         dual_pair: ["max_annihilator", "random_weights"],
         orthogonal_pair: ["random_weights"],
-        _fiberwise_pair_layer: ["random_weights"],
+        _fiberwise_pair_layer: ["random_weights", "extra_generators"],
         random_descriptor: ["random_weights"],
         random_automorphism: ["max_tries"],
+        # The codec always certifies; analysis_coeffs and synthesis are the uncertified calls.
+        multiplex_encode: ["force", "tol"],
+        multiplex_decode: ["force", "tol"],
+        # A signals document's own group is read and checked against the system.
+        super_signal_from_json: ["group"],
+        matched_random_pair: ["random_weights"],
     }
     for fn, params in removed.items():
         signature = inspect.signature(fn).parameters
