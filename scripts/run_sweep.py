@@ -40,9 +40,7 @@ def main() -> int:
         orth_oracle = float(np.abs(matrix).max())
         defect = commutation_defect(case.f_system, case.h_system, matrix=matrix)
         fibers = fiber_table(case.f_system, case.h_system)
-        off_translation = max(
-            (np.abs(b).max() for off, b in fibers.data.items() if off != 0), default=0.0
-        )
+        off_translation = np.abs(fibers.stack[fibers.offset_indices != 0]).max(initial=0.0)
 
         stats["cases"] += 1
         stats["dual_pass"] += verdict.passed

@@ -17,18 +17,17 @@ from .errors import (
     StructureMismatchError, UncertifiedPairError,
 )
 from .fourier import (
-    Signal, Spectrum, apply_multiplier, constant_signal, delta_signal, dft, dft_naive, idft,
-    idft_naive, indicator_signal, inner, random_signal, shift_spectrum,
+    Signal, Spectrum, constant_signal, delta_signal, dft, dft_naive, idft, idft_naive,
+    indicator_signal, inner, random_signal,
 )
 from .groups import (
     Automorphism, GroupSpec, Subgroup, annihilator, automorphism_from_matrix, character_column,
-    character_eval, full_subgroup, identity_automorphism, make_group, subgroup_from_generators,
-    subgroup_from_indices, trivial_subgroup,
+    full_subgroup, identity_automorphism, make_group, subgroup_from_generators,
+    subgroup_from_indices,
 )
 from .systems import (
     GtiLayer, SuperSystemDescriptor, Verdict, WeightedGenerator, Witness, dilate, gabor_system,
-    modulate, require_matching_structure, restrict_channel, translate, wavelet_system,
-    wavepacket_system,
+    modulate, require_matching_structure, translate, wavelet_system, wavepacket_system,
 )
 
 __all__ = [
@@ -45,15 +44,14 @@ __all__ = [
     "CapExceededError", "ConfigError", "GtiError", "NotAFrameError", "NotAMultiplierError",
     "StructureMismatchError", "UncertifiedPairError",
     # fourier
-    "Signal", "Spectrum", "apply_multiplier", "constant_signal", "delta_signal", "dft",
-    "dft_naive", "idft", "idft_naive", "indicator_signal", "inner", "random_signal",
-    "shift_spectrum",
+    "Signal", "Spectrum", "constant_signal", "delta_signal", "dft", "dft_naive", "idft",
+    "idft_naive", "indicator_signal", "inner", "random_signal",
     # groups
     "Automorphism", "GroupSpec", "Subgroup", "annihilator", "automorphism_from_matrix",
-    "character_column", "character_eval", "full_subgroup", "identity_automorphism",
-    "make_group", "subgroup_from_generators", "subgroup_from_indices", "trivial_subgroup",
+    "character_column", "full_subgroup", "identity_automorphism", "make_group",
+    "subgroup_from_generators", "subgroup_from_indices",
     # systems
     "GtiLayer", "SuperSystemDescriptor", "Verdict", "WeightedGenerator", "Witness", "dilate",
-    "gabor_system", "modulate", "require_matching_structure", "restrict_channel", "translate",
-    "wavelet_system", "wavepacket_system",
+    "gabor_system", "modulate", "require_matching_structure", "translate", "wavelet_system",
+    "wavepacket_system",
 ]

@@ -47,13 +47,13 @@ from .groups import (
     _difference_table,
     _flat_index,
     negation_index_table,
-    translation_index_table,
 )
 from .systems import (
     GtiLayer,
     SuperSystemDescriptor,
     Verdict,
     Witness,
+    _require_tolerance,
     _structured_system,
     _validate_structure,
     gabor_system,
@@ -68,9 +68,8 @@ class FiberTable:
 
     `layer_mask[k, j]` says whether offset k lies in the annihilator of
     layer j; `data` and `contributors` give the same by offset index.
-    The benchmark harness in `perfbench/` reads both views; `contributors`
-    has no other reader, `data` also feeds `check --dump-fibers` and
-    `scripts/run_sweep.py`.
+    Only the benchmark harness in `perfbench/` reads these two views; the
+    library, the CLI and the scripts read `stack` and `offset_indices`.
     """
 
     group: GroupSpec
@@ -298,6 +297,9 @@ def multiplier_symbol(
     """Zero-offset diagonal fiber, valid only when the mixed dual Gramian
     commutes with translations (all other fibers vanish); raises
     NotAMultiplierError otherwise instead of silently returning a symbol."""
+    if tol is None:
+        tol, _ = default_tolerance(f_system, h_system)
+    _require_tolerance(tol)
     table = fiber_table(f_system, h_system)
     if channel is None:
         if table.channels != 1:
@@ -305,8 +307,6 @@ def multiplier_symbol(
         channel = 0
     if not 0 <= channel < table.channels:
         raise ValueError(f"channel {channel} out of range")
-    if tol is None:
-        tol, _ = default_tolerance(f_system, h_system)
     resid = np.abs(table.stack)
     diagonal = np.arange(table.channels)
     resid[0, diagonal, diagonal] = 0.0  # the zero-offset diagonal is the symbol
@@ -327,24 +327,29 @@ def commutation_defect(
     matrix: np.ndarray | None = None,
 ) -> float:
     """max over group points x of the Frobenius norm of Theta T_x - T_x Theta,
-    computed on the dense mixed dual Gramian matrix."""
-    if matrix is None:
-        matrix = mixed_dual_gramian(f_system, h_system)
+    computed on the dense mixed dual Gramian matrix; inf when it is not finite."""
     group = f_system.group
     n = f_system.channels
     size = group.size
-    table = translation_index_table(group)
+    if matrix is None:
+        matrix = mixed_dual_gramian(f_system, h_system)
+    elif np.shape(matrix) != (n * size, n * size):
+        raise ValueError(f"matrix has shape {np.shape(matrix)}, expected {(n * size, n * size)}")
+    table = _difference_table(group)
     neg = negation_index_table(group)
     offsets = np.arange(n) * size
-    worst = 0.0
-    for x_idx in range(size):
-        perm = table[x_idx]
-        inv_perm = table[neg[x_idx]]
-        gp = (perm[None, :] + offsets[:, None]).reshape(-1)
-        inv_gp = (inv_perm[None, :] + offsets[:, None]).reshape(-1)
-        diff = matrix[gp, :] - matrix[:, inv_gp]
-        worst = max(worst, float(np.linalg.norm(diff)))
-    return worst
+    norms = np.empty(size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x_idx in range(size):
+            perm = table[x_idx]
+            inv_perm = table[neg[x_idx]]
+            gp = (perm[None, :] + offsets[:, None]).reshape(-1)
+            inv_gp = (inv_perm[None, :] + offsets[:, None]).reshape(-1)
+            diff = matrix[gp, :] - matrix[:, inv_gp]
+            norms[x_idx] = np.linalg.norm(diff)
+    # A NaN norm is kept by max and fails as +inf, as in Verdict.from_witnesses.
+    worst = float(norms.max())
+    return worst if math.isfinite(worst) else math.inf
 
 
 @dataclass(eq=False)
@@ -376,7 +381,7 @@ def quadratic_form_series(
         matrix = mixed_dual_gramian(f_system, h_system)
     group = f.group
     size = group.size
-    shifts = f.values[translation_index_table(group)]  # row x is T_x f
+    shifts = f.values[_difference_table(group)]  # row x is T_x f
     values = np.einsum("xi,xi->x", shifts.conj(), shifts @ matrix.T)
     if fibers is None:
         fibers = fiber_table(f_system, h_system)

@@ -119,14 +119,10 @@ def _fiber_dump(f_system, h_system) -> dict:
     table = fiber_table(f_system, h_system)
     dump: dict = {"offsets": [list(o) for o in table.offsets]}
     tables: dict = {}
-    for off_idx in sorted(table.data):
-        offset = table.group.element_at(off_idx)
-        block = table.data[off_idx]
+    for offset, block in zip(dump["offsets"], table.stack):
         for n1 in range(table.channels):
             for n2 in range(table.channels):
-                tables.setdefault(f"{n1},{n2}", {})[str(list(offset))] = vector_to_json(
-                    block[n1, n2]
-                )
+                tables.setdefault(f"{n1},{n2}", {})[str(offset)] = vector_to_json(block[n1, n2])
     dump["tables"] = tables
     return dump
 

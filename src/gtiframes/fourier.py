@@ -65,42 +65,29 @@ def idft(spec: Spectrum) -> Signal:
     return Signal(spec.group, _transform(spec.values, spec.group, inverse=True))
 
 
-def _naive_phase_rows(group: GroupSpec, rows: np.ndarray) -> np.ndarray:
+def _naive_transform(values: np.ndarray, group: GroupSpec, inverse: bool) -> np.ndarray:
+    """dft (or idft) of one flat vector as a character sum per point, from
+    integer phases taken a block of rows at a time."""
+    size = group.size
     res = group.residue_matrix()
-    weights = np.array([group.size // n for n in group.orders], dtype=np.int64)
-    return ((res[rows] * weights) @ res.T) % group.size
+    weights = np.array([size // n for n in group.orders], dtype=np.int64)
+    sign = 1 if inverse else -1
+    out = np.empty(size, dtype=np.complex128)
+    step = max(1, (1 << 20) // size)
+    for start in range(0, size, step):
+        rows = slice(start, min(start + step, size))
+        phases = ((res[rows] * weights) @ res.T) % size
+        out[rows] = np.exp(sign * 2j * np.pi * phases / size) @ values
+    return out / size if inverse else out
 
 
 def dft_naive(f: Signal) -> Spectrum:
     """Reference transform evaluated element by element from the definition."""
-    group = f.group
-    size = group.size
-    out = np.empty(size, dtype=np.complex128)
-    step = max(1, (1 << 20) // size)
-    for start in range(0, size, step):
-        rows = np.arange(start, min(start + step, size))
-        phases = _naive_phase_rows(group, rows)
-        out[rows] = np.exp(-2j * np.pi * phases / size) @ f.values
-    return Spectrum(group, out)
+    return Spectrum(f.group, _naive_transform(f.values, f.group, inverse=False))
 
 
 def idft_naive(spec: Spectrum) -> Signal:
-    group = spec.group
-    size = group.size
-    out = np.empty(size, dtype=np.complex128)
-    step = max(1, (1 << 20) // size)
-    for start in range(0, size, step):
-        rows = np.arange(start, min(start + step, size))
-        phases = _naive_phase_rows(group, rows)
-        out[rows] = np.exp(2j * np.pi * phases / size) @ spec.values
-    return Signal(group, out / size)
-
-
-def apply_multiplier(symbol: Spectrum, f: Signal) -> Signal:
-    """Pointwise multiplication by the symbol on the frequency side."""
-    if symbol.group.orders != f.group.orders:
-        raise ValueError("group mismatch between symbol and signal")
-    return idft(Spectrum(f.group, symbol.values * dft(f).values))
+    return Signal(spec.group, _naive_transform(spec.values, spec.group, inverse=True))
 
 
 def _transform(values: np.ndarray, group: GroupSpec, inverse: bool = False) -> np.ndarray:
@@ -126,11 +113,6 @@ def _roll(values: np.ndarray, group: GroupSpec, offset: Sequence[int]) -> np.nda
     axes = tuple(range(len(lead), len(lead) + group.ndim))
     rolled = np.roll(grid, shift=tuple(-int(r) for r in offset), axis=axes)
     return rolled.reshape(lead + (group.size,))
-
-
-def shift_spectrum(spec: Spectrum, offset: Sequence[int]) -> Spectrum:
-    """Return S with S(xi) = spec(xi + offset)."""
-    return Spectrum(spec.group, _roll(spec.values, spec.group, spec.group.reduce(offset)))
 
 
 def delta_signal(group: GroupSpec, at: Sequence[int] | None = None) -> Signal:

@@ -125,17 +125,6 @@ def make_group(orders: Sequence[int]) -> GroupSpec:
     return GroupSpec(tuple(_integer(n, "cyclic order") for n in items))
 
 
-def character_eval(group: GroupSpec, xi: Sequence[int], x: Sequence[int]) -> complex:
-    """Evaluate the character indexed by the dual element xi at the point x."""
-    xi = group.reduce(xi)
-    x = group.reduce(x)
-    size = group.size
-    phase = 0
-    for k, n in enumerate(group.orders):
-        phase = (phase + xi[k] * x[k] * (size // n)) % size
-    return complex(np.exp(2j * np.pi * phase / size))
-
-
 def _phase_rows(group: GroupSpec, duals: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """(k, |G|) integer phases p[i, y] = sum_m xi_im * y_m * (|G|/n_m) mod |G| of
     k dual elements xi_i against every group element y, in index order.
@@ -286,24 +275,11 @@ def full_subgroup(group: GroupSpec) -> Subgroup:
     return subgroup_from_indices(group, range(group.size))
 
 
-def trivial_subgroup(group: GroupSpec) -> Subgroup:
-    return Subgroup(group, (), np.array([0], dtype=np.int64))
-
-
 def _difference_table(group: GroupSpec, rows: np.ndarray | None = None) -> np.ndarray:
     """T[i, y] = index(y - x_i) for the elements x_i at `rows` (all when None)."""
     res = group.residue_matrix()
     gammas = res if rows is None else res[rows]
     return _flat_index(group, res[None, :, :] - gammas[:, None, :])
-
-
-def translation_index_table(group: GroupSpec) -> np.ndarray:
-    """Full (|G|, |G|) table T with T[x, y] = index(y - x).
-
-    Row x is the coordinate permutation of the translation by x.  Only used
-    by dense capped operations.
-    """
-    return _difference_table(group)
 
 
 def negation_index_table(group: GroupSpec) -> np.ndarray:

@@ -15,7 +15,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .analysis import SuperSignal
 from .fourier import Signal, _transform, random_signal
 from .groups import (
     Automorphism,
@@ -83,10 +82,6 @@ def random_subgroup(rng: np.random.Generator, group: GroupSpec,
     if max_index is not None:
         pool = [s for s in pool if s.covolume <= max_index]
     return pool[int(rng.integers(len(pool)))]
-
-
-def random_super_signal(rng: np.random.Generator, group: GroupSpec, channels: int) -> SuperSignal:
-    return SuperSignal(tuple(random_signal(group, rng) for _ in range(channels)))
 
 
 def _random_windows(rng: np.random.Generator, group: GroupSpec, channels: int) -> tuple[Signal, ...]:

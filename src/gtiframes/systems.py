@@ -123,6 +123,12 @@ class Witness:
     residual: float
 
 
+def _require_tolerance(tolerance: float) -> None:
+    # An infinite tolerance would pass a NaN residual, which ranks as +inf.
+    if not math.isfinite(tolerance) or tolerance < 0:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
+
+
 @dataclass
 class Verdict:
     """Outcome of a characterization check: pass/fail plus the worst residuals."""
@@ -144,9 +150,7 @@ class Verdict:
     ) -> "Verdict":
         if top_k < 0:
             raise ValueError(f"top_k must be non-negative, got {top_k}")
-        # An infinite tolerance would pass a NaN residual, which ranks as +inf.
-        if not math.isfinite(tolerance) or tolerance < 0:
-            raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
+        _require_tolerance(tolerance)
 
         # A non-finite residual ranks and fails as +inf, so NaN never passes.
         def worst(w: Witness) -> float:
@@ -161,21 +165,6 @@ class Verdict:
             tolerance=tolerance,
             bessel_bound=bessel_bound,
         )
-
-
-def _validate_windows(windows: Sequence[Sequence[Signal]], group: GroupSpec) -> int:
-    if not windows:
-        raise ValueError("need at least one window tuple")
-    channels = len(windows[0])
-    if channels == 0:
-        raise ValueError("window tuples must have at least one channel")
-    for tup in windows:
-        if len(tup) != channels:
-            raise ValueError("all window tuples must have the same channel count")
-        for w in tup:
-            if w.group.orders != group.orders:
-                raise ValueError("window group mismatch")
-    return channels
 
 
 def _validate_structure(
@@ -194,7 +183,18 @@ def _validate_structure(
         raise ValueError("need at least one automorphism")
     if any(alpha.parent.orders != group.orders for alpha in automorphisms or ()):
         raise ValueError("automorphism group mismatch")
-    return _validate_windows(windows, group)
+    if not windows:
+        raise ValueError("need at least one window tuple")
+    channels = len(windows[0])
+    if channels == 0:
+        raise ValueError("window tuples must have at least one channel")
+    for tup in windows:
+        if len(tup) != channels:
+            raise ValueError("all window tuples must have the same channel count")
+        for w in tup:
+            if w.group.orders != group.orders:
+                raise ValueError("window group mismatch")
+    return channels
 
 
 def _structured_system(
@@ -264,20 +264,6 @@ def wavepacket_system(
     generators D_alpha M_chi psi_j over (j, chi), translated along
     alpha^{-1}(Gamma)."""
     return _structured_system(windows, automorphisms, translation, modulation)
-
-
-def restrict_channel(system: SuperSystemDescriptor, channel: int) -> SuperSystemDescriptor:
-    """Project onto one channel: keep that window from every generator."""
-    if not 0 <= channel < system.channels:
-        raise ValueError(f"channel {channel} out of range for {system.channels} channels")
-    layers = [
-        GtiLayer(
-            layer.subgroup,
-            [WeightedGenerator(gen.weight, (gen.windows[channel],)) for gen in layer.generators],
-        )
-        for layer in system.layers
-    ]
-    return SuperSystemDescriptor(system.group, 1, layers)
 
 
 def require_matching_structure(f: SuperSystemDescriptor, h: SuperSystemDescriptor) -> None:

@@ -233,11 +233,11 @@ def loop_fiber_verdict(table, tol: float, top_k: int, dual: bool) -> Verdict:
     group = table.group
     n = table.channels
     witnesses = []
-    for off_idx in sorted(table.data):
+    for off_idx, block in zip(table.offset_indices.tolist(), table.stack):
         for n1 in range(n):
             for n2 in range(n):
                 target = 1.0 if dual and off_idx == 0 and n1 == n2 else 0.0
-                resid = np.abs(table.data[off_idx][n1, n2] - target)
+                resid = np.abs(block[n1, n2] - target)
                 xi = int(np.argmax(resid))
                 witnesses.append(Witness((n1, n2), group.element_at(off_idx),
                                          group.element_at(xi), float(resid[xi])))

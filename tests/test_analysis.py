@@ -33,10 +33,10 @@ from gtiframes.characterization import _coset_gramians
 from gtiframes.fourier import _spectra
 from gtiframes.sweeps import (
     _fiberwise_pair_layer,
+    _random_windows,
     all_small_subgroups,
     dual_pair,
     matched_random_pair,
-    random_super_signal,
     sweep_cases,
 )
 from gtiframes.systems import GtiLayer, SuperSystemDescriptor, WeightedGenerator
@@ -451,7 +451,7 @@ class TestMultiplex:
         g = make_group([8])
         rng = np.random.default_rng(51)
         f_sys, h_sys = dual_pair(rng, g, channels=2)
-        signals = random_super_signal(rng, g, 2)
+        signals = SuperSignal(_random_windows(rng, g, 2))
         coeffs = multiplex_encode((f_sys, h_sys), signals)
         back = multiplex_decode((f_sys, h_sys), coeffs)
         err = max(
@@ -464,7 +464,7 @@ class TestMultiplex:
         g = make_group([4])
         rng = np.random.default_rng(53)
         f_sys, h_sys = matched_random_pair(rng, g, 1, 1, 2)
-        signals = random_super_signal(rng, g, 1)
+        signals = SuperSignal(_random_windows(rng, g, 1))
         with pytest.raises(UncertifiedPairError):
             multiplex_encode((f_sys, h_sys), signals)
         coeffs = analysis_coeffs(f_sys, signals)
@@ -483,7 +483,7 @@ class TestMultiplex:
         h_sys = SuperSystemDescriptor(g, 2, [h_layer])
         with pytest.raises(CapExceededError):
             mixed_dual_gramian(f_sys, h_sys)
-        signals = random_super_signal(rng, g, 2)
+        signals = SuperSignal(_random_windows(rng, g, 2))
         back = multiplex_decode((f_sys, h_sys), multiplex_encode((f_sys, h_sys), signals))
         for a, b in zip(signals.channels, back.channels):
             assert np.abs(a.values - b.values).max() < 1e-9 * a.norm()
@@ -492,7 +492,7 @@ class TestMultiplex:
         g = make_group([8])
         rng = np.random.default_rng(57)
         f_sys, h_sys = dual_pair(rng, g, channels=3)
-        signals = random_super_signal(rng, g, 3)
+        signals = SuperSignal(_random_windows(rng, g, 3))
         coeffs = multiplex_encode((f_sys, h_sys), signals)
         # One flat complex stream, not one per channel.
         assert len(coeffs.entries) == len(f_sys.layers)

@@ -8,7 +8,6 @@ from gtiframes import (
     NotAMultiplierError,
     Signal,
     StructureMismatchError,
-    apply_multiplier,
     check_gabor_duality,
     check_orthogonality,
     check_parseval_super,
@@ -17,6 +16,7 @@ from gtiframes import (
     check_wavepacket_duality,
     commutation_defect,
     delta_signal,
+    dft,
     dft_naive,
     fiber_table,
     full_subgroup,
@@ -70,16 +70,15 @@ class TestFiberTable:
         g = make_group([5])
         sys = delta_system(g)
         table = fiber_table(sys, sys)
-        assert list(table.data) == [0]
-        assert np.abs(table.data[0][0, 0] - 1.0).max() < 1e-12
+        assert table.offset_indices.tolist() == [0]
+        assert np.abs(table.stack[0, 0, 0] - 1.0).max() < 1e-12
 
     def test_zero_analysis_windows_zero_fibers(self):
         g = make_group([8])
         f_sys = delta_system(g)
         h_sys = delta_system(g, scale=0.0)
         table = fiber_table(f_sys, h_sys)
-        for block in table.data.values():
-            assert np.abs(block).max() == 0.0
+        assert np.abs(table.stack).max() == 0.0
 
     def test_matches_triple_loop_oracle(self):
         # Z8 with one layer on <2>; Z2xZ4 and Z3xZ3 with one layer each; Z12 with
@@ -112,14 +111,13 @@ class TestFiberTable:
             table = fiber_table(f_sys, h_sys)
             union = set().union(*(set(layer.subgroup.annihilator.indices.tolist())
                                   for layer in f_sys.layers))
-            assert sorted(table.data) == sorted(union)
-            for off_idx in table.data:
-                alpha = g.element_at(off_idx)
+            assert table.offset_indices.tolist() == sorted(union)
+            for alpha, block in zip(table.offsets, table.stack):
                 for n1 in range(n):
                     for n2 in range(n):
                         for xi in g.elements():
                             expected = loop_fiber_value(f_sys, h_sys, n1, n2, alpha, xi)
-                            got = table.data[off_idx][n1, n2, g.index_of(xi)]
+                            got = block[n1, n2, g.index_of(xi)]
                             assert got == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize(
@@ -196,8 +194,14 @@ class TestFiberTable:
         ]
         sys = SuperSystemDescriptor(g, 1, layers)
         table = fiber_table(sys, sys)
+        # Offsets 0 and 2: 0 lies in both annihilators, 2 only in that of <2>.
+        assert table.layer_mask.tolist() == [[True, True], [False, True]]
+        # The dict views that the benchmark harness reads say the same by offset index.
         assert table.contributors[0] == (0, 1)
         assert table.contributors[g.index_of((2,))] == (1,)
+        assert table.data.keys() == set(table.offset_indices.tolist())
+        assert all(np.array_equal(table.data[k], block)
+                   for k, block in zip(table.offset_indices.tolist(), table.stack))
 
     def test_structure_mismatch_rejected(self):
         g = make_group([4])
@@ -212,9 +216,8 @@ class TestFiberTable:
         sub = subgroup_from_generators(g, [(2,)])
         sys = SuperSystemDescriptor(g, 1, [GtiLayer(sub, [])])
         table = fiber_table(sys, sys)
-        assert sorted(table.data) == [int(i) for i in sub.annihilator.indices]
-        for block in table.data.values():
-            assert np.abs(block).max() == 0.0
+        assert table.offset_indices.tolist() == sub.annihilator.indices.tolist()
+        assert np.abs(table.stack).max() == 0.0
         assert check_orthogonality(sys, sys).passed
 
 
@@ -358,7 +361,7 @@ class TestMultiplierSymbol:
         matrix = mixed_dual_gramian(f_sys, h_sys)
         for col in range(g.size):
             basis = Signal(g, np.eye(g.size)[col])
-            via_symbol = apply_multiplier(s, basis).values
+            via_symbol = idft(Spectrum(g, s.values * dft(basis).values)).values
             assert np.abs(via_symbol - matrix[:, col]).max() < 1e-10
 
     def test_non_multiplier_is_refused(self):
@@ -378,6 +381,14 @@ class TestMultiplierSymbol:
         sys = SuperSystemDescriptor(g, 1, [GtiLayer(sub, [WeightedGenerator(1.0, (window,))])])
         with pytest.raises(NotAMultiplierError, match="inf"):
             multiplier_symbol(sys, sys, tol=1e-9)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_invalid_tolerance_refused(self, tol):
+        # Off-translation residual 17.0: a NaN or infinite tolerance used to pass it.
+        g = make_group([8])
+        f_sys, h_sys = matched_random_pair(np.random.default_rng(1), g, 1, 2, 2)
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            multiplier_symbol(f_sys, h_sys, tol=tol)
 
     def test_multi_channel_needs_explicit_channel(self):
         g = make_group([4])
@@ -400,6 +411,22 @@ class TestCommutation:
         f_sys, h_sys = matched_random_pair(rng, g, 1, 2, 2, full_group_layers=True)
         assert commutation_defect(f_sys, h_sys) < 1e-10
 
+    def test_nan_in_matrix_gives_inf(self):
+        g = make_group([8])
+        f_sys, h_sys = matched_random_pair(np.random.default_rng(1), g, 2, 1, 2,
+                                           full_group_layers=True)
+        matrix = mixed_dual_gramian(f_sys, h_sys)
+        assert commutation_defect(f_sys, h_sys, matrix=matrix) < 1e-12
+        matrix[3, 5] = np.nan
+        assert commutation_defect(f_sys, h_sys, matrix=matrix) == np.inf
+
+    def test_matrix_of_another_shape_refused(self):
+        g = make_group([8])
+        f_sys, h_sys = matched_random_pair(np.random.default_rng(1), g, 2, 1, 2)
+        matrix = mixed_dual_gramian(f_sys, h_sys)
+        with pytest.raises(ValueError, match=r"shape \(8, 8\), expected \(16, 16\)"):
+            commutation_defect(f_sys, h_sys, matrix=matrix[:8, :8])
+
     def test_engineered_positive_defect(self):
         g = make_group([4])
         sub = subgroup_from_generators(g, [(2,)])
@@ -409,8 +436,8 @@ class TestCommutation:
         defect = commutation_defect(sys, sys)
         assert defect > 1.0
         table = fiber_table(sys, sys)
-        off = table.data[g.index_of((2,))]
-        assert np.abs(off).max() > 0.5
+        (row,) = np.flatnonzero(table.offset_indices == g.index_of((2,)))
+        assert np.abs(table.stack[row]).max() > 0.5
 
     def test_defect_zero_iff_fibers_vanish(self):
         rng = np.random.default_rng(101)
@@ -419,10 +446,7 @@ class TestCommutation:
             f_sys, h_sys = matched_random_pair(rng, g, 1, 2, 2)
             defect = commutation_defect(f_sys, h_sys)
             table = fiber_table(f_sys, h_sys)
-            off_translation = max(
-                (np.abs(block).max() for off, block in table.data.items() if off != 0),
-                default=0.0,
-            )
+            off_translation = np.abs(table.stack[table.offset_indices != 0]).max(initial=0.0)
             tol = 1e-9
             assert (defect <= tol) == (off_translation <= tol)
 
@@ -581,7 +605,7 @@ class TestSpecializedChecks:
                 lam = modulation or subgroup_from_generators(g, [])
                 expanded = fiber_table(wavepacket_system(fw, levels, translation, lam),
                                        wavepacket_system(hw, levels, translation, lam))
-                assert table.data.keys() == expanded.data.keys()
+                assert np.array_equal(table.offset_indices, expanded.offset_indices)
                 scale = max(1.0, float(np.abs(expanded.stack).max()))
                 assert np.abs(table.stack - expanded.stack).max() <= 1e-12 * scale
 
@@ -648,10 +672,9 @@ class TestVerdictProperties:
                 for w in gen.windows:
                     w.values *= 1.0 / np.conj(c)
         rescaled = fiber_table(f_sys, h_sys)
-        for off in table.data:
-            assert np.abs(table.data[off] - rescaled.data[off]).max() < 1e-12 * max(
-                1.0, np.abs(table.data[off]).max()
-            )
+        assert np.array_equal(table.offset_indices, rescaled.offset_indices)
+        for block, again in zip(table.stack, rescaled.stack):
+            assert np.abs(block - again).max() < 1e-12 * max(1.0, np.abs(block).max())
 
     def test_tolerance_monotonicity(self):
         g = make_group([8])
@@ -741,7 +764,7 @@ class TestVerdictAssembly:
         for check, dual in ((check_super_duality, True), (check_orthogonality, False)):
             verdict = check(f_sys, h_sys, tol=1e-9, top_k=top_k)
             reference = loop_fiber_verdict(table, 1e-9, top_k, dual)
-            assert len(verdict.witnesses) == len(table.data) * f_sys.channels ** 2
+            assert len(verdict.witnesses) == table.offset_indices.size * f_sys.channels ** 2
             assert self.key(verdict) == self.key(reference)
             if dual:
                 assert verdict.blocks.keys() == reference.blocks.keys()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gtiframes import analysis_coeffs, make_group
+from gtiframes import SuperSignal, analysis_coeffs, fiber_table, make_group
 from gtiframes.cli import main
 from gtiframes.configio import (
     coefficients_to_json,
@@ -25,7 +25,7 @@ from gtiframes.configio import (
     super_signal_to_json,
     vector_to_json,
 )
-from gtiframes.sweeps import dual_pair, matched_random_pair, random_super_signal
+from gtiframes.sweeps import _random_windows, dual_pair, matched_random_pair
 
 
 def run_cli(capsys, *argv):
@@ -409,10 +409,30 @@ class TestCheckCommand:
         assert rep1 == rep2
 
     def test_fiber_dump(self, tmp_path, capsys):
-        cfg = write_json(tmp_path / "p.json", PARSEVAL_DOC)
-        code, report, _ = run_cli(capsys, "check", "parseval", cfg, "--dump-fibers")
-        assert code == 0
-        assert "0,0" in report["fibers"]["tables"]
+        # Two channels, layers on <2> and <4> of Z8: offsets 0, 2, 4 and 6.
+        doc = {
+            "group": [8],
+            "channels": 2,
+            "layers": [
+                {"subgroup_generators": [[2]],
+                 "generators": [{"windows": ["random:1", "random:2"]},
+                                {"windows": ["random:3", "delta"]}]},
+                {"subgroup_generators": [[4]],
+                 "generators": [{"windows": ["random:4", "random:5"]}]},
+            ],
+        }
+        cfg = write_json(tmp_path / "f.json", doc)
+        _, report, _ = run_cli(capsys, "check", "parseval", cfg, "--dump-fibers")
+        system = parse_config(doc)
+        table = fiber_table(system, system)
+        dump = report["fibers"]
+        assert dump["offsets"] == [[0], [2], [4], [6]] == [list(o) for o in table.offsets]
+        assert sorted(dump["tables"]) == ["0,0", "0,1", "1,0", "1,1"]
+        for key, entries in dump["tables"].items():
+            n1, n2 = map(int, key.split(","))
+            assert list(entries) == [str(o) for o in dump["offsets"]]
+            for entry, block in zip(entries.values(), table.stack):
+                assert entry == vector_to_json(block[n1, n2])
 
 
 class TestInfoCommand:
@@ -648,7 +668,7 @@ def _multiplex_docs():
     rng = np.random.default_rng(11)
     g = make_group([8])
     f_sys, h_sys = dual_pair(rng, g, channels=2)
-    signals = random_super_signal(rng, g, 2)
+    signals = SuperSignal(_random_windows(rng, g, 2))
     coeffs = coefficients_to_json(analysis_coeffs(f_sys, signals))
     return tuple(json.dumps(d) for d in (descriptor_to_config(f_sys), descriptor_to_config(h_sys),
                                          super_signal_to_json(signals), coeffs))
@@ -695,7 +715,7 @@ class TestMultiplexCommand:
         f_sys, h_sys = dual_pair(rng, g, channels=channels)
         f_cfg = write_json(tmp_path / "mf.json", descriptor_to_config(f_sys))
         h_cfg = write_json(tmp_path / "mh.json", descriptor_to_config(h_sys))
-        signals = random_super_signal(rng, g, channels)
+        signals = SuperSignal(_random_windows(rng, g, channels))
         sig = write_json(tmp_path / "sig.json", super_signal_to_json(signals))
         return f_cfg, h_cfg, sig
 
@@ -900,7 +920,7 @@ class TestMultiplexCommand:
         f_cfg = write_json(tmp_path / "bf.json", descriptor_to_config(f_sys))
         h_cfg = write_json(tmp_path / "bh.json", descriptor_to_config(h_sys))
         sig = write_json(
-            tmp_path / "bs.json", super_signal_to_json(random_super_signal(rng, g, 2))
+            tmp_path / "bs.json", super_signal_to_json(SuperSignal(_random_windows(rng, g, 2)))
         )
         code, _, err = run_cli(
             capsys, "multiplex", f_cfg, h_cfg, "--signals", sig, "--mode", "roundtrip"

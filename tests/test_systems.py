@@ -14,7 +14,6 @@ from gtiframes import (
     make_group,
     random_signal,
     require_matching_structure,
-    restrict_channel,
     subgroup_from_generators,
     gabor_system,
     wavelet_system,
@@ -238,18 +237,6 @@ def test_expansions_equal_per_element_loop_bit_for_bit(orders, trans, mod, matri
 
 
 class TestDescriptors:
-    def test_restrict_channel(self):
-        g = make_group([4])
-        w0, w1 = random_signal(g, 0), random_signal(g, 1)
-        layer = GtiLayer(full_subgroup(g), [WeightedGenerator(1.5, (w0, w1))])
-        sys = SuperSystemDescriptor(g, 2, [layer])
-        only1 = restrict_channel(sys, 1)
-        assert only1.channels == 1
-        assert np.array_equal(only1.layers[0].generators[0].windows[0].values, w1.values)
-        assert only1.layers[0].generators[0].weight == 1.5
-        with pytest.raises(ValueError):
-            restrict_channel(sys, 2)
-
     def test_structure_mismatch_detection(self):
         g = make_group([4])
         sub_a = full_subgroup(g)
