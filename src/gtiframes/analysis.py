@@ -208,13 +208,23 @@ def mixed_dual_gramian(
         # translate matrix holds more entries than `out` (all at once, a
         # full-lattice Gabor layer on Z256 would need 1 GB).
         step = max(1, n * size // table.shape[0])
-        for part in np.split(live, np.arange(step, live.size, step)):
+        for start in range(0, live.size, step):
+            part = live[start:start + step]
             gens = [layer.generators[p] for layer in (lf, lh) for p in part]
             values = np.stack([[w.values for w in gen.windows] for gen in gens])
             # Row (p, i) of each half is the channel-major T_{gamma_i} of generator p.
             tg, th = values[:, :, table].transpose(0, 2, 1, 3).reshape(2, -1, n * size)
             out += (tg * np.repeat(scales[part], table.shape[0])[:, None]).T @ th.conj()
-    _require_finite("dense operator", out)
+    if not np.isfinite(out).all():
+        # A NaN or inf sample of a live generator is named (windows of F before H);
+        # from finite windows the operator overflowed.
+        for j, (lf, lh) in enumerate(zip(f_system.layers, h_system.layers)):
+            for p, (gf, gh) in enumerate(zip(lf.generators, lh.generators)):
+                bad = np.argwhere(~np.isfinite([w.values for w in gf.windows + gh.windows]))
+                if gf.weight != 0.0 and bad.size:
+                    raise ValueError(f"layer {j} generator {p} window {bad[0, 0] % n} "
+                                     f"has a non-finite value at index {bad[0, 1]}")
+        _require_finite("dense operator", out)
     return out
 
 

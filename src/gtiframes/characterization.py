@@ -21,7 +21,6 @@ pullbacks) without expanding the system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -46,7 +45,6 @@ from .groups import (
     Subgroup,
     _difference_table,
     _flat_index,
-    negation_index_table,
 )
 from .systems import (
     GtiLayer,
@@ -54,6 +52,7 @@ from .systems import (
     Verdict,
     Witness,
     _require_tolerance,
+    _residual,
     _structured_system,
     _validate_structure,
     gabor_system,
@@ -296,7 +295,8 @@ def multiplier_symbol(
 ) -> Spectrum:
     """Zero-offset diagonal fiber, valid only when the mixed dual Gramian
     commutes with translations (all other fibers vanish); raises
-    NotAMultiplierError otherwise instead of silently returning a symbol."""
+    NotAMultiplierError otherwise, or when a fiber is not finite, instead of
+    silently returning a symbol."""
     if tol is None:
         tol, _ = default_tolerance(f_system, h_system)
     _require_tolerance(tol)
@@ -309,14 +309,14 @@ def multiplier_symbol(
         raise ValueError(f"channel {channel} out of range")
     resid = np.abs(table.stack)
     diagonal = np.arange(table.channels)
-    resid[0, diagonal, diagonal] = 0.0  # the zero-offset diagonal is the symbol
-    worst = float(resid.max())
-    if not math.isfinite(worst):
-        worst = math.inf  # NaN fails as +inf, as in Verdict.from_witnesses
+    # The zero-offset diagonal is the symbol: it adds to the residual only where not finite.
+    symbol = resid[0, diagonal, diagonal]
+    resid[0, diagonal, diagonal] = np.where(np.isfinite(symbol), 0.0, np.inf)
+    worst = _residual(float(resid.max()))
     if worst > tol:
         raise NotAMultiplierError(
-            f"operator does not commute with translations "
-            f"(off-translation residual {worst:.3e} > tol {tol:.3e})"
+            f"operator does not commute with translations or is not finite "
+            f"(residual {worst:.3e} > tol {tol:.3e})"
         )
     return Spectrum(table.group, table.stack[0, channel, channel].copy())
 
@@ -335,21 +335,15 @@ def commutation_defect(
         matrix = mixed_dual_gramian(f_system, h_system)
     elif np.shape(matrix) != (n * size, n * size):
         raise ValueError(f"matrix has shape {np.shape(matrix)}, expected {(n * size, n * size)}")
-    table = _difference_table(group)
-    neg = negation_index_table(group)
-    offsets = np.arange(n) * size
+    # Row x is the channel-major permutation p of T_x, (T_x f)[i] = f[p[i]].  T_x is
+    # unitary, so ||Theta T_x - T_x Theta|| = ||T_x Theta T_x^-1 - Theta||, and the
+    # conjugate T_x Theta T_x^-1 is Theta[p[:, None], p].
+    perms = (_difference_table(group)[:, None, :] + size * np.arange(n)[:, None]).reshape(size, -1)
     norms = np.empty(size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for x_idx in range(size):
-            perm = table[x_idx]
-            inv_perm = table[neg[x_idx]]
-            gp = (perm[None, :] + offsets[:, None]).reshape(-1)
-            inv_gp = (inv_perm[None, :] + offsets[:, None]).reshape(-1)
-            diff = matrix[gp, :] - matrix[:, inv_gp]
-            norms[x_idx] = np.linalg.norm(diff)
-    # A NaN norm is kept by max and fails as +inf, as in Verdict.from_witnesses.
-    worst = float(norms.max())
-    return worst if math.isfinite(worst) else math.inf
+        for x, p in enumerate(perms):
+            norms[x] = np.linalg.norm(matrix[p[:, None], p] - matrix)
+    return _residual(float(norms.max()))  # max keeps a NaN norm
 
 
 @dataclass(eq=False)
@@ -387,8 +381,8 @@ def quadratic_form_series(
         fibers = fiber_table(f_system, h_system)
     f_hat = dft(f).values
     offsets = fibers.offset_indices
-    # shifted[k, xi] = fhat(xi + offset_k), as the difference xi - (-offset_k).
-    shifted = f_hat[_difference_table(group, negation_index_table(group)[offsets])]
+    res = group.residue_matrix()
+    shifted = f_hat[_flat_index(group, res[None, :, :] + res[offsets][:, None, :])]  # xi + a_k
     w_hat = (f_hat * shifted.conj() * fibers.stack[:, 0, 0]).sum(axis=-1) / size
     # The series sum_k <offset_k, x> w_hat_k is |G| times the inverse
     # transform of w_hat placed at the offsets.

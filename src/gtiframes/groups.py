@@ -202,8 +202,8 @@ class Subgroup:
         ordered by their smallest index, entries by the elements of H, so
         row 0 is `indices`."""
         group = self.parent
-        # sums[x, i] = index(x + h_i), as the difference x - (-h_i).
-        sums = _difference_table(group, negation_index_table(group)[self.indices]).T
+        res = group.residue_matrix()
+        sums = _flat_index(group, res[self.indices][:, None, :] + res[None, :, :]).T  # x + h_i
         return sums[sums.min(axis=1) == np.arange(group.size)]
 
     def __str__(self) -> str:
@@ -280,11 +280,6 @@ def _difference_table(group: GroupSpec, rows: np.ndarray | None = None) -> np.nd
     res = group.residue_matrix()
     gammas = res if rows is None else res[rows]
     return _flat_index(group, res[None, :, :] - gammas[:, None, :])
-
-
-def negation_index_table(group: GroupSpec) -> np.ndarray:
-    """Index of -x for every x."""
-    return _perm_from_matrix(group, -np.eye(group.ndim, dtype=np.int64))
 
 
 def annihilator(group: GroupSpec, sub: Subgroup) -> Subgroup:

@@ -123,6 +123,11 @@ class Witness:
     residual: float
 
 
+def _residual(value: float) -> float:
+    """A residual as it ranks and fails: a non-finite value is +inf, so NaN never passes."""
+    return value if math.isfinite(value) else math.inf
+
+
 def _require_tolerance(tolerance: float) -> None:
     # An infinite tolerance would pass a NaN residual, which ranks as +inf.
     if not math.isfinite(tolerance) or tolerance < 0:
@@ -151,13 +156,8 @@ class Verdict:
         if top_k < 0:
             raise ValueError(f"top_k must be non-negative, got {top_k}")
         _require_tolerance(tolerance)
-
-        # A non-finite residual ranks and fails as +inf, so NaN never passes.
-        def worst(w: Witness) -> float:
-            return w.residual if math.isfinite(w.residual) else math.inf
-
-        ranked = sorted(witnesses, key=worst, reverse=True)
-        max_residual = worst(ranked[0]) if ranked else 0.0
+        ranked = sorted(witnesses, key=lambda w: _residual(w.residual), reverse=True)
+        max_residual = _residual(ranked[0].residual) if ranked else 0.0
         return cls(
             passed=max_residual <= tolerance,
             max_residual=max_residual,

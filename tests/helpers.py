@@ -226,6 +226,20 @@ def loop_mixed_dual_gramian(
     return out
 
 
+def loop_commutation_defect(system: SuperSystemDescriptor, matrix: np.ndarray) -> float:
+    """max over x of ||Theta T_x - T_x Theta||_F, with T_x the explicit permutation
+    matrix of (T_x f)(y) = f(y - x) on every channel of the system."""
+    group = system.group
+    worst = 0.0
+    for x in group.elements():
+        shift = np.zeros((group.size, group.size))
+        for y in group.elements():
+            shift[group.index_of(y), group.index_of(group.sub(y, x))] = 1.0
+        t = np.kron(np.eye(system.channels), shift)
+        worst = max(worst, float(np.linalg.norm(matrix @ t - t @ matrix)))
+    return worst
+
+
 def loop_fiber_verdict(table, tol: float, top_k: int, dual: bool) -> Verdict:
     """Reference verdict from a fiber table by explicit loops: the worst
     frequency of |fiber - target| per offset, then per channel pair; duality

@@ -14,6 +14,7 @@ from gtiframes import (
     UncertifiedPairError,
     analysis_coeffs,
     check_gabor_duality,
+    check_super_duality,
     default_tolerance,
     delta_signal,
     frame_bounds,
@@ -196,6 +197,8 @@ class TestTransformCodec:
             applied = synthesis(f, analysis_coeffs(h, x)).stacked().reshape(-1)
             assert np.all(np.isfinite(applied))
             assert np.abs(applied - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        # The dense oracle skips the zero-mass generator and its NaN windows too.
+        assert np.array_equal(mixed_dual_gramian(f_dead, h_dead), mixed_dual_gramian(f_sys, h_sys))
 
 
 class TestFrameOperator:
@@ -261,6 +264,26 @@ class TestFrameOperator:
         system = SuperSystemDescriptor(g, 1, [layer])
         with pytest.raises(ValueError, match="dense operator overflows float64"):
             mixed_dual_gramian(system, system)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_window_sample_named(self, bad):
+        f_sys, h_sys = dual_pair(np.random.default_rng(3), make_group([8]), 2)
+        h_sys.layers[0].generators[0].windows[1].values[3] = bad
+        message = "layer 0 generator 0 window 1 has a non-finite value at index 3"
+        for call in (lambda: mixed_dual_gramian(f_sys, h_sys), lambda: frame_bounds(h_sys),
+                     lambda: default_tolerance(f_sys, h_sys),
+                     lambda: check_super_duality(f_sys, h_sys)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_non_finite_window_named_in_structured_tolerance(self):
+        g = make_group([8])
+        lattice = subgroup_from_generators(g, [(2,)])
+        window = random_signal(g, 7)
+        bad = Signal(g, window.values.copy())
+        bad.values[3] = np.nan
+        with pytest.raises(ValueError, match="window 0 has a non-finite value at index 3"):
+            check_gabor_duality([[window]], [[bad]], lattice, lattice)
 
     def test_tolerance_finite_for_finite_bounds(self):
         # B_F * B_H overflows past ~1e154; the tolerance must not.

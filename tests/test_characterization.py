@@ -40,10 +40,17 @@ from gtiframes.sweeps import (
     matched_random_pair,
     random_automorphism,
     random_descriptor,
+    sweep_cases,
 )
 from gtiframes.systems import GtiLayer, SuperSystemDescriptor, WeightedGenerator
 
-from helpers import brute_character, channel_split_parseval, delta_system, loop_fiber_verdict
+from helpers import (
+    brute_character,
+    channel_split_parseval,
+    delta_system,
+    loop_commutation_defect,
+    loop_fiber_verdict,
+)
 
 
 def loop_fiber_value(f_sys, h_sys, n1, n2, alpha, xi):
@@ -382,6 +389,17 @@ class TestMultiplierSymbol:
         with pytest.raises(NotAMultiplierError, match="inf"):
             multiplier_symbol(sys, sys, tol=1e-9)
 
+    def test_nan_window_on_full_group_is_refused(self):
+        # Offset 0 is the only fiber, and its diagonal is the symbol itself.
+        g = make_group([8])
+        window = random_signal(g, 5)
+        window.values[3] = np.nan
+        sys = SuperSystemDescriptor(
+            g, 1, [GtiLayer(full_subgroup(g), [WeightedGenerator(1.0, (window,))])]
+        )
+        with pytest.raises(NotAMultiplierError, match="inf"):
+            multiplier_symbol(sys, sys, tol=1e-9)
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_invalid_tolerance_refused(self, tol):
         # Off-translation residual 17.0: a NaN or infinite tolerance used to pass it.
@@ -426,6 +444,15 @@ class TestCommutation:
         matrix = mixed_dual_gramian(f_sys, h_sys)
         with pytest.raises(ValueError, match=r"shape \(8, 8\), expected \(16, 16\)"):
             commutation_defect(f_sys, h_sys, matrix=matrix[:8, :8])
+
+    def test_matches_permutation_matrices_on_acceptance_corpus(self):
+        cases = sweep_cases(seed=20240801)
+        assert any(case.f_system.channels > 1 for case in cases)
+        for case in cases:
+            matrix = mixed_dual_gramian(case.f_system, case.h_system)
+            defect = commutation_defect(case.f_system, case.h_system, matrix=matrix)
+            expected = loop_commutation_defect(case.f_system, matrix)
+            assert abs(defect - expected) <= 1e-12 * max(1.0, expected), case.name
 
     def test_engineered_positive_defect(self):
         g = make_group([4])

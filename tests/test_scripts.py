@@ -1,4 +1,5 @@
-"""The multiplexing demo script fails when the codec does not recover its input."""
+"""The scripts' exit codes: the multiplexing demo fails when the codec does not
+recover its input, and the Gabor dual experiment runs past the dense cap."""
 
 import importlib.util
 import sys
@@ -10,10 +11,11 @@ import pytest
 from gtiframes import SuperSignal
 
 DEMO = Path(__file__).resolve().parent.parent / "scripts" / "multiplex_demo.py"
+GABOR = DEMO.with_name("gabor_dual_experiment.py")
 
 
-def load_demo():
-    spec = importlib.util.spec_from_file_location("multiplex_demo", DEMO)
+def load_script(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -25,7 +27,7 @@ def load_demo():
     ids=["exact", "nan", "inf", "relative-1e-6"],
 )
 def test_multiplex_demo_exit_code(monkeypatch, capsys, fault, code):
-    demo = load_demo()
+    demo = load_script(DEMO)
     synthesis = demo.synthesis
 
     def faulty(system, coeffs):
@@ -43,3 +45,13 @@ def test_multiplex_demo_exit_code(monkeypatch, capsys, fault, code):
     monkeypatch.setattr(sys, "argv", ["multiplex_demo.py", "--trials", "2"])
     assert demo.main() == code
     assert ("is not within 1e-09" in capsys.readouterr().err) == bool(code)
+
+
+def test_gabor_dual_experiment_skips_bounds_above_the_dense_cap(monkeypatch, capsys):
+    experiment = load_script(GABOR)
+    monkeypatch.setattr(sys, "argv", ["gabor_dual_experiment.py", "--order", "512",
+                                      "--windows", "1"])
+    assert experiment.main() == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 100  # 10 subgroups of Z512, every lattice pair
+    assert all(row.split()[3:5] == ["skipped", "skipped"] for row in rows)
