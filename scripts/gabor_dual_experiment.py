@@ -6,7 +6,8 @@ windows, compute frame bounds, and where the system is a frame solve for
 the canonical dual and certify it.  Prints a table of density vs bounds
 vs certification residual; exits 1 when a canonical dual fails its
 duality check.  Above the dense cap the bounds columns read `skipped`, and
-the NotAFrameError of `gabor_canonical_dual` alone leaves out a window.
+the NotAFrameError of `gabor_canonical_dual` alone leaves out a window; a
+lattice where every window is left out reads `not a frame`.
 """
 
 import argparse
@@ -65,8 +66,10 @@ def main() -> int:
                 verdict = check_gabor_duality([[w]], [[dual]], trans, mod)
                 residuals.append(verdict.max_residual)
                 failures += not verdict.passed
-            worst = max(residuals) if residuals else float("nan")
-            print(line + f" {worst:14.3e}")
+            if residuals:
+                print(line + f" {max(residuals):14.3e}")
+            else:
+                print(line + "   not a frame")
     if failures:
         print(f"{failures} canonical duals failed the duality check")
         return 1

@@ -55,7 +55,6 @@ from .systems import (
     _residual,
     _structured_system,
     _validate_structure,
-    gabor_system,
     require_matching_structure,
 )
 
@@ -488,12 +487,14 @@ def gabor_canonical_dual(window: Signal, translation: Subgroup, modulation: Subg
     the Hermitian coset Gramian: bounds are its extreme eigenvalues (NotAFrameError
     when the lower one vanishes), and each block is solved on its coset."""
     group = window.group
-    # Refused here: expanded and transformed, a NaN or inf reads as overflow.
+    # Refused here: transformed, a NaN or inf reads as overflow.
     bad = np.flatnonzero(~np.isfinite(window.values))
     if bad.size:
         raise ValueError(f"gabor window has a non-finite value at index {int(bad[0])}")
-    (layer,) = gabor_system([[window]], translation, modulation).layers
-    spectra = _spectra([gen.windows for gen in layer.generators], group)
+    _validate_structure([[window]], None, translation, modulation)
+    # (M_chi g)^(xi) = ghat(xi - chi): the modulated spectra, chi in index order.
+    window_hat = dft(window).values
+    spectra = window_hat[_difference_table(group, modulation.indices)][:, None, :]
     cosets = translation.annihilator.cosets
     gramians = _coset_gramians(spectra, spectra, np.ones(len(spectra)), translation.annihilator)
     _require_finite("gabor frame operator", gramians)
@@ -503,7 +504,7 @@ def gabor_canonical_dual(window: Signal, translation: Subgroup, modulation: Subg
         raise NotAFrameError(f"gabor system is not a frame "
                              f"(bounds {bounds.lower:.3e}, {bounds.upper:.3e})")
     dual_hat = np.empty(group.size, dtype=np.complex128)
-    dual_hat[cosets] = np.linalg.solve(gramians.conj(), dft(window).values[cosets, None])[..., 0]
+    dual_hat[cosets] = np.linalg.solve(gramians.conj(), window_hat[cosets, None])[..., 0]
     return Signal(group, _transform(dual_hat, group, inverse=True))
 
 

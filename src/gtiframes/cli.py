@@ -27,7 +27,6 @@ from .analysis import (
 from .characterization import (
     check_gabor_duality,
     check_orthogonality,
-    check_parseval_super,
     check_super_duality,
     fiber_table,
     gabor_canonical_dual,
@@ -133,23 +132,18 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
         "command": f"check {args.kind}",
         "config_digest_f": config_digest(f_doc),
     }
-    if args.kind == "parseval":
-        if args.config_h is not None:
-            raise ConfigError("parseval takes a single configuration")
+    # Parseval is duality of f with itself; one config for either means h = f.
+    if args.config_h is None:
         h_system = f_system
-    elif args.config_h is None:
-        h_system = f_system
+    elif args.kind == "parseval":
+        raise ConfigError("parseval takes a single configuration")
     else:
         h_system, h_doc = load_config(args.config_h, seed=args.seed)
         report["config_digest_h"] = config_digest(h_doc)
 
     start = time.perf_counter()
-    if args.kind == "duality":
-        verdict = check_super_duality(f_system, h_system, tol=args.tol, top_k=args.top_k)
-    elif args.kind == "orthogonality":
-        verdict = check_orthogonality(f_system, h_system, tol=args.tol, top_k=args.top_k)
-    else:
-        verdict = check_parseval_super(f_system, tol=args.tol, top_k=args.top_k)
+    check = check_orthogonality if args.kind == "orthogonality" else check_super_duality
+    verdict = check(f_system, h_system, tol=args.tol, top_k=args.top_k)
     report["verdict"] = _verdict_json(verdict)
     if args.oracle:
         try:

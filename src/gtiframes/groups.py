@@ -90,8 +90,7 @@ class GroupSpec:
 
     @cached_property
     def _residues(self) -> np.ndarray:
-        grids = np.meshgrid(*[np.arange(n, dtype=np.int64) for n in self.orders], indexing="ij")
-        res = np.stack([g.ravel() for g in grids], axis=1)
+        res = np.stack(np.unravel_index(np.arange(self.size), self.orders), axis=1)
         res.flags.writeable = False
         return res
 
@@ -213,14 +212,7 @@ class Subgroup:
 
 def _flat_index(group: GroupSpec, residues: np.ndarray) -> np.ndarray:
     """Flat index of every residue row (last axis), reduced mod the orders first."""
-    # Accumulated axis by axis, out = out * n_k + (r_k mod n_k): numpy runs an
-    # int64 matmul without BLAS, several times slower than these passes.
-    orders = group.orders
-    out = residues[..., 0] % orders[0]
-    for k in range(1, len(orders)):
-        out *= orders[k]
-        out += residues[..., k] % orders[k]
-    return out
+    return np.ravel_multi_index(np.moveaxis(residues, -1, 0), group.orders, mode="wrap")
 
 
 def _extend(group: GroupSpec, members: np.ndarray, gen: Element) -> np.ndarray:

@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gtiframes import SuperSignal, analysis_coeffs, fiber_table, make_group
+from gtiframes import (
+    SuperSignal,
+    analysis_coeffs,
+    fiber_table,
+    make_group,
+    mixed_dual_gramian,
+)
 from gtiframes.cli import main
 from gtiframes.configio import (
     coefficients_to_json,
@@ -240,6 +246,58 @@ class TestCheckCommand:
         assert code == 1
         assert report["verdict_agrees_with_oracle"] is True
 
+    def test_orthogonality_oracle_is_the_largest_gramian_entry(self, tmp_path, capsys):
+        # The oracle of orthogonality is max |M|, not the distance to the identity.
+        rng = np.random.default_rng(5)
+        f_sys, h_sys = matched_random_pair(rng, make_group([8]), 2, 2, 2)
+        f_cfg = write_json(tmp_path / "f.json", descriptor_to_config(f_sys))
+        h_cfg = write_json(tmp_path / "h.json", descriptor_to_config(h_sys))
+        code, report, _ = run_cli(capsys, "check", "orthogonality", f_cfg, h_cfg, "--oracle")
+        assert code == 1
+        matrix = mixed_dual_gramian(f_sys, h_sys)
+        assert report["oracle_residual"] == float(np.abs(matrix).max())
+        assert report["verdict_agrees_with_oracle"] is True
+        # A zero analysis window: zero Gramian, a passing verdict the oracle agrees with.
+        zero = copy.deepcopy(PARSEVAL_DOC)
+        zero["layers"][0]["generators"][0]["windows"][0] = {"re": [0] * 4, "im": [0] * 4}
+        zero["layers"][0]["generators"][1]["windows"][1] = {"re": [0] * 4, "im": [0] * 4}
+        f_cfg = write_json(tmp_path / "p.json", PARSEVAL_DOC)
+        h_cfg = write_json(tmp_path / "z.json", zero)
+        code, report, _ = run_cli(capsys, "check", "orthogonality", f_cfg, h_cfg, "--oracle")
+        assert code == 0
+        assert report["oracle_residual"] == 0.0
+        assert report["verdict_agrees_with_oracle"] is True
+
+    def test_oracle_above_cap_is_skipped_and_verdict_unchanged(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        f_sys, h_sys = matched_random_pair(rng, make_group([8]), 2, 2, 2)
+        f_cfg = write_json(tmp_path / "f.json", descriptor_to_config(f_sys))
+        h_cfg = write_json(tmp_path / "h.json", descriptor_to_config(h_sys))
+        _, full, _ = run_cli(capsys, "check", "duality", f_cfg, h_cfg, "--oracle")
+        code, capped, _ = run_cli(capsys, "check", "duality", f_cfg, h_cfg, "--oracle",
+                                  "--cap", "8")
+        assert code == 1
+        assert capped["oracle_skipped"] == "dense operation needs 16 rows, above the cap of 8"
+        assert "oracle_residual" not in capped and "verdict_agrees_with_oracle" not in capped
+        assert "oracle_skipped" not in full and "oracle_residual" in full
+        assert capped["verdict"] == full["verdict"]
+
+    def test_parseval_with_two_configs_exit_two(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "p.json", PARSEVAL_DOC)
+        code = main(["check", "parseval", cfg, cfg])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: parseval takes a single configuration\n"
+
+    def test_duality_with_one_config_is_parseval(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "z8.json", Z8_DOC)
+        code, duality, _ = run_cli(capsys, "check", "duality", cfg)
+        _, parseval, _ = run_cli(capsys, "check", "parseval", cfg)
+        assert code == 1
+        assert "config_digest_h" not in duality
+        assert duality["verdict"] == parseval["verdict"]
+        assert duality["config_digest_f"] == parseval["config_digest_f"]
+
     def test_structure_mismatch_exit_two(self, tmp_path, capsys):
         doc_a = {
             "group": [4],
@@ -306,6 +364,16 @@ class TestCheckCommand:
                 "windows": [["delta"]], "automorphism_matrices": [[[entry]]],
                 "translation_generators": [[1]]}}, "wavelet automorphism_matrices")
               for entry in (2.5, 10**30)],
+            ({"group": [4], "channels": 1, "layers": [{"subgroup_generators": [[1]],
+              "generators": [{"windows": ["indicator:[[1"]}]}]},
+             "layer 0 generator 0 window 0: bad indicator shorthand"),
+            ({"group": [4], "channels": 1, "layers": [{"subgroup_generators": [[1]],
+              "generators": [{"windows": ["random:abc"]}]}]},
+             "layer 0 generator 0 window 0: bad random shorthand"),
+            ({"group": [4], "channels": 1, "layers": [{"subgroup_generators": [[1]],
+              "generators": [{"weight": -1.0, "windows": ["delta"]}]}]},
+             "layer 0 generator 0: negative weight"),
+            (None, "cannot read config"),  # the config path is a directory
         ],
         ids=["layer", "generator", "channels", "weight-list", "weight-nan", "weight-inf",
              "weight-string", "weight-huge",
@@ -313,10 +381,11 @@ class TestCheckCommand:
              "window-im-inf", "window-re-string", "window-im-bool", "gabor-number",
              "wavelet-list", "wavepacket-string",
              "channels-float", "channels-bool", "subgroup-float", "subgroup-string",
-             "subgroup-bool", "automorphism-float", "automorphism-huge"],
+             "subgroup-bool", "automorphism-float", "automorphism-huge",
+             "indicator-shorthand", "random-shorthand", "weight-negative", "directory"],
     )
     def test_malformed_config_exit_two(self, tmp_path, capsys, doc, where):
-        cfg = write_json(tmp_path / "m.json", doc)
+        cfg = str(tmp_path) if doc is None else write_json(tmp_path / "m.json", doc)
         code, report, err = run_cli(capsys, "check", "parseval", cfg)
         assert code == 2 and report is None
         assert err.startswith("error:") and where in err
@@ -463,6 +532,16 @@ class TestInfoCommand:
         _, report, _ = run_cli(capsys, "info", cfg)
         assert report["frame_bounds"]["lower"] == pytest.approx(1.0)
         assert report["frame_bounds"]["upper"] == pytest.approx(1.0)
+
+    def test_info_above_cap_skips_frame_bounds(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "p.json", PARSEVAL_DOC)
+        code, report, _ = run_cli(capsys, "info", cfg, "--cap", "7")
+        assert code == 0
+        assert "frame_bounds" not in report
+        assert report["frame_bounds_skipped"] == "dense operation needs 8 rows, above the cap of 7"
+        _, report, _ = run_cli(capsys, "info", cfg, "--cap", "8")
+        assert "frame_bounds_skipped" not in report
+        assert report["frame_bounds"] == {"lower": pytest.approx(1.0), "upper": pytest.approx(1.0)}
 
     def test_info_malformed_window_exit_two(self, tmp_path, capsys):
         doc = {

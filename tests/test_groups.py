@@ -360,6 +360,19 @@ def test_flat_index_and_matrix_perm_match_python_reference(group):
                           [loop_flat_index(group, y) for y in images])
 
 
+@pytest.mark.parametrize(
+    "group",
+    all_groups_upto(64) + [make_group([1024]), make_group([2048]), make_group([16, 16])],
+    ids=str,
+)
+def test_residue_matrix_rows_are_the_indexed_elements(group):
+    """The residue grid, row by row, against element_at's divmod loop."""
+    res = group.residue_matrix()
+    assert res.dtype == np.int64 and res.shape == (group.size, group.ndim)
+    assert not res.flags.writeable
+    assert res.tolist() == [list(group.element_at(i)) for i in range(group.size)]
+
+
 @pytest.mark.parametrize("group", all_groups_upto(64), ids=str)
 def test_character_rows_match_brute_character(group):
     """The one phase primitive, gathered into characters, for every (xi, x)."""

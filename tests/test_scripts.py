@@ -52,6 +52,12 @@ def test_gabor_dual_experiment_skips_bounds_above_the_dense_cap(monkeypatch, cap
     monkeypatch.setattr(sys, "argv", ["gabor_dual_experiment.py", "--order", "512",
                                       "--windows", "1"])
     assert experiment.main() == 0
-    rows = capsys.readouterr().out.splitlines()[2:]
+    out = capsys.readouterr().out
+    rows = out.splitlines()[2:]
     assert len(rows) == 100  # 10 subgroups of Z512, every lattice pair
     assert all(row.split()[3:5] == ["skipped", "skipped"] for row in rows)
+    # Below redundancy 1 every window is refused: the row says so, not nan.
+    assert "nan" not in out
+    sparse = [row for row in rows if float(row.split()[2]) < 1]
+    assert len(sparse) == 45
+    assert all(row.endswith("not a frame") for row in sparse)
