@@ -2,7 +2,9 @@
 
 The oracle works in the time domain from translate tables: the mixed dual
 Gramian, which for equal systems is the frame operator, and the frame
-bounds.  Translate tables are read nowhere else.  Analysis and synthesis,
+bounds.  Translate tables are read nowhere else.  The verdict tolerance is
+scaled by upper frame bounds taken from coset blocks (`characterization`),
+not from the oracle, so the two stay independent.  Analysis and synthesis,
 and the multiplexing codec built on them for a certified dual pair, work by
 transforms over the group grid (correlation and convolution theorems).
 Synthesis carries the full measure weighting (covolume per layer, user mass
@@ -239,11 +241,21 @@ def default_tolerance(
 ) -> tuple[float, float | None]:
     """Residual tolerance RAW_TOLERANCE * max(1, B_F * B_H)^(1/2) and the recorded
     Bessel bound when N*|G| <= DEFAULT_CAP, else RAW_TOLERANCE and no bound.  The
-    threshold is fixed: a verdict does not depend on the cap of a dense operation."""
+    threshold is fixed: a verdict does not depend on the cap of a dense operation.
+
+    The upper bounds come from the coset blocks of each frame operator over the
+    joint annihilator of its layers, not from the dense oracle `frame_bounds`."""
     if _above_cap(f_system.channels, f_system.group, DEFAULT_CAP):
         return RAW_TOLERANCE, None
-    b_f = frame_bounds(f_system).upper
-    b_h = b_f if h_system is f_system else frame_bounds(h_system).upper
+    # characterization imports this module, so the block bounds are imported here.
+    from .characterization import _upper_bounds
+
+    require_matching_structure(f_system, h_system)
+    return _scaled_tolerance(*_upper_bounds(f_system, h_system))
+
+
+def _scaled_tolerance(b_f: float, b_h: float) -> tuple[float, float]:
+    """`default_tolerance` below the cap, from the upper bounds B_F and B_H."""
     # The product overflows for bounds past ~1e154, the product of the square
     # roots does not; taking it only there keeps every other tolerance's bits.
     scale = (b_f * b_h) ** 0.5

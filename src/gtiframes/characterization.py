@@ -13,7 +13,9 @@ dense mixed dual Gramian of `analysis` is the independent oracle for both.
 
 Fibers come from coset blocks: on each coset c + A of a layer annihilator
 A, the window spectra form one block per system, and the fiber Gramian
-H_c* W F_c holds the fibers at every offset of A at once.  Specialized
+H_c* W F_c holds the fibers at every offset of A at once.  The same blocks,
+over the cosets of the joint annihilator of all layers, hold each frame
+operator, and the default tolerance reads its upper bounds from them.  Specialized
 Gabor / wavelet / wave-packet checks evaluate the same fibers straight from
 the structured data (base-window spectra, modulation cosets, adjoint
 pullbacks) without expanding the system.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .analysis import (
     FrameBounds,
     _above_cap,
     _require_finite,
+    _scaled_tolerance,
     default_tolerance,
     mixed_dual_gramian,
 )
@@ -94,21 +97,21 @@ class FiberTable:
 
 def _coset_gramians(f_spectra: np.ndarray, h_spectra: np.ndarray, weights: np.ndarray,
                     ann: Subgroup) -> np.ndarray:
-    """(C, N|A|, N|A|) Gramians H_c* W F_c on the cosets c + A of A, from the
-    (P, N, |G|) spectra of P generators in F and in H, plain weights, no covolume:
+    """(..., C, N|A|, N|A|) Gramians H_c* W F_c on the cosets c + A of A, from the
+    (..., P, N, |G|) spectra of P generators in F and in H, plain weights, no covolume:
     entry [(n1, i), (n2, j)] is sum_p weights[p] conj(Hhat_p,n1(c + a_i)) Fhat_p,n2(c + a_j).
     """
-    p, n, size = f_spectra.shape
-    count, order = ann.cosets.shape
-    cols = (ann.cosets[:, None, :] + size * np.arange(n)[:, None]).reshape(count, n * order)
-    f_blocks = f_spectra.reshape(p, n * size).T[cols]  # (C, N|A|, P), row (n, i) at c + a_i
-    h_blocks = h_spectra.reshape(p, n * size).T[cols]
+    *lead, p, n, size = f_spectra.shape
+    cols = ann._coset_columns(n)
+    # (..., C, N|A|, P): row (n, i) at c + a_i.
+    f_blocks = f_spectra.reshape(*lead, p, n * size).swapaxes(-1, -2)[..., cols, :]
+    h_blocks = h_spectra.reshape(*lead, p, n * size).swapaxes(-1, -2)[..., cols, :]
     np.conjugate(h_blocks, out=h_blocks)
     # One batched BLAS product, summed over the generators in the kernel's order
     # (so to rounding); an overflow is left as inf for the caller to refuse or fail on.
     with np.errstate(over="ignore", invalid="ignore"):
         h_blocks *= weights
-        return np.matmul(h_blocks, f_blocks.transpose(0, 2, 1))
+        return np.matmul(h_blocks, f_blocks.swapaxes(-1, -2))
 
 
 def _coset_fibers(spectra: np.ndarray, weights: np.ndarray, ann: Subgroup) -> np.ndarray:
@@ -122,22 +125,81 @@ def _coset_fibers(spectra: np.ndarray, weights: np.ndarray, ann: Subgroup) -> np
     """
     p = len(weights)
     products = _coset_gramians(spectra[:p], spectra[p:], weights, ann)
-    group, order = ann.parent, ann.order
-    _, n, size = spectra.shape
-    width = n * order
-    # Coset row and column of every frequency; moved[k, xi] is the column of xi + a_k.
-    position = np.empty(size, dtype=np.int64)
-    position[ann.cosets.ravel()] = np.arange(size)
-    row, col = np.divmod(position, order)
-    res = group.residue_matrix()[ann.indices]
-    moved = col[_flat_index(group, res[:, None, :] + res[None, :, :])].take(col, axis=1)
-    # Flat position of products[row, n1, col, n2, moved] in the
-    # (C, N, |A|, N, |A|) layout, read with one take.
-    channel = np.arange(n) * order
-    point = moved + (row * width + col) * width
-    pair = channel[:, None] * width + channel[None, :]
-    index = point[:, None, None, :] + pair[:, :, None]
-    return products.take(index)
+    return products.take(ann._block_take(spectra.shape[1]))
+
+
+def _frame_blocks(
+    parts: Iterable[tuple[np.ndarray, np.ndarray, Subgroup]], joint: Subgroup
+) -> np.ndarray:
+    """(..., C, N|A|, N|A|) blocks of frame operators sum_j S_j on the cosets c + A
+    of A = `joint`, from each layer's (..., P, N, |G|) spectra, weights and
+    annihilator A_j, a subgroup of A.  S_j couples xi only with xi + A_j, so its
+    block is the layer's coset Gramian over A kept at [(n1, i), (n2, k)] where
+    a_k - a_i lies in A_j.  Overflow is left as inf for the caller to refuse."""
+    blocks = None
+    for spectra, weights, ann in parts:
+        gram = _coset_gramians(spectra, spectra, weights, joint)
+        if ann.order != joint.order:
+            n, order = spectra.shape[-2], joint.order
+            kept = joint._difference_mask(ann)[:, None, :]
+            split = gram.reshape(*gram.shape[:-2], n, order, n, order)
+            gram = np.where(kept, split, 0).reshape(gram.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = gram if blocks is None else blocks + gram
+    return blocks
+
+
+def _refuse_non_finite_windows(system: SuperSystemDescriptor) -> None:
+    """Name the first NaN or inf sample of a live generator, as `mixed_dual_gramian` does."""
+    for j, layer in enumerate(system.layers):
+        for p, gen in enumerate(layer.generators):
+            bad = np.argwhere(~np.isfinite([w.values for w in gen.windows]))
+            if gen.weight != 0.0 and bad.size:
+                raise ValueError(f"layer {j} generator {p} window {bad[0, 0]} "
+                                 f"has a non-finite value at index {bad[0, 1]}")
+
+
+def _upper_bounds(
+    f_system: SuperSystemDescriptor,
+    h_system: SuperSystemDescriptor,
+    spectra: Iterable[np.ndarray | None] | None = None,
+) -> tuple[float, float]:
+    """Upper frame bounds B_F and B_H: the largest eigenvalue of each frame
+    operator's blocks over the cosets of the joint annihilator of its live layers.
+
+    `spectra` are each layer's spectra as `_layer_spectra` gives them (transformed
+    here when None).  A system with no live generator has bound 0.  A NaN or inf
+    sample of a live generator is named as the dense oracle names it; from finite
+    windows a non-finite block is overflow.
+    """
+    if spectra is None:
+        spectra = _layer_spectra(f_system, h_system)
+    systems = [f_system] if h_system is f_system else [f_system, h_system]
+    parts = []
+    for layer, layer_spectra in zip(f_system.layers, spectra):
+        weights = np.array([gen.weight for gen in layer.generators])
+        live = np.flatnonzero(weights)
+        if live.size:
+            pair = layer_spectra.reshape(2, len(weights), *layer_spectra.shape[1:])
+            parts.append((pair[:len(systems), live], weights[live], layer.subgroup.annihilator))
+    if not parts:
+        return 0.0, 0.0
+    joint = parts[0][2]
+    for _, _, ann in parts[1:]:
+        joint = joint._join(ann)
+    blocks = _frame_blocks(parts, joint)  # (F, H or F alone, C, N|A|, N|A|)
+    for system, block in zip(systems, blocks):
+        if not np.isfinite(block).all():
+            _refuse_non_finite_windows(system)
+            _require_finite("frame operator", block)
+    if blocks.shape[-1] == 1:
+        # LAPACK returns a 1x1 eigenvalue as it stands but scales a larger problem
+        # whose entries pass ~1e146 (or fall below ~1e-146), rounding on the way
+        # back; a zero row and column round these diagonal operators' bounds as
+        # the dense eigensolver rounds them.
+        blocks = np.pad(blocks, ((0, 0), (0, 0), (0, 1), (0, 1)))
+    tops = np.linalg.eigvalsh(blocks)[..., -1].max(axis=-1)
+    return float(tops[0]), float(tops[-1])
 
 
 def _summed_table(
@@ -182,6 +244,46 @@ def _finite_fibers(build: Callable[[], FiberTable], windows: Iterable[Signal]) -
     return table
 
 
+def _layer_spectra(
+    f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
+) -> Iterator[np.ndarray | None]:
+    """Per layer, the (2P, N, |G|) spectra of its P generators in F and then in H,
+    slices of one transform of every layer's windows; None for a layer without
+    generators.  The transform is freed once the last layer is read."""
+    pairs = [lf.generators + lh.generators for lf, lh in zip(f_system.layers, h_system.layers)]
+    tuples = [gen.windows for pair in pairs for gen in pair]
+    spectra = _spectra(tuples, f_system.group) if tuples else None
+    start = 0
+    for pair in pairs:
+        yield spectra[start:start + len(pair)] if pair else None
+        start += len(pair)
+
+
+def _fibers(
+    f_system: SuperSystemDescriptor,
+    h_system: SuperSystemDescriptor,
+    spectra: Iterable[np.ndarray | None],
+) -> FiberTable:
+    """The fiber table of a structure-matched pair from its `_layer_spectra`."""
+    def layer_fibers(layer: GtiLayer, layer_spectra: np.ndarray | None) -> np.ndarray | None:
+        if layer_spectra is None:
+            return None
+        weights = np.array([gen.weight for gen in layer.generators])
+        return _coset_fibers(layer_spectra, weights, layer.subgroup.annihilator)
+
+    windows = (w for system in (f_system, h_system) for layer in system.layers
+               for gen in layer.generators for w in gen.windows)
+    return _finite_fibers(
+        lambda: _summed_table(
+            f_system.group,
+            f_system.channels,
+            [layer.subgroup.annihilator.indices for layer in f_system.layers],
+            (layer_fibers(layer, part) for layer, part in zip(f_system.layers, spectra)),
+        ),
+        windows,
+    )
+
+
 def fiber_table(
     f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
 ) -> FiberTable:
@@ -192,26 +294,25 @@ def fiber_table(
     Overflow is refused as in `_finite_fibers`.
     """
     require_matching_structure(f_system, h_system)
-    group = f_system.group
+    return _fibers(f_system, h_system, _layer_spectra(f_system, h_system))
 
-    def layer_fibers(lf: GtiLayer, lh: GtiLayer) -> np.ndarray | None:
-        if not lf.generators:
-            return None
-        spectra = _spectra([gen.windows for gen in lf.generators + lh.generators], group)
-        weights = np.array([gen.weight for gen in lf.generators])
-        return _coset_fibers(spectra, weights, lf.subgroup.annihilator)
 
-    windows = (w for system in (f_system, h_system) for layer in system.layers
-               for gen in layer.generators for w in gen.windows)
-    return _finite_fibers(
-        lambda: _summed_table(
-            group,
-            f_system.channels,
-            [layer.subgroup.annihilator.indices for layer in f_system.layers],
-            (layer_fibers(lf, lh) for lf, lh in zip(f_system.layers, h_system.layers)),
-        ),
-        windows,
-    )
+def _fibers_with_tolerance(
+    f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor, tol: float | None
+) -> tuple[FiberTable, float, float | None]:
+    """The fiber table of a pair with the verdict's tolerance and Bessel bound: `tol`
+    and no bound when given, else those of `default_tolerance`.  Below the cap its
+    bounds come from the coset blocks of the table's own spectra, so no window is
+    transformed twice; otherwise the spectra are freed as soon as they are read."""
+    require_matching_structure(f_system, h_system)
+    spectra = _layer_spectra(f_system, h_system)
+    if tol is not None:
+        return _fibers(f_system, h_system, spectra), tol, None
+    if _above_cap(f_system.channels, f_system.group, DEFAULT_CAP):
+        return _fibers(f_system, h_system, spectra), *default_tolerance(f_system, h_system)
+    spectra = list(spectra)
+    table = _fibers(f_system, h_system, spectra)
+    return table, *_scaled_tolerance(*_upper_bounds(f_system, h_system, spectra))
 
 
 def _fiber_verdict(
@@ -255,8 +356,7 @@ def check_orthogonality(
     top_k: int = 10,
 ) -> Verdict:
     """Pass when every fiber vanishes, offset 0 included (zero mixed Gramian)."""
-    table = fiber_table(f_system, h_system)
-    tol, bessel = default_tolerance(f_system, h_system) if tol is None else (tol, None)
+    table, tol, bessel = _fibers_with_tolerance(f_system, h_system, tol)
     return _fiber_verdict(table, tol, top_k, bessel, dual=False)
 
 
@@ -272,8 +372,7 @@ def check_super_duality(
     entries are single-channel duality checks, off-diagonal entries are
     pairwise orthogonality checks.
     """
-    table = fiber_table(f_system, h_system)
-    tol, bessel = default_tolerance(f_system, h_system) if tol is None else (tol, None)
+    table, tol, bessel = _fibers_with_tolerance(f_system, h_system, tol)
     return _fiber_verdict(table, tol, top_k, bessel, dual=True)
 
 
@@ -296,10 +395,9 @@ def multiplier_symbol(
     commutes with translations (all other fibers vanish); raises
     NotAMultiplierError otherwise, or when a fiber is not finite, instead of
     silently returning a symbol."""
-    if tol is None:
-        tol, _ = default_tolerance(f_system, h_system)
-    _require_tolerance(tol)
-    table = fiber_table(f_system, h_system)
+    if tol is not None:
+        _require_tolerance(tol)
+    table, tol, _ = _fibers_with_tolerance(f_system, h_system, tol)
     if channel is None:
         if table.channels != 1:
             raise ValueError("channel must be given for multi-channel systems")
@@ -495,8 +593,8 @@ def gabor_canonical_dual(window: Signal, translation: Subgroup, modulation: Subg
     # (M_chi g)^(xi) = ghat(xi - chi): the modulated spectra, chi in index order.
     window_hat = dft(window).values
     spectra = window_hat[_difference_table(group, modulation.indices)][:, None, :]
-    cosets = translation.annihilator.cosets
-    gramians = _coset_gramians(spectra, spectra, np.ones(len(spectra)), translation.annihilator)
+    ann = translation.annihilator
+    gramians = _frame_blocks([(spectra, np.ones(len(spectra)), ann)], ann)
     _require_finite("gabor frame operator", gramians)
     eigs = np.linalg.eigvalsh(gramians)
     bounds = FrameBounds(max(0.0, float(eigs.min())), float(eigs.max()))
@@ -504,7 +602,7 @@ def gabor_canonical_dual(window: Signal, translation: Subgroup, modulation: Subg
         raise NotAFrameError(f"gabor system is not a frame "
                              f"(bounds {bounds.lower:.3e}, {bounds.upper:.3e})")
     dual_hat = np.empty(group.size, dtype=np.complex128)
-    dual_hat[cosets] = np.linalg.solve(gramians.conj(), window_hat[cosets, None])[..., 0]
+    dual_hat[ann.cosets] = np.linalg.solve(gramians.conj(), window_hat[ann.cosets, None])[..., 0]
     return Signal(group, _transform(dual_hat, group, inverse=True))
 
 

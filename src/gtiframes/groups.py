@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm, prod
 import operator
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,11 @@ Element = tuple[int, ...]
 
 # Enumeration-based operations refuse to run past this size.
 ENUMERATION_CAP = 1 << 22
+# A subgroup keeps an index table of at most this many entries (64 KiB of int64).
+# Rebuilding a larger one costs little next to the transforms and products of a
+# pass over that many points, and keeping it would hold its memory for the
+# subgroup's life.
+_KEPT_TABLE_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -156,11 +161,16 @@ def character_column(group: GroupSpec, xi: Sequence[int]) -> np.ndarray:
 
 @dataclass(eq=False)
 class Subgroup:
-    """A subgroup stored as its full sorted element set plus a generator list."""
+    """A subgroup stored as its full sorted element set plus a generator list.
+
+    Index tables that depend on the subgroup alone (and on a channel count or
+    a second subgroup) are built on first use and kept on the instance.
+    """
 
     parent: GroupSpec
     generators: tuple[Element, ...]
     indices: np.ndarray = field(repr=False)
+    _tables: dict[tuple, object] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -178,9 +188,8 @@ class Subgroup:
         return [self.parent.element_at(int(i)) for i in self.indices]
 
     def same_set(self, other: "Subgroup") -> bool:
-        return self.parent.orders == other.parent.orders and np.array_equal(
-            self.indices, other.indices
-        )
+        return other is self or (self.parent.orders == other.parent.orders
+                                 and np.array_equal(self.indices, other.indices))
 
     @cached_property
     def annihilator(self) -> "Subgroup":
@@ -199,11 +208,92 @@ class Subgroup:
     def cosets(self) -> np.ndarray:
         """(|G|/|H|, |H|) indices of the cosets x + H: one row per coset, rows
         ordered by their smallest index, entries by the elements of H, so
-        row 0 is `indices`."""
+        row 0 is `indices`.
+
+        Every x is labelled with the smallest index of x + H, a minimum taken
+        along each generator g by doubling: label[x] = min(label[x], label[x + s*g])
+        for s = 1, 2, 4, ... below ord(g).  The labels that label themselves
+        are the row starts."""
         group = self.parent
         res = group.residue_matrix()
-        sums = _flat_index(group, res[self.indices][:, None, :] + res[None, :, :]).T  # x + h_i
-        return sums[sums.min(axis=1) == np.arange(group.size)]
+        label = np.arange(group.size)
+        for g in self.generators:
+            step = _flat_index(group, res + np.asarray(g))  # x -> x + g
+            span, order = 1, _element_order(group, g)
+            while span < order:
+                label = np.minimum(label, label[step])
+                step, span = step[step], 2 * span
+        starts = np.flatnonzero(label == np.arange(group.size))
+        return _flat_index(group, res[starts][:, None, :] + res[self.indices][None, :, :])
+
+    def _table(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """The table stored under `key`, built on first use and kept, read-only, when
+        it has at most _KEPT_TABLE_ENTRIES entries; a larger one is rebuilt per call."""
+        table = self._tables.get(key)
+        if table is None:
+            table = build()
+            if table.size <= _KEPT_TABLE_ENTRIES:
+                table.flags.writeable = False
+                self._tables[key] = table
+        return table
+
+    def _membership(self) -> np.ndarray:
+        """(|G|,) mask of the subgroup's elements."""
+        def build() -> np.ndarray:
+            member = np.zeros(self.parent.size, dtype=bool)
+            member[self.indices] = True
+            return member
+        return self._table(("membership",), build)
+
+    def _coset_columns(self, channels: int) -> np.ndarray:
+        """(C, N|H|) flat indices into N stacked |G|-vectors: row c holds the coset
+        c + H of `cosets` in channel 0, then in channel 1, and so on."""
+        def build() -> np.ndarray:
+            count, order = self.cosets.shape
+            shift = self.parent.size * np.arange(channels)[:, None]
+            return (self.cosets[:, None, :] + shift).reshape(count, channels * order)
+        return self._table(("columns", channels), build)
+
+    def _block_take(self, channels: int) -> np.ndarray:
+        """(|H|, N, N, |G|) flat positions into a (C, N|H|, N|H|) stack of blocks whose
+        rows and columns are ordered as `_coset_columns(N)`: position [k, n1, n2, x]
+        holds entry [(n1, i), (n2, j)] of the block of x's coset c + H, where
+        x = c + h_i and x + h_k = c + h_j."""
+        def build() -> np.ndarray:
+            group, order = self.parent, self.order
+            size = group.size
+            width = channels * order
+            # Coset row and column of every element; moved[k, x] is the column of x + h_k.
+            position = np.empty(size, dtype=np.int64)
+            position[self.cosets.ravel()] = np.arange(size)
+            row, col = np.divmod(position, order)
+            res = group.residue_matrix()[self.indices]
+            moved = col[_flat_index(group, res[:, None, :] + res[None, :, :])].take(col, axis=1)
+            channel = np.arange(channels) * order
+            point = moved + (row * width + col) * width
+            pair = channel[:, None] * width + channel[None, :]
+            return point[:, None, None, :] + pair[:, :, None]
+        return self._table(("take", channels), build)
+
+    def _join(self, other: "Subgroup") -> "Subgroup":
+        """The subgroup H + K for a subgroup K of the same group: H itself when it
+        holds K, else kept per element set of K."""
+        if self._membership()[other.indices].all():
+            return self
+        key = ("join", other.indices.tobytes())
+        joined = self._tables.get(key)
+        if joined is None:
+            res = self.parent.residue_matrix()
+            sums = _flat_index(self.parent, res[self.indices][:, None, :] + res[other.indices])
+            joined = self._tables[key] = subgroup_from_indices(self.parent, sums.ravel())
+        return joined
+
+    def _difference_mask(self, sub: "Subgroup") -> np.ndarray:
+        """(|H|, |H|) mask whose entry [i, k] says whether h_k - h_i lies in `sub`."""
+        def build() -> np.ndarray:
+            res = self.parent.residue_matrix()[self.indices]
+            return sub._membership()[_flat_index(self.parent, res[None, :, :] - res[:, None, :])]
+        return self._table(("mask", sub.indices.tobytes()), build)
 
     def __str__(self) -> str:
         gens = ",".join(str(g) for g in self.generators)
@@ -215,6 +305,10 @@ def _flat_index(group: GroupSpec, residues: np.ndarray) -> np.ndarray:
     return np.ravel_multi_index(np.moveaxis(residues, -1, 0), group.orders, mode="wrap")
 
 
+def _element_order(group: GroupSpec, element: Element) -> int:
+    return lcm(*(n // gcd(r, n) for r, n in zip(element, group.orders)))
+
+
 def _extend(group: GroupSpec, members: np.ndarray, gen: Element) -> np.ndarray:
     """Sorted indices of <S, gen> for the subgroup S at the sorted indices `members`.
 
@@ -222,7 +316,7 @@ def _extend(group: GroupSpec, members: np.ndarray, gen: Element) -> np.ndarray:
     is the least k >= 1 with k*g in S.  The multiples run up to ord(g), whose
     multiple is 0 and so always in S: m is ord(g) when <g> meets S only in 0.
     """
-    order = lcm(*(n // gcd(r, n) for r, n in zip(gen, group.orders)))
+    order = _element_order(group, gen)
     multiples = np.arange(order + 1, dtype=np.int64)[:, None] * np.asarray(gen, dtype=np.int64)
     mask = np.zeros(group.size, dtype=bool)
     mask[members] = True

@@ -297,6 +297,16 @@ class TestFrameOperator:
             assert tol == pytest.approx(1e-9 * max(1.0, np.sqrt(b_f) * np.sqrt(b_h)), rel=1e-12)
             assert bessel == max(b_f, b_h)
 
+    def test_overflowing_bound_from_finite_windows_refused_as_overflow(self):
+        # The fibers of 1e200 * delta against 1e-200 * delta are 1, but the frame
+        # operator of the first system is 1e400 times the identity.
+        g = make_group([4])
+        f_sys, h_sys = delta_system(g, scale=1e200), delta_system(g, scale=1e-200)
+        for call in (lambda: default_tolerance(f_sys, h_sys),
+                     lambda: check_super_duality(f_sys, h_sys)):
+            with pytest.raises(ValueError, match="operator overflows float64"):
+                call()
+
     def test_tolerance_bits_where_product_is_finite(self):
         g = make_group([4])
         f_sys, h_sys = delta_system(g, scale=1.5), delta_system(g, scale=np.pi)

@@ -32,8 +32,15 @@ from gtiframes import (
     wavelet_system,
     wavepacket_system,
 )
-from gtiframes import Spectrum, automorphism_from_matrix, identity_automorphism
-from gtiframes.characterization import _structured_fibers
+from gtiframes import (
+    Spectrum,
+    automorphism_from_matrix,
+    default_tolerance,
+    frame_bounds,
+    identity_automorphism,
+    subgroup_from_indices,
+)
+from gtiframes.characterization import _structured_fibers, _upper_bounds
 from gtiframes.sweeps import (
     all_small_subgroups,
     dual_pair,
@@ -799,3 +806,145 @@ class TestVerdictAssembly:
                     assert self.key(block) == self.key(reference.blocks[pair_key])
             else:
                 assert verdict.blocks is None
+
+
+def _variants(f_sys, h_sys):
+    """The pair, its Parseval form (h is f), the pair with its first generator
+    weighted 0, with an extra layer holding no generators, and with no live
+    generator at all."""
+    group = f_sys.group
+
+    def rebuilt(system, weight=None, extra=()):
+        layers = [GtiLayer(layer.subgroup, [
+            WeightedGenerator(gen.weight if weight is None or (j, p) != (0, 0) else weight,
+                              gen.windows)
+            for p, gen in enumerate(layer.generators)]) for j, layer in enumerate(system.layers)]
+        return SuperSystemDescriptor(group, system.channels, layers + list(extra))
+
+    def silent(system):
+        layers = [GtiLayer(layer.subgroup, [WeightedGenerator(0.0, gen.windows)
+                                            for gen in layer.generators])
+                  for layer in system.layers]
+        return SuperSystemDescriptor(group, system.channels, layers)
+
+    empty = GtiLayer(all_small_subgroups(group)[1], [])
+    yield f_sys, h_sys
+    yield f_sys, f_sys
+    yield rebuilt(f_sys, weight=0.0), rebuilt(h_sys, weight=0.0)
+    yield rebuilt(f_sys, extra=[empty]), rebuilt(h_sys, extra=[empty])
+    yield silent(f_sys), silent(h_sys)
+
+
+class TestBlockBounds:
+    """Upper frame bounds from coset blocks against the dense oracle."""
+
+    @pytest.mark.parametrize("seed", [20240801, 7, 5])
+    def test_block_bounds_match_dense_bounds(self, seed):
+        distinct = 0
+        for case in sweep_cases(seed=seed):
+            live = [layer.subgroup.annihilator.indices.tobytes()
+                    for layer in case.f_system.layers if layer.generators]
+            distinct += len(set(live)) > 1
+            for f_sys, h_sys in _variants(case.f_system, case.h_system):
+                dense_f = frame_bounds(f_sys).upper
+                dense_h = dense_f if h_sys is f_sys else frame_bounds(h_sys).upper
+                b_f, b_h = _upper_bounds(f_sys, h_sys)
+                np.testing.assert_allclose([b_f, b_h], [dense_f, dense_h], rtol=1e-13, atol=0)
+                tol, bessel = default_tolerance(f_sys, h_sys)
+                scale = max(1.0, (dense_f * dense_h) ** 0.5)
+                np.testing.assert_allclose([tol, bessel], [1e-9 * scale, max(dense_f, dense_h)],
+                                           rtol=1e-13, atol=0)
+                verdict = check_super_duality(f_sys, h_sys)
+                assert (verdict.tolerance, verdict.bessel_bound) == (tol, bessel)
+        # Multi-layer systems whose annihilators differ take the masked blocks.
+        assert distinct > 0
+
+    def test_no_live_generator_has_zero_bounds(self):
+        case = sweep_cases(seed=5)[0]
+        *_, (f_sys, h_sys) = _variants(case.f_system, case.h_system)
+        assert _upper_bounds(f_sys, h_sys) == (0.0, 0.0)
+        assert default_tolerance(f_sys, h_sys) == (1e-9, 0.0)
+        assert (frame_bounds(f_sys).lower, frame_bounds(f_sys).upper) == (0.0, 0.0)
+
+    def test_tolerance_path_builds_no_dense_operator(self, monkeypatch):
+        import gtiframes.analysis as analysis
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense operator built on the tolerance path")
+
+        monkeypatch.setattr(analysis, "mixed_dual_gramian", refuse)
+        monkeypatch.setattr(analysis, "frame_bounds", refuse)
+        case = next(c for c in sweep_cases(seed=7) if len(c.f_system.layers) > 1)
+        tol, bessel = default_tolerance(case.f_system, case.h_system)
+        verdict = check_super_duality(case.f_system, case.h_system)
+        assert (verdict.tolerance, verdict.bessel_bound) == (tol, bessel)
+        assert bessel is not None and bessel > 0
+
+
+def _fresh(system):
+    """The same system over newly built subgroups (no kept tables) and copied windows."""
+    group = system.group
+    subgroups: dict[int, object] = {}
+
+    def fresh_subgroup(sub):
+        return subgroups.setdefault(id(sub), subgroup_from_indices(group, sub.indices.tolist()))
+
+    layers = [GtiLayer(fresh_subgroup(layer.subgroup), [
+        WeightedGenerator(gen.weight, tuple(Signal(group, w.values.copy()) for w in gen.windows))
+        for gen in layer.generators]) for layer in system.layers]
+    return SuperSystemDescriptor(group, system.channels, layers)
+
+
+class TestKeptPlans:
+    """Subgroups keep index tables only: every answer equals that of a freshly
+    built system, whatever was computed on the same subgroups before."""
+
+    @staticmethod
+    def assert_same(pair, reference):
+        table, expected = fiber_table(*pair), fiber_table(*reference)
+        assert np.array_equal(table.offset_indices, expected.offset_indices)
+        assert np.array_equal(table.stack, expected.stack)
+        assert default_tolerance(*pair) == default_tolerance(*reference)
+        for check in (check_super_duality, check_orthogonality):
+            got, want = check(*pair), check(*reference)
+            assert (got.passed, got.max_residual, got.tolerance, got.bessel_bound) == (
+                want.passed, want.max_residual, want.tolerance, want.bessel_bound)
+
+    @staticmethod
+    def kept_tables(*systems):
+        subs = {id(s): s for system in systems for layer in system.layers
+                for s in (layer.subgroup, layer.subgroup.annihilator)}
+        return [t for s in subs.values() for t in s._tables.values()]
+
+    def test_window_changed_in_place_between_calls(self):
+        case = next(c for c in sweep_cases(seed=7) if len(c.f_system.layers) > 1)
+        f_sys, h_sys = case.f_system, case.h_system
+        check_super_duality(f_sys, h_sys)
+        assert self.kept_tables(f_sys)
+        h_sys.layers[0].generators[0].windows[0].values[1] += 0.5
+        f_sys.layers[-1].generators[-1].windows[-1].values[0] *= 3.0
+        self.assert_same((f_sys, h_sys), (_fresh(f_sys), _fresh(h_sys)))
+
+    def test_one_annihilator_at_one_then_two_channels(self):
+        group = make_group([12])
+        sub = subgroup_from_generators(group, [(3,)])
+        rng = np.random.default_rng(11)
+        for channels in (1, 2):
+            f_sys, h_sys = dual_pair(rng, group, channels)
+            f_sys, h_sys = (SuperSystemDescriptor(group, channels, [GtiLayer(sub, s.layers[0].generators)])
+                            for s in (f_sys, h_sys))
+            self.assert_same((f_sys, h_sys), (_fresh(f_sys), _fresh(h_sys)))
+        keys = {key for key in sub.annihilator._tables if key[0] in ("columns", "take")}
+        assert keys == {("columns", 1), ("columns", 2), ("take", 1), ("take", 2)}
+
+    def test_systems_sharing_subgroups(self):
+        group = make_group([8])
+        rng = np.random.default_rng(4)
+        first = matched_random_pair(rng, group, 2, 2, 2)
+        subgroups = [layer.subgroup for layer in first[0].layers]
+        second = tuple(random_descriptor(rng, group, 2, 2, 1, subgroups=subgroups) for _ in range(2))
+        for pair in (first, second, first):
+            self.assert_same(pair, tuple(_fresh(s) for s in pair))
+        # What is kept is index arithmetic: integer and boolean tables only.
+        kept = self.kept_tables(*first, *second)
+        assert kept and all(t.dtype.kind in "bi" for t in kept if isinstance(t, np.ndarray))

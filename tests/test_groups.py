@@ -1,11 +1,15 @@
 """Exact group arithmetic: elements, subgroups, annihilators, automorphisms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtiframes import (
+    Signal,
     annihilator,
+    check_gabor_duality,
     automorphism_from_matrix,
     character_column,
     identity_automorphism,
@@ -208,6 +212,36 @@ class TestClosureMatchesLoops:
             for d in derived:
                 assert d.generators == loop_greedy_generators(g, d.indices)
                 assert set(d.elements()) == brute_closure(g, d.generators)
+
+
+class TestCosetMemory:
+    """Cosets are labelled by doubling along the generators, in O(|G|) memory;
+    the table of every sum x + h_i took |H| * |G| entries (256 MB for the
+    full Z4096)."""
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_full_subgroup_cosets(self):
+        full = full_subgroup(make_group([4096]))
+        assert self.traced_peak(lambda: full.cosets) < 2 << 20
+        assert full.cosets.shape == (1, 4096) and np.array_equal(full.cosets[0], full.indices)
+
+    def test_gabor_verdict_on_full_lattices(self):
+        g = make_group([4096])
+        full = full_subgroup(g)
+        window = Signal(g, np.r_[1.0, np.zeros(4095)])
+        verdicts = []
+        peak = self.traced_peak(lambda: verdicts.append(
+            check_gabor_duality([[window]], [[window]], full, full, tol=1e-9)))
+        assert peak < 4 << 20
+        assert not verdicts[0].passed  # |G| translates and modulations: S = |G| I
 
 
 class TestAnnihilator:
