@@ -11,11 +11,14 @@ The pair is dual exactly when the diagonal fibers equal 1 at offset 0 and
 vanish elsewhere, and orthogonal exactly when every fiber vanishes; the
 dense mixed dual Gramian of `analysis` is the independent oracle for both.
 
-Fibers come from coset blocks: on each coset c + A of a layer annihilator
-A, the window spectra form one block per system, and the fiber Gramian
-H_c* W F_c holds the fibers at every offset of A at once.  The same blocks,
-over the cosets of the joint annihilator of all layers, hold each frame
-operator, and the default tolerance reads its upper bounds from them.  Specialized
+Fibers come from coset blocks: on each coset c + A of an annihilator A, the
+window spectra form one block per system, and the Gramian H_c* W F_c holds
+the fibers at every offset of A at once.  Below the dense cap one pass does
+it for all layers over their joint annihilator A = A_1 + ... + A_L: each
+layer's Gramian, kept where a_k - a_i lies in A_j and summed, is read out as
+the fiber table, and the (F, F) and (H, H) sums are the frame operators'
+blocks, whose largest eigenvalues scale the default tolerance.  Above the
+cap the table is built layer by layer over each A_j.  Specialized
 Gabor / wavelet / wave-packet checks evaluate the same fibers straight from
 the structured data (base-window spectra, modulation cosets, adjoint
 pullbacks) without expanding the system.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -108,10 +112,10 @@ def _coset_gramians(f_spectra: np.ndarray, h_spectra: np.ndarray, weights: np.nd
     h_blocks = h_spectra.reshape(*lead, p, n * size).swapaxes(-1, -2)[..., cols, :]
     np.conjugate(h_blocks, out=h_blocks)
     # One batched BLAS product, summed over the generators in the kernel's order
-    # (so to rounding); an overflow is left as inf for the caller to refuse or fail on.
-    with np.errstate(over="ignore", invalid="ignore"):
-        h_blocks *= weights
-        return np.matmul(h_blocks, f_blocks.swapaxes(-1, -2))
+    # (so to rounding); an overflow is left as inf for the caller, whose
+    # np.errstate keeps it from warning, to refuse or fail on.
+    h_blocks *= weights
+    return np.matmul(h_blocks, f_blocks.swapaxes(-1, -2))
 
 
 def _coset_fibers(spectra: np.ndarray, weights: np.ndarray, ann: Subgroup) -> np.ndarray:
@@ -128,24 +132,24 @@ def _coset_fibers(spectra: np.ndarray, weights: np.ndarray, ann: Subgroup) -> np
     return products.take(ann._block_take(spectra.shape[1]))
 
 
-def _frame_blocks(
-    parts: Iterable[tuple[np.ndarray, np.ndarray, Subgroup]], joint: Subgroup
-) -> np.ndarray:
-    """(..., C, N|A|, N|A|) blocks of frame operators sum_j S_j on the cosets c + A
-    of A = `joint`, from each layer's (..., P, N, |G|) spectra, weights and
-    annihilator A_j, a subgroup of A.  S_j couples xi only with xi + A_j, so its
-    block is the layer's coset Gramian over A kept at [(n1, i), (n2, k)] where
-    a_k - a_i lies in A_j.  Overflow is left as inf for the caller to refuse."""
+def _frame_blocks(f_spectra: np.ndarray, h_spectra: np.ndarray, weights: np.ndarray,
+                  anns: Sequence[Subgroup], joint: Subgroup) -> np.ndarray:
+    """(..., C, N|A|, N|A|) sum over L layers of their coset Gramians H_c* W F_c on the
+    cosets c + A of A = `joint`, from (..., L, P, N, |G|) spectra (generators zero-padded
+    to one count, weight 0) and (L, P) weights.  Layer j couples xi only with xi + A_j,
+    A_j = anns[j], so its Gramian is kept where a_k - a_i lies in A_j.  Overflow is left
+    as inf for the caller to refuse or fail on."""
+    n, order = f_spectra.shape[-2], joint.order
     blocks = None
-    for spectra, weights, ann in parts:
-        gram = _coset_gramians(spectra, spectra, weights, joint)
-        if ann.order != joint.order:
-            n, order = spectra.shape[-2], joint.order
-            kept = joint._difference_mask(ann)[:, None, :]
-            split = gram.reshape(*gram.shape[:-2], n, order, n, order)
-            gram = np.where(kept, split, 0).reshape(gram.shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            blocks = gram if blocks is None else blocks + gram
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _coset_gramians(f_spectra, h_spectra, weights[:, None, None, :], joint)
+        for j, ann in enumerate(anns):
+            part = gram[..., j, :, :, :]
+            if ann.order != order:
+                split = part.reshape(*part.shape[:-2], n, order, n, order)
+                kept = joint._difference_mask(ann)[:, None, :]
+                part = np.where(kept, split, 0).reshape(part.shape)
+            blocks = part if blocks is None else blocks + part
     return blocks
 
 
@@ -159,47 +163,119 @@ def _refuse_non_finite_windows(system: SuperSystemDescriptor) -> None:
                                  f"has a non-finite value at index {bad[0, 1]}")
 
 
-def _upper_bounds(
-    f_system: SuperSystemDescriptor,
-    h_system: SuperSystemDescriptor,
-    spectra: Iterable[np.ndarray | None] | None = None,
-) -> tuple[float, float]:
-    """Upper frame bounds B_F and B_H: the largest eigenvalue of each frame
-    operator's blocks over the cosets of the joint annihilator of its live layers.
+def _pass_spectra(f_system: SuperSystemDescriptor,
+                  h_system: SuperSystemDescriptor) -> np.ndarray | None:
+    """(S, L, P, N, |G|) spectra of the generators of the L layers that have any, in F
+    and then in H, or in F alone (S = 1) when `h_system` is `f_system`, zero-padded to
+    the largest count P: one window array, one transform.  None without generators."""
+    systems = (f_system,) if h_system is f_system else (f_system, h_system)
+    counts = [len(layer.generators) for layer in f_system.layers if layer.generators]
+    if not counts:
+        return None
+    group, n, width = f_system.group, f_system.channels, max(counts)
+    blank = [np.zeros(group.size, dtype=np.complex128)] * n
+    values = np.array([row for system in systems for layer in system.layers if layer.generators
+                       for row in [[w.values for w in gen.windows] for gen in layer.generators]
+                       + [blank] * (width - len(layer.generators))])
+    return _transform(values.reshape(len(systems), len(counts), width, n, group.size), group)
 
-    `spectra` are each layer's spectra as `_layer_spectra` gives them (transformed
-    here when None).  A system with no live generator has bound 0.  A NaN or inf
-    sample of a live generator is named as the dense oracle names it; from finite
-    windows a non-finite block is overflow.
+
+def _union_tables(joint: Subgroup, anns: Sequence[Subgroup],
+                  channels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted union U of the annihilators `anns`, subgroups of `joint`, its (|U|, L)
+    layer mask and the rows of `joint._block_take(channels)` at U, kept on `joint`; a
+    single annihilator is `joint` itself and keeps nothing new."""
+    if len(anns) == 1:
+        return joint.indices, np.ones((joint.order, 1), dtype=bool), joint._block_take(channels)
+    key = tuple(ann.indices.tobytes() for ann in anns)
+
+    def member() -> np.ndarray:
+        return np.stack([ann._membership()[joint.indices] for ann in anns], axis=1)
+
+    rows = joint._table(("union rows", *key), lambda: np.flatnonzero(member().any(axis=1)))
+    take = (joint._block_take(channels) if rows.size == joint.order else joint._table(
+        ("union take", channels, *key), lambda: joint._block_take(channels)[rows]))
+    return (joint._table(("union", *key), lambda: joint.indices[rows]),
+            joint._table(("union mask", *key), lambda: member()[rows]), take)
+
+
+def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor, bounds: bool,
+                spectra: np.ndarray | None = None) -> tuple[FiberTable, tuple[float, float] | None]:
+    """The fiber table of a pair below the cap and, when `bounds`, its upper frame bounds
+    B_F and B_H, from one product over the cosets of the joint annihilator A of its layers
+    (`spectra`: the pair's `_pass_spectra`, transformed here when None).
+
+    Summed over the layers j with a_k - a_i in A_j, entry [(n1, i), (n2, k)] of the (F, H)
+    Gramian on c + A is fiber[a_k - a_i](n1, n2, c + a_i): the table is one `take` from it.
+    The (F, F) and (H, H) sums are the frame operators' blocks; each bound is their largest
+    eigenvalue.  Weight-0 generators fail the table with a NaN window, as in the oracle,
+    but leave the bounds to the live ones; a NaN or inf sample of a live generator is named
+    as the oracle names it.  From finite windows a non-finite table or block is overflow.
     """
-    if spectra is None:
-        spectra = _layer_spectra(f_system, h_system)
-    systems = [f_system] if h_system is f_system else [f_system, h_system]
-    parts = []
-    for layer, layer_spectra in zip(f_system.layers, spectra):
-        weights = np.array([gen.weight for gen in layer.generators])
-        live = np.flatnonzero(weights)
-        if live.size:
-            pair = layer_spectra.reshape(2, len(weights), *layer_spectra.shape[1:])
-            parts.append((pair[:len(systems), live], weights[live], layer.subgroup.annihilator))
-    if not parts:
-        return 0.0, 0.0
-    joint = parts[0][2]
-    for _, _, ann in parts[1:]:
+    group, n, layers = f_system.group, f_system.channels, f_system.layers
+    systems = (f_system,) if h_system is f_system else (f_system, h_system)
+
+    def windows() -> Iterator[Signal]:
+        return (w for system in systems for layer in system.layers
+                for gen in layer.generators for w in gen.windows)
+
+    anns = [layer.subgroup.annihilator for layer in layers]
+    joint = anns[0]
+    for ann in anns[1:]:
         joint = joint._join(ann)
-    blocks = _frame_blocks(parts, joint)  # (F, H or F alone, C, N|A|, N|A|)
-    for system, block in zip(systems, blocks):
-        if not np.isfinite(block).all():
-            _refuse_non_finite_windows(system)
-            _require_finite("frame operator", block)
+    offsets, layer_mask, take = _union_tables(joint, anns, n)
+    occupied = [j for j, layer in enumerate(layers) if layer.generators]
+    if not occupied:
+        stack = np.zeros((offsets.size, n, n, group.size), dtype=np.complex128)
+        return FiberTable(group, n, offsets, stack, layer_mask), (0.0, 0.0) if bounds else None
+    spectra = _pass_spectra(f_system, h_system) if spectra is None else spectra
+    width = spectra.shape[2]
+    weights = np.array([[gen.weight for gen in layers[j].generators]
+                        + [0.0] * (width - len(layers[j].generators)) for j in occupied])
+    if len(systems) == 1:
+        pair = spectra, spectra
+    elif bounds:  # leading axis: (F, H), then (F, F) and (H, H)
+        pair = spectra[[0, 0, 1]], spectra[[1, 0, 1]]
+    else:
+        pair = spectra[:1], spectra[1:]
+    blocks = _frame_blocks(*pair, weights, [anns[j] for j in occupied], joint)
+    table = FiberTable(group, n, offsets, blocks[0].take(take), layer_mask)
+    # Every entry of the (F, H) sum is masked to 0 or read into the table, so one
+    # test of the product covers the table and the bounds.
+    finite = np.isfinite(blocks).all()
+    if not finite and all(np.isfinite(w.values).all() for w in windows()):
+        _require_finite("fiber table", table.stack)  # as in `_finite_fibers`
+    if not bounds or not weights.any():
+        return table, (0.0, 0.0) if bounds else None
+    blocks = blocks[-len(systems):]
+    if not finite and not np.isfinite(blocks).all():
+        for system, block in zip(systems, blocks):
+            if not np.isfinite(block).all():
+                _refuse_non_finite_windows(system)
+        if not all(np.isfinite(w.values).all() for w in windows()):
+            alive = [SuperSystemDescriptor(group, n, [GtiLayer(layer.subgroup, [
+                gen for gen in layer.generators if gen.weight != 0.0]) for layer in s.layers])
+                for s in systems]
+            return table, _upper_bounds(alive[0], alive[-1])
+        _require_finite("frame operator", blocks)
     if blocks.shape[-1] == 1:
         # LAPACK returns a 1x1 eigenvalue as it stands but scales a larger problem
         # whose entries pass ~1e146 (or fall below ~1e-146), rounding on the way
         # back; a zero row and column round these diagonal operators' bounds as
         # the dense eigensolver rounds them.
-        blocks = np.pad(blocks, ((0, 0), (0, 0), (0, 1), (0, 1)))
+        padded = np.zeros((*blocks.shape[:-2], 2, 2), dtype=blocks.dtype)
+        padded[..., :1, :1] = blocks
+        blocks = padded
     tops = np.linalg.eigvalsh(blocks)[..., -1].max(axis=-1)
-    return float(tops[0]), float(tops[-1])
+    return table, (float(tops[0]), float(tops[-1]))
+
+
+def _upper_bounds(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor,
+                  spectra: np.ndarray | None = None) -> tuple[float, float]:
+    """Upper frame bounds B_F and B_H of a pair below the cap from the pass of its default
+    verdict (`spectra` as `_block_pass` takes them), so that verdict's tolerance equals
+    `default_tolerance` bit for bit."""
+    return _block_pass(f_system, h_system, True, spectra)[1]
 
 
 def _summed_table(
@@ -287,32 +363,34 @@ def _fibers(
 def fiber_table(
     f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
 ) -> FiberTable:
-    """Accumulate the fibers of a structure-matched pair layer by layer.
+    """The fibers of a structure-matched pair: below the cap one `take` from the
+    coset-block product over the joint annihilator of its layers (`_block_pass`),
+    above it accumulated layer by layer over each layer's own annihilator.
 
     Offset membership in each layer annihilator is decided by exact integer
     congruences, so the offset set is the exact union of the annihilators.
     Overflow is refused as in `_finite_fibers`.
     """
     require_matching_structure(f_system, h_system)
-    return _fibers(f_system, h_system, _layer_spectra(f_system, h_system))
+    if _above_cap(f_system.channels, f_system.group, DEFAULT_CAP):
+        return _fibers(f_system, h_system, _layer_spectra(f_system, h_system))
+    return _block_pass(f_system, h_system, False)[0]
 
 
 def _fibers_with_tolerance(
     f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor, tol: float | None
 ) -> tuple[FiberTable, float, float | None]:
     """The fiber table of a pair with the verdict's tolerance and Bessel bound: `tol`
-    and no bound when given, else those of `default_tolerance`.  Below the cap its
-    bounds come from the coset blocks of the table's own spectra, so no window is
-    transformed twice; otherwise the spectra are freed as soon as they are read."""
-    require_matching_structure(f_system, h_system)
-    spectra = _layer_spectra(f_system, h_system)
+    (validated first) and no bound when given, else those of `default_tolerance`,
+    below the cap from the one coset-block pass that gives the table."""
     if tol is not None:
-        return _fibers(f_system, h_system, spectra), tol, None
+        _require_tolerance(tol)
+        return fiber_table(f_system, h_system), tol, None
     if _above_cap(f_system.channels, f_system.group, DEFAULT_CAP):
-        return _fibers(f_system, h_system, spectra), *default_tolerance(f_system, h_system)
-    spectra = list(spectra)
-    table = _fibers(f_system, h_system, spectra)
-    return table, *_scaled_tolerance(*_upper_bounds(f_system, h_system, spectra))
+        return fiber_table(f_system, h_system), *default_tolerance(f_system, h_system)
+    require_matching_structure(f_system, h_system)
+    table, upper = _block_pass(f_system, h_system, True)
+    return table, *_scaled_tolerance(*upper)
 
 
 def _fiber_verdict(
@@ -329,18 +407,18 @@ def _fiber_verdict(
     resid = np.abs(table.stack)
     if dual:
         resid[0] = np.abs(table.stack[0] - np.eye(table.channels)[:, :, None])
-    worst = resid.argmax(axis=-1)
-    values = resid.max(axis=-1).tolist()  # NaN where argmax found the first NaN
+    worst = resid.argmax(axis=-1).ravel()
+    values = resid.max(axis=-1).ravel().tolist()  # NaN where argmax found the first NaN
     res = table.group.residue_matrix()
-    offset_elements = [tuple(row) for row in res[table.offset_indices].tolist()]
-    frequencies = res[worst].tolist()
+    offset_elements = map(tuple, res[table.offset_indices].tolist())
+    n = table.channels
+    keys = product(offset_elements, [(n1, n2) for n1 in range(n) for n2 in range(n)])
     witnesses = [
-        Witness((n1, n2), offset_elements[k], tuple(frequencies[k][n1][n2]), values[k][n1][n2])
-        for k, n1, n2 in np.ndindex(worst.shape)
+        Witness(pair, offset, tuple(frequency), value)
+        for (offset, pair), frequency, value in zip(keys, res[worst].tolist(), values)
     ]
     verdict = Verdict.from_witnesses(witnesses, tol, top_k=top_k, bessel_bound=bessel)
     if dual:
-        n = resid.shape[1]
         verdict.blocks = {
             (n1, n2): Verdict.from_witnesses(witnesses[n1 * n + n2::n * n], tol, top_k=top_k)
             for n1 in range(n)
@@ -395,8 +473,6 @@ def multiplier_symbol(
     commutes with translations (all other fibers vanish); raises
     NotAMultiplierError otherwise, or when a fiber is not finite, instead of
     silently returning a symbol."""
-    if tol is not None:
-        _require_tolerance(tol)
     table, tol, _ = _fibers_with_tolerance(f_system, h_system, tol)
     if channel is None:
         if table.channels != 1:
@@ -424,7 +500,8 @@ def commutation_defect(
     matrix: np.ndarray | None = None,
 ) -> float:
     """max over group points x of the Frobenius norm of Theta T_x - T_x Theta,
-    computed on the dense mixed dual Gramian matrix; inf when it is not finite."""
+    computed on the dense mixed dual Gramian matrix; inf when it is not finite.
+    The translates of Theta are formed at most 2^16 entries (1 MiB) at a time."""
     group = f_system.group
     n = f_system.channels
     size = group.size
@@ -434,12 +511,23 @@ def commutation_defect(
         raise ValueError(f"matrix has shape {np.shape(matrix)}, expected {(n * size, n * size)}")
     # Row x is the channel-major permutation p of T_x, (T_x f)[i] = f[p[i]].  T_x is
     # unitary, so ||Theta T_x - T_x Theta|| = ||T_x Theta T_x^-1 - Theta||, and the
-    # conjugate T_x Theta T_x^-1 is Theta[p[:, None], p].
-    perms = (_difference_table(group)[:, None, :] + size * np.arange(n)[:, None]).reshape(size, -1)
-    norms = np.empty(size)
+    # conjugate T_x Theta T_x^-1 is Theta[p[:, None], p].  T_-x = T_x^-1 gives -x the
+    # norm of x: rows x <= -x (column 0 of row x is -x) are visited, x = 0 (norm 0)
+    # only in the trivial group.
+    def half(table: np.ndarray) -> np.ndarray:
+        return table[np.flatnonzero(np.arange(size) <= table[:, 0])[min(1, size - 1):]]
+
+    shifts = group._table(("half translates",), lambda: half(_difference_table(group)))
+    perms = (shifts[:, None, :] + size * np.arange(n)[:, None]).reshape(len(shifts), -1)
+    step = max(1, (1 << 16) // matrix.size)
+    norms = np.empty(len(perms))
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, p in enumerate(perms):
-            norms[x] = np.linalg.norm(matrix[p[:, None], p] - matrix)
+        for start in range(0, len(perms), step):
+            p = perms[start:start + step]
+            moved = matrix[p[:, :, None], p[:, None, :]]
+            moved -= matrix
+            flat = moved.view(np.float64).reshape(len(p), -1)
+            norms[start:start + step] = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
     return _residual(float(norms.max()))  # max keeps a NaN norm
 
 
@@ -594,7 +682,7 @@ def gabor_canonical_dual(window: Signal, translation: Subgroup, modulation: Subg
     window_hat = dft(window).values
     spectra = window_hat[_difference_table(group, modulation.indices)][:, None, :]
     ann = translation.annihilator
-    gramians = _frame_blocks([(spectra, np.ones(len(spectra)), ann)], ann)
+    gramians = _frame_blocks(spectra[None], spectra[None], np.ones((1, len(spectra))), [ann], ann)
     _require_finite("gabor frame operator", gramians)
     eigs = np.linalg.eigvalsh(gramians)
     bounds = FrameBounds(max(0.0, float(eigs.min())), float(eigs.max()))

@@ -24,18 +24,37 @@ Element = tuple[int, ...]
 
 # Enumeration-based operations refuse to run past this size.
 ENUMERATION_CAP = 1 << 22
-# A subgroup keeps an index table of at most this many entries (64 KiB of int64).
-# Rebuilding a larger one costs little next to the transforms and products of a
-# pass over that many points, and keeping it would hold its memory for the
-# subgroup's life.
+# A group or subgroup keeps an index table of at most this many entries (64 KiB of
+# int64).  Rebuilding a larger one costs little next to the transforms and products
+# of a pass over that many points, and keeping it would hold its memory for the
+# instance's life.
 _KEPT_TABLE_ENTRIES = 1 << 13
 
 
+class _KeptTables:
+    """Index tables that depend on the instance alone (and on a channel count or a
+    second subgroup), built on first use and kept in its `_tables`."""
+
+    _tables: dict
+
+    def _table(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """The table stored under `key`, built on first use and kept, read-only, when
+        it has at most _KEPT_TABLE_ENTRIES entries; a larger one is rebuilt per call."""
+        table = self._tables.get(key)
+        if table is None:
+            table = build()
+            if table.size <= _KEPT_TABLE_ENTRIES:
+                table.flags.writeable = False
+                self._tables[key] = table
+        return table
+
+
 @dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_KeptTables):
     """A finite abelian group given by the orders of its cyclic factors."""
 
     orders: tuple[int, ...]
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.orders) == 0:
@@ -160,12 +179,9 @@ def character_column(group: GroupSpec, xi: Sequence[int]) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class Subgroup:
-    """A subgroup stored as its full sorted element set plus a generator list.
-
-    Index tables that depend on the subgroup alone (and on a channel count or
-    a second subgroup) are built on first use and kept on the instance.
-    """
+class Subgroup(_KeptTables):
+    """A subgroup stored as its full sorted element set plus a generator list,
+    with the index tables of `_KeptTables`."""
 
     parent: GroupSpec
     generators: tuple[Element, ...]
@@ -225,17 +241,6 @@ class Subgroup:
                 step, span = step[step], 2 * span
         starts = np.flatnonzero(label == np.arange(group.size))
         return _flat_index(group, res[starts][:, None, :] + res[self.indices][None, :, :])
-
-    def _table(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
-        """The table stored under `key`, built on first use and kept, read-only, when
-        it has at most _KEPT_TABLE_ENTRIES entries; a larger one is rebuilt per call."""
-        table = self._tables.get(key)
-        if table is None:
-            table = build()
-            if table.size <= _KEPT_TABLE_ENTRIES:
-                table.flags.writeable = False
-                self._tables[key] = table
-        return table
 
     def _membership(self) -> np.ndarray:
         """(|G|,) mask of the subgroup's elements."""

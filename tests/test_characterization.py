@@ -1,6 +1,8 @@
 """Verdicts against independent oracles: fiber tables vs explicit loops,
 checks vs dense Gramians, specialized vs generic evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,12 @@ from gtiframes import (
     identity_automorphism,
     subgroup_from_indices,
 )
-from gtiframes.characterization import _structured_fibers, _upper_bounds
+from gtiframes.characterization import (
+    _fibers,
+    _layer_spectra,
+    _structured_fibers,
+    _upper_bounds,
+)
 from gtiframes.sweeps import (
     all_small_subgroups,
     dual_pair,
@@ -197,6 +204,15 @@ class TestFiberTable:
         sys = SuperSystemDescriptor(g, 1, [layer] * layers)
         with pytest.raises(ValueError, match="fiber table overflows float64"):
             fiber_table(sys, sys)
+
+    def test_given_tolerance_refused_before_the_table(self):
+        # The table of this pair overflows float64; the tolerance is refused first.
+        g = make_group([4])
+        layer = GtiLayer(full_subgroup(g), [WeightedGenerator(1.7e308, (delta_signal(g),))] * 2)
+        sys = SuperSystemDescriptor(g, 1, [layer])
+        for check in (check_super_duality, check_orthogonality, multiplier_symbol):
+            with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+                check(sys, sys, tol=np.nan)
 
     def test_contributing_layers_recorded(self):
         g = make_group([4])
@@ -460,6 +476,49 @@ class TestCommutation:
             defect = commutation_defect(case.f_system, case.h_system, matrix=matrix)
             expected = loop_commutation_defect(case.f_system, matrix)
             assert abs(defect - expected) <= 1e-12 * max(1.0, expected), case.name
+
+    @pytest.mark.parametrize("orders", [(256,), (16, 16)], ids=["Z256", "Z16xZ16"])
+    def test_at_the_cap_in_bounded_memory(self, orders):
+        # All 256 translates of a 256x256 Theta at once would take ~130 MB.
+        g = make_group(list(orders))
+        rng = np.random.default_rng(sum(orders))
+        matrix = rng.standard_normal((g.size, g.size)) + 1j * rng.standard_normal((g.size, g.size))
+        sys = delta_system(g)
+        tracemalloc.start()
+        try:
+            defect = commutation_defect(sys, sys, matrix=matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        # D_x[i, j] = Theta[i, j + x] - Theta[i - x, j], over every x.
+        res = g.residue_matrix()
+        expected = max(
+            np.linalg.norm(matrix[:, g_plus] - matrix[g_minus, :])
+            for g_plus, g_minus in (
+                ([g.index_of(r + x) for r in res], [g.index_of(r - x) for r in res])
+                for x in res
+            )
+        )
+        assert abs(defect - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_group_where_every_point_is_its_own_negative(self, channels):
+        g = make_group([2, 2, 2])
+        f_sys, h_sys = matched_random_pair(np.random.default_rng(8), g, channels, 2, 2)
+        matrix = mixed_dual_gramian(f_sys, h_sys)
+        defect = commutation_defect(f_sys, h_sys, matrix=matrix)
+        expected = loop_commutation_defect(f_sys, matrix)
+        assert expected > 0.1
+        assert abs(defect - expected) <= 1e-12 * expected
+
+    def test_trivial_group(self):
+        g = make_group([1])
+        sys = delta_system(g, channels=2)
+        matrix = mixed_dual_gramian(sys, sys)
+        assert commutation_defect(sys, sys, matrix=matrix) == 0.0
+        matrix[0, 1] = np.nan
+        assert commutation_defect(sys, sys, matrix=matrix) == np.inf
 
     def test_engineered_positive_defect(self):
         g = make_group([4])
@@ -879,6 +938,49 @@ class TestBlockBounds:
         verdict = check_super_duality(case.f_system, case.h_system)
         assert (verdict.tolerance, verdict.bessel_bound) == (tol, bessel)
         assert bessel is not None and bessel > 0
+
+
+class TestBlockPass:
+    """Below the cap, fiber tables and default tolerances come from one coset-block
+    pass over the joint annihilator; the per-layer route above the cap
+    (`_fibers`) is its reference."""
+
+    @pytest.mark.parametrize("seed", [20240801, 7, 5])
+    def test_matches_per_layer_route(self, seed):
+        multi = 0
+        for case in sweep_cases(seed=seed):
+            f_sys, h_sys = case.f_system, case.h_system
+            multi += len(f_sys.layers) > 1
+            table = fiber_table(f_sys, h_sys)
+            expected = _fibers(f_sys, h_sys, _layer_spectra(f_sys, h_sys))
+            assert np.array_equal(table.offset_indices, expected.offset_indices), case.name
+            assert np.array_equal(table.layer_mask, expected.layer_mask), case.name
+            scale = max(1.0, np.abs(expected.stack).max())
+            assert np.abs(table.stack - expected.stack).max() <= 1e-14 * scale, case.name
+            tol, bessel = default_tolerance(f_sys, h_sys)
+            assert bessel == max(_upper_bounds(f_sys, h_sys))
+            for check in (check_super_duality, check_orthogonality):
+                verdict = check(f_sys, h_sys)
+                assert (verdict.tolerance, verdict.bessel_bound) == (tol, bessel), case.name
+        assert multi > 0
+
+    def test_layer_without_generators_outside_the_live_joint(self):
+        # Z12: the live layer's annihilator {0, 6} and the empty layer's {0, 4, 8}
+        # generate <2>; the empty layer's offsets 4 and 8 hold zeros.
+        g = make_group([12])
+        f_sys, h_sys = matched_random_pair(np.random.default_rng(5), g, 2, 1, 2)
+        sub, other = subgroup_from_generators(g, [(2,)]), subgroup_from_generators(g, [(3,)])
+        f_sys, h_sys = (SuperSystemDescriptor(g, 2, [GtiLayer(sub, s.layers[0].generators),
+                                                     GtiLayer(other, [])]) for s in (f_sys, h_sys))
+        table = fiber_table(f_sys, h_sys)
+        assert table.offset_indices.tolist() == [0, 4, 6, 8]
+        assert table.layer_mask.tolist() == [[True, True], [False, True], [True, False],
+                                             [False, True]]
+        assert np.abs(table.stack[[1, 3]]).max() == 0.0
+        expected = _fibers(f_sys, h_sys, _layer_spectra(f_sys, h_sys))
+        assert np.abs(table.stack - expected.stack).max() <= 1e-14 * np.abs(expected.stack).max()
+        dense_f, dense_h = frame_bounds(f_sys).upper, frame_bounds(h_sys).upper
+        np.testing.assert_allclose(_upper_bounds(f_sys, h_sys), [dense_f, dense_h], rtol=1e-13)
 
 
 def _fresh(system):
