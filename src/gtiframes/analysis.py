@@ -250,7 +250,6 @@ def default_tolerance(
     # characterization imports this module, so the block bounds are imported here.
     from .characterization import _upper_bounds
 
-    require_matching_structure(f_system, h_system)
     return _scaled_tolerance(*_upper_bounds(f_system, h_system))
 
 

@@ -13,12 +13,13 @@ dense mixed dual Gramian of `analysis` is the independent oracle for both.
 
 Fibers come from coset blocks: on each coset c + A of an annihilator A, the
 window spectra form one block per system, and the Gramian H_c* W F_c holds
-the fibers at every offset of A at once.  Below the dense cap one pass does
-it for all layers over their joint annihilator A = A_1 + ... + A_L: each
-layer's Gramian, kept where a_k - a_i lies in A_j and summed, is read out as
-the fiber table, and the (F, F) and (H, H) sums are the frame operators'
-blocks, whose largest eigenvalues scale the default tolerance.  Above the
-cap the table is built layer by layer over each A_j.  Specialized
+the fibers at every offset of A at once.  One pass builds every expanded
+table from one transform of the pair's windows.  Below the dense cap its one
+product runs over the joint annihilator A = A_1 + ... + A_L: each layer's
+Gramian, kept where a_k - a_i lies in A_j and summed, is the fiber table,
+and the (F, F) and (H, H) sums are the frame operators' blocks, whose
+largest eigenvalues scale the default tolerance.  Above the cap each layer's
+product runs over its own A_j and the parts are summed.  Specialized
 Gabor / wavelet / wave-packet checks evaluate the same fibers straight from
 the structured data (base-window spectra, modulation cosets, adjoint
 pullbacks) without expanding the system.
@@ -44,7 +45,7 @@ from .analysis import (
     mixed_dual_gramian,
 )
 from .errors import NotAFrameError, NotAMultiplierError
-from .fourier import Signal, Spectrum, _spectra, _transform, dft
+from .fourier import Signal, Spectrum, _transform, dft
 from .groups import (
     Automorphism,
     Element,
@@ -118,38 +119,23 @@ def _coset_gramians(f_spectra: np.ndarray, h_spectra: np.ndarray, weights: np.nd
     return np.matmul(h_blocks, f_blocks.swapaxes(-1, -2))
 
 
-def _coset_fibers(spectra: np.ndarray, weights: np.ndarray, ann: Subgroup) -> np.ndarray:
-    """(|A|, N, N, |G|) fibers of one layer at the offsets a_k of its annihilator A,
-    from the (2P, N, |G|) spectra of its P generators in F and then in H:
-
-        out[k, n1, n2, xi] = sum_p weights[p] * conj(Hhat_p,n1(xi)) * Fhat_p,n2(xi + a_k).
-
-    The coset Gramian of c + A holds fiber[a_k](c + a_i) at entry
-    [(n1, i), (n2, j)], where a_j = a_i + a_k.
-    """
-    p = len(weights)
-    products = _coset_gramians(spectra[:p], spectra[p:], weights, ann)
-    return products.take(ann._block_take(spectra.shape[1]))
-
-
 def _frame_blocks(f_spectra: np.ndarray, h_spectra: np.ndarray, weights: np.ndarray,
                   anns: Sequence[Subgroup], joint: Subgroup) -> np.ndarray:
     """(..., C, N|A|, N|A|) sum over L layers of their coset Gramians H_c* W F_c on the
     cosets c + A of A = `joint`, from (..., L, P, N, |G|) spectra (generators zero-padded
     to one count, weight 0) and (L, P) weights.  Layer j couples xi only with xi + A_j,
     A_j = anns[j], so its Gramian is kept where a_k - a_i lies in A_j.  Overflow is left
-    as inf for the caller to refuse or fail on."""
+    as inf for the caller, whose np.errstate keeps it from warning, to refuse or fail on."""
     n, order = f_spectra.shape[-2], joint.order
     blocks = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = _coset_gramians(f_spectra, h_spectra, weights[:, None, None, :], joint)
-        for j, ann in enumerate(anns):
-            part = gram[..., j, :, :, :]
-            if ann.order != order:
-                split = part.reshape(*part.shape[:-2], n, order, n, order)
-                kept = joint._difference_mask(ann)[:, None, :]
-                part = np.where(kept, split, 0).reshape(part.shape)
-            blocks = part if blocks is None else blocks + part
+    gram = _coset_gramians(f_spectra, h_spectra, weights[:, None, None, :], joint)
+    for j, ann in enumerate(anns):
+        part = gram[..., j, :, :, :]
+        if ann.order != order:
+            split = part.reshape(*part.shape[:-2], n, order, n, order)
+            kept = joint._difference_mask(ann)[:, None, :]
+            part = np.where(kept, split, 0).reshape(part.shape)
+        blocks = part if blocks is None else blocks + part
     return blocks
 
 
@@ -164,14 +150,12 @@ def _refuse_non_finite_windows(system: SuperSystemDescriptor) -> None:
 
 
 def _pass_spectra(f_system: SuperSystemDescriptor,
-                  h_system: SuperSystemDescriptor) -> np.ndarray | None:
+                  h_system: SuperSystemDescriptor) -> np.ndarray:
     """(S, L, P, N, |G|) spectra of the generators of the L layers that have any, in F
     and then in H, or in F alone (S = 1) when `h_system` is `f_system`, zero-padded to
-    the largest count P: one window array, one transform.  None without generators."""
+    the largest count P: one window array, one transform."""
     systems = (f_system,) if h_system is f_system else (f_system, h_system)
     counts = [len(layer.generators) for layer in f_system.layers if layer.generators]
-    if not counts:
-        return None
     group, n, width = f_system.group, f_system.channels, max(counts)
     blank = [np.zeros(group.size, dtype=np.complex128)] * n
     values = np.array([row for system in systems for layer in system.layers if layer.generators
@@ -199,19 +183,24 @@ def _union_tables(joint: Subgroup, anns: Sequence[Subgroup],
             joint._table(("union mask", *key), lambda: member()[rows]), take)
 
 
-def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor, bounds: bool,
-                spectra: np.ndarray | None = None) -> tuple[FiberTable, tuple[float, float] | None]:
-    """The fiber table of a pair below the cap and, when `bounds`, its upper frame bounds
-    B_F and B_H, from one product over the cosets of the joint annihilator A of its layers
-    (`spectra`: the pair's `_pass_spectra`, transformed here when None).
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below, not warned of
+def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor,
+                bounds: bool) -> tuple[FiberTable, tuple[float, float] | None]:
+    """The fiber table of a pair and, when `bounds` (below the cap only), its upper frame
+    bounds B_F and B_H, from coset-block products of one transform (`_pass_spectra`).
 
+    Below the cap one product runs over the cosets of the joint annihilator A of the layers.
     Summed over the layers j with a_k - a_i in A_j, entry [(n1, i), (n2, k)] of the (F, H)
     Gramian on c + A is fiber[a_k - a_i](n1, n2, c + a_i): the table is one `take` from it.
     The (F, F) and (H, H) sums are the frame operators' blocks; each bound is their largest
-    eigenvalue.  Weight-0 generators fail the table with a NaN window, as in the oracle,
-    but leave the bounds to the live ones; a NaN or inf sample of a live generator is named
-    as the oracle names it.  From finite windows a non-finite table or block is overflow.
+    eigenvalue.  Above the cap, where A can be the whole group, each layer's product runs
+    over its own annihilator on views of its own generators' spectra, and `_summed_table`
+    adds the parts.  Weight-0 generators fail the table with a NaN window, as in the
+    oracle, but leave the bounds to the live ones; a NaN or inf sample of a live generator
+    is named as the oracle names it.  From finite windows a non-finite table or block is
+    overflow.
     """
+    require_matching_structure(f_system, h_system)
     group, n, layers = f_system.group, f_system.channels, f_system.layers
     systems = (f_system,) if h_system is f_system else (f_system, h_system)
 
@@ -220,18 +209,31 @@ def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
                 for gen in layer.generators for w in gen.windows)
 
     anns = [layer.subgroup.annihilator for layer in layers]
+    occupied = [j for j, layer in enumerate(layers) if layer.generators]
+    if occupied:
+        spectra = _pass_spectra(f_system, h_system)
+        width = spectra.shape[2]
+        weights = np.array([[gen.weight for gen in layers[j].generators]
+                            + [0.0] * (width - len(layers[j].generators)) for j in occupied])
+    if _above_cap(n, group, DEFAULT_CAP):
+        def layer_fibers(j: int) -> np.ndarray | None:
+            if j not in occupied:
+                return None
+            i, count, ann = occupied.index(j), len(layers[j].generators), anns[j]
+            pair = spectra[:1, i:i + 1, :count], spectra[-1:, i:i + 1, :count]
+            blocks = _frame_blocks(*pair, weights[i:i + 1, :count], [ann], ann)
+            return blocks[0].take(ann._block_take(n))
+
+        return _finite_fibers(lambda: _summed_table(
+            group, n, [ann.indices for ann in anns], map(layer_fibers, range(len(layers)))),
+            windows()), None
     joint = anns[0]
     for ann in anns[1:]:
         joint = joint._join(ann)
     offsets, layer_mask, take = _union_tables(joint, anns, n)
-    occupied = [j for j, layer in enumerate(layers) if layer.generators]
     if not occupied:
         stack = np.zeros((offsets.size, n, n, group.size), dtype=np.complex128)
         return FiberTable(group, n, offsets, stack, layer_mask), (0.0, 0.0) if bounds else None
-    spectra = _pass_spectra(f_system, h_system) if spectra is None else spectra
-    width = spectra.shape[2]
-    weights = np.array([[gen.weight for gen in layers[j].generators]
-                        + [0.0] * (width - len(layers[j].generators)) for j in occupied])
     if len(systems) == 1:
         pair = spectra, spectra
     elif bounds:  # leading axis: (F, H), then (F, F) and (H, H)
@@ -270,12 +272,11 @@ def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
     return table, (float(tops[0]), float(tops[-1]))
 
 
-def _upper_bounds(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor,
-                  spectra: np.ndarray | None = None) -> tuple[float, float]:
+def _upper_bounds(f_system: SuperSystemDescriptor,
+                  h_system: SuperSystemDescriptor) -> tuple[float, float]:
     """Upper frame bounds B_F and B_H of a pair below the cap from the pass of its default
-    verdict (`spectra` as `_block_pass` takes them), so that verdict's tolerance equals
-    `default_tolerance` bit for bit."""
-    return _block_pass(f_system, h_system, True, spectra)[1]
+    verdict, so that verdict's tolerance equals `default_tolerance` bit for bit."""
+    return _block_pass(f_system, h_system, True)[1]
 
 
 def _summed_table(
@@ -320,60 +321,17 @@ def _finite_fibers(build: Callable[[], FiberTable], windows: Iterable[Signal]) -
     return table
 
 
-def _layer_spectra(
-    f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
-) -> Iterator[np.ndarray | None]:
-    """Per layer, the (2P, N, |G|) spectra of its P generators in F and then in H,
-    slices of one transform of every layer's windows; None for a layer without
-    generators.  The transform is freed once the last layer is read."""
-    pairs = [lf.generators + lh.generators for lf, lh in zip(f_system.layers, h_system.layers)]
-    tuples = [gen.windows for pair in pairs for gen in pair]
-    spectra = _spectra(tuples, f_system.group) if tuples else None
-    start = 0
-    for pair in pairs:
-        yield spectra[start:start + len(pair)] if pair else None
-        start += len(pair)
-
-
-def _fibers(
-    f_system: SuperSystemDescriptor,
-    h_system: SuperSystemDescriptor,
-    spectra: Iterable[np.ndarray | None],
-) -> FiberTable:
-    """The fiber table of a structure-matched pair from its `_layer_spectra`."""
-    def layer_fibers(layer: GtiLayer, layer_spectra: np.ndarray | None) -> np.ndarray | None:
-        if layer_spectra is None:
-            return None
-        weights = np.array([gen.weight for gen in layer.generators])
-        return _coset_fibers(layer_spectra, weights, layer.subgroup.annihilator)
-
-    windows = (w for system in (f_system, h_system) for layer in system.layers
-               for gen in layer.generators for w in gen.windows)
-    return _finite_fibers(
-        lambda: _summed_table(
-            f_system.group,
-            f_system.channels,
-            [layer.subgroup.annihilator.indices for layer in f_system.layers],
-            (layer_fibers(layer, part) for layer, part in zip(f_system.layers, spectra)),
-        ),
-        windows,
-    )
-
-
 def fiber_table(
     f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
 ) -> FiberTable:
-    """The fibers of a structure-matched pair: below the cap one `take` from the
-    coset-block product over the joint annihilator of its layers (`_block_pass`),
-    above it accumulated layer by layer over each layer's own annihilator.
+    """The fibers of a structure-matched pair from its coset-block pass (`_block_pass`):
+    below the cap one `take` from the product over the joint annihilator of its layers,
+    above it one product per layer over that layer's own annihilator, summed.
 
     Offset membership in each layer annihilator is decided by exact integer
     congruences, so the offset set is the exact union of the annihilators.
     Overflow is refused as in `_finite_fibers`.
     """
-    require_matching_structure(f_system, h_system)
-    if _above_cap(f_system.channels, f_system.group, DEFAULT_CAP):
-        return _fibers(f_system, h_system, _layer_spectra(f_system, h_system))
     return _block_pass(f_system, h_system, False)[0]
 
 
@@ -388,7 +346,6 @@ def _fibers_with_tolerance(
         return fiber_table(f_system, h_system), tol, None
     if _above_cap(f_system.channels, f_system.group, DEFAULT_CAP):
         return fiber_table(f_system, h_system), *default_tolerance(f_system, h_system)
-    require_matching_structure(f_system, h_system)
     table, upper = _block_pass(f_system, h_system, True)
     return table, *_scaled_tolerance(*upper)
 
@@ -608,7 +565,9 @@ def _structured_fibers(
     def build() -> FiberTable:
         spectra = np.stack([[dft(w).values for w in tup] for tup in tuples])
         ann = translation.annihilator
-        base = _coset_fibers(spectra, np.ones(len(f_windows)), ann)
+        p = len(f_windows)
+        base = _coset_gramians(spectra[:p], spectra[p:], np.ones(p), ann).take(
+            ann._block_take(channels))
         if modulation is not None:
             cosets = modulation.cosets
             base[..., cosets] = base[..., cosets].sum(axis=-1, keepdims=True)
@@ -667,6 +626,7 @@ def check_gabor_duality(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below, not warned of
 def gabor_canonical_dual(window: Signal, translation: Subgroup, modulation: Subgroup) -> Signal:
     """The window S^-1 g of the canonical dual over the same lattice pair.  S is block
     diagonal over the cosets of ann(translation), acting on each as the conjugate of

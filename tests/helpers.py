@@ -288,3 +288,41 @@ def all_groups_upto(limit: int) -> list[GroupSpec]:
         if g.size <= limit:
             candidates.append(g)
     return candidates
+
+
+def definition_fiber_table(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor):
+    """(offsets, layer mask, stack) of a pair straight from the fiber definition,
+
+        fiber[a](n1, n2, xi) = sum over layers j with a in A_j and their generators p of
+                               w_p * conj(Hhat_p,n1(xi)) * Fhat_p,n2(xi + a),
+
+    with per-window np.fft.fftn, each annihilator A_j of the characters that are 1 on
+    the layer subgroup (an exact integer congruence per element) and xi + a by residue
+    arithmetic; offsets are the sorted union of the A_j, the mask says which A_j holds
+    each offset."""
+    group, n = f_system.group, f_system.channels
+    orders, size = np.array(group.orders), group.size
+    res = np.stack(np.unravel_index(np.arange(size), group.orders), axis=1)
+
+    def hat(w) -> np.ndarray:
+        return np.fft.fftn(w.values.reshape(group.orders)).ravel()
+
+    # <xi, x> = exp(2 pi i sum_k xi_k x_k / n_k) is 1 iff sum_k xi_k x_k (|G| / n_k) = 0 mod |G|.
+    anns = []
+    for layer in f_system.layers:
+        members = res[layer.subgroup.indices]
+        phases = (res * (size // orders)) @ members.T % size
+        anns.append(np.flatnonzero((phases == 0).all(axis=1)))
+    offsets = np.unique(np.concatenate(anns))
+    holds = [set(ann.tolist()) for ann in anns]
+    mask = np.array([[a in held for held in holds] for a in offsets.tolist()])
+    stack = np.zeros((offsets.size, n, n, size), dtype=np.complex128)
+    for lf, lh, ann in zip(f_system.layers, h_system.layers, anns):
+        for gf, gh in zip(lf.generators, lh.generators):
+            f_hat = np.array([hat(w) for w in gf.windows])
+            h_hat = np.array([hat(w) for w in gh.windows])
+            for a in ann.tolist():
+                shifted = np.ravel_multi_index(((res + res[a]) % orders).T, group.orders)
+                k = int(np.searchsorted(offsets, a))
+                stack[k] += gf.weight * h_hat.conj()[:, None, :] * f_hat[None, :, shifted]
+    return offsets, mask, stack

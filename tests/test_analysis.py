@@ -214,6 +214,17 @@ class TestFrameOperator:
         sys = SuperSystemDescriptor(g, 1, [GtiLayer(full_subgroup(g), [])])
         assert np.abs(mixed_dual_gramian(sys, sys)).max() == 0.0
 
+    @pytest.mark.parametrize("ratio, expected", [(1e-7, True), (1e-9, False)])
+    def test_frame_threshold_is_relative_1e_8(self, ratio, expected):
+        # A translation-invariant system on Z4 with ghat = (1, sqrt(r), 1, 1): the
+        # frame operator's eigenvalues are |ghat|^2, so lower / upper = r.
+        g = make_group([4])
+        window = np.fft.ifft([1.0, ratio ** 0.5, 1.0, 1.0])
+        layer = GtiLayer(full_subgroup(g), [WeightedGenerator(1.0, (Signal(g, window),))])
+        bounds = frame_bounds(SuperSystemDescriptor(g, 1, [layer]))
+        assert bounds.lower / bounds.upper == pytest.approx(ratio, rel=1e-6)
+        assert bounds.is_frame is expected
+
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_full_gabor_gives_size_times_identity(self, n):
         g = make_group([n])
@@ -478,6 +489,20 @@ class TestCanonicalDual:
             gabor_canonical_dual(
                 Signal(g, np.zeros(4)), full_subgroup(g), full_subgroup(g)
             )
+
+    @pytest.mark.parametrize("ratio, expected", [(1e-7, True), (1e-9, False)])
+    def test_frame_threshold_is_relative_1e_8(self, ratio, expected):
+        # Full lattice, trivial modulation: S acts on each frequency by |ghat|^2, so
+        # lower / upper = r for ghat = (1, sqrt(r), 1, 1).
+        g = make_group([4])
+        window = Signal(g, np.fft.ifft([1.0, ratio ** 0.5, 1.0, 1.0]))
+        full, trivial = full_subgroup(g), subgroup_from_generators(g, [])
+        if expected:
+            dual = gabor_canonical_dual(window, full, trivial)
+            assert check_gabor_duality([[window]], [[dual]], full, trivial).passed
+        else:
+            with pytest.raises(NotAFrameError):
+                gabor_canonical_dual(window, full, trivial)
 
 
 class TestMultiplex:

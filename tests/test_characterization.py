@@ -2,6 +2,7 @@
 checks vs dense Gramians, specialized vs generic evaluation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,12 +43,7 @@ from gtiframes import (
     identity_automorphism,
     subgroup_from_indices,
 )
-from gtiframes.characterization import (
-    _fibers,
-    _layer_spectra,
-    _structured_fibers,
-    _upper_bounds,
-)
+from gtiframes.characterization import _structured_fibers, _upper_bounds
 from gtiframes.sweeps import (
     all_small_subgroups,
     dual_pair,
@@ -61,6 +57,7 @@ from gtiframes.systems import GtiLayer, SuperSystemDescriptor, WeightedGenerator
 from helpers import (
     brute_character,
     channel_split_parseval,
+    definition_fiber_table,
     delta_system,
     loop_commutation_defect,
     loop_fiber_verdict,
@@ -205,6 +202,21 @@ class TestFiberTable:
         with pytest.raises(ValueError, match="fiber table overflows float64"):
             fiber_table(sys, sys)
 
+    @pytest.mark.parametrize("order", [8, 512], ids=["Z8", "Z512-above-cap"])
+    def test_overflowing_transform_refused_without_warning(self, order):
+        # Finite windows of 1e308 whose spectra pass the float64 range: refused as
+        # overflow, with no RuntimeWarning from the transform on the way.
+        g = make_group([order])
+        windows = (Signal(g, np.full(order, 1e308)),)
+        layers = [GtiLayer(sub, [WeightedGenerator(1.0, windows)])
+                  for sub in (full_subgroup(g), subgroup_from_generators(g, [(2,)]))]
+        sys = SuperSystemDescriptor(g, 1, layers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in (fiber_table, check_super_duality):
+                with pytest.raises(ValueError, match="fiber table overflows float64"):
+                    check(sys, sys)
+
     def test_given_tolerance_refused_before_the_table(self):
         # The table of this pair overflows float64; the tolerance is refused first.
         g = make_group([4])
@@ -290,6 +302,20 @@ class TestOrthogonality:
         verdict = check_orthogonality(f_sys, h_sys)
         oracle = float(np.abs(mixed_dual_gramian(f_sys, h_sys)).max())
         assert verdict.passed == (oracle <= verdict.tolerance)
+
+    def test_exact_zero_passes_at_zero_tolerance(self):
+        # Z4, full lattice: the constant and (1, -1, 1, -1) have disjoint spectra, so
+        # every fiber is an exact zero and a residual equal to the tolerance passes.
+        g = make_group([4])
+
+        def system(values):
+            gen = WeightedGenerator(1.0, (Signal(g, np.array(values, dtype=float)),))
+            return SuperSystemDescriptor(g, 1, [GtiLayer(full_subgroup(g), [gen])])
+
+        f_sys, h_sys = system([1, 1, 1, 1]), system([1, -1, 1, -1])
+        verdict = check_orthogonality(f_sys, h_sys, tol=0.0)
+        assert verdict.passed and verdict.max_residual == 0.0
+        assert np.abs(mixed_dual_gramian(f_sys, h_sys)).max() == 0.0
 
 
 class TestSuperDuality:
@@ -670,14 +696,16 @@ class TestSpecializedChecks:
         )
         assert specialized.max_residual == pytest.approx(generic.max_residual, abs=1e-10)
 
-    @pytest.mark.parametrize("orders", [(8,), (12,), (2, 4), (3, 3), (4, 4)], ids=str)
+    @pytest.mark.parametrize("orders", [(8,), (12,), (2, 4), (3, 3), (4, 4), (16, 32)], ids=str)
     def test_structured_fibers_match_expanded(self, orders):
         # Every offset and frequency, against the fibers of the expanded
         # wave-packet system (identity dilation for Gabor, trivial modulation
-        # for wavelets).
+        # for wavelets).  Z16 x Z32 is above the cap, where the expanded table
+        # sums one product per dilation level over that level's annihilator.
         g = make_group(orders)
         rng = np.random.default_rng(sum(orders) * len(orders))
         subgroups = all_small_subgroups(g)
+        distinct = 0
         for kind in ("gabor", "wavelet", "wavepacket"):
             for _ in range(3):
                 translation, modulation = (
@@ -696,11 +724,15 @@ class TestSpecializedChecks:
                 table = _structured_fibers(fw, hw, autos, translation, modulation)
                 levels = autos or [identity_automorphism(g)]
                 lam = modulation or subgroup_from_generators(g, [])
-                expanded = fiber_table(wavepacket_system(fw, levels, translation, lam),
-                                       wavepacket_system(hw, levels, translation, lam))
+                f_sys = wavepacket_system(fw, levels, translation, lam)
+                expanded = fiber_table(f_sys, wavepacket_system(hw, levels, translation, lam))
                 assert np.array_equal(table.offset_indices, expanded.offset_indices)
                 scale = max(1.0, float(np.abs(expanded.stack).max()))
                 assert np.abs(table.stack - expanded.stack).max() <= 1e-12 * scale
+                distinct += len({layer.subgroup.annihilator.indices.tobytes()
+                                 for layer in f_sys.layers}) > 1
+        # Above the cap some level annihilators differ, so the per-layer products add up.
+        assert distinct > 0 or g.size <= 256
 
     @pytest.mark.parametrize(
         "orders, step, foreign, foreign_step, tol",
@@ -940,23 +972,27 @@ class TestBlockBounds:
         assert bessel is not None and bessel > 0
 
 
+def _assert_definition_table(table, f_sys, h_sys, name=None):
+    """Offsets and layer mask exactly, the stack within 1e-13 of the largest fiber."""
+    offsets, mask, stack = definition_fiber_table(f_sys, h_sys)
+    assert np.array_equal(table.offset_indices, offsets), name
+    assert np.array_equal(table.layer_mask, mask), name
+    scale = max(1.0, np.abs(stack).max())
+    assert np.abs(table.stack - stack).max() <= 1e-13 * scale, name
+
+
 class TestBlockPass:
-    """Below the cap, fiber tables and default tolerances come from one coset-block
-    pass over the joint annihilator; the per-layer route above the cap
-    (`_fibers`) is its reference."""
+    """Fiber tables from the coset-block pass, over the joint annihilator below the cap
+    and per layer above it, against the fiber definition (`definition_fiber_table`);
+    below the cap default tolerances come from the same pass."""
 
     @pytest.mark.parametrize("seed", [20240801, 7, 5])
-    def test_matches_per_layer_route(self, seed):
+    def test_matches_fiber_definition(self, seed):
         multi = 0
         for case in sweep_cases(seed=seed):
             f_sys, h_sys = case.f_system, case.h_system
             multi += len(f_sys.layers) > 1
-            table = fiber_table(f_sys, h_sys)
-            expected = _fibers(f_sys, h_sys, _layer_spectra(f_sys, h_sys))
-            assert np.array_equal(table.offset_indices, expected.offset_indices), case.name
-            assert np.array_equal(table.layer_mask, expected.layer_mask), case.name
-            scale = max(1.0, np.abs(expected.stack).max())
-            assert np.abs(table.stack - expected.stack).max() <= 1e-14 * scale, case.name
+            _assert_definition_table(fiber_table(f_sys, h_sys), f_sys, h_sys, case.name)
             tol, bessel = default_tolerance(f_sys, h_sys)
             assert bessel == max(_upper_bounds(f_sys, h_sys))
             for check in (check_super_duality, check_orthogonality):
@@ -977,10 +1013,24 @@ class TestBlockPass:
         assert table.layer_mask.tolist() == [[True, True], [False, True], [True, False],
                                              [False, True]]
         assert np.abs(table.stack[[1, 3]]).max() == 0.0
-        expected = _fibers(f_sys, h_sys, _layer_spectra(f_sys, h_sys))
-        assert np.abs(table.stack - expected.stack).max() <= 1e-14 * np.abs(expected.stack).max()
+        _assert_definition_table(table, f_sys, h_sys)
         dense_f, dense_h = frame_bounds(f_sys).upper, frame_bounds(h_sys).upper
         np.testing.assert_allclose(_upper_bounds(f_sys, h_sys), [dense_f, dense_h], rtol=1e-13)
+
+    @pytest.mark.parametrize("orders, channels", [((16, 32), 1), ((144,), 2), ((8, 8, 8), 1)],
+                             ids=["Z16xZ32", "Z144-N2", "Z8xZ8xZ8"])
+    def test_above_the_cap_one_product_per_layer(self, orders, channels):
+        # Layers of 1, 3 and 0 generators over their own annihilators, read from one
+        # zero-padded transform; the empty layer's offsets hold zeros.
+        g = make_group(list(orders))
+        f_sys, h_sys = matched_random_pair(np.random.default_rng(sum(orders)), g, channels, 3, 3)
+        f_sys, h_sys = (SuperSystemDescriptor(g, channels, [
+            GtiLayer(layer.subgroup, layer.generators[:count])
+            for layer, count in zip(s.layers, (1, 3, 0))]) for s in (f_sys, h_sys))
+        assert g.size * channels > 256
+        assert len({layer.subgroup.annihilator.indices.tobytes() for layer in f_sys.layers}) > 1
+        for h in (h_sys, f_sys):
+            _assert_definition_table(fiber_table(f_sys, h), f_sys, h)
 
 
 def _fresh(system):
