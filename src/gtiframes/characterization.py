@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -139,29 +139,22 @@ def _frame_blocks(f_spectra: np.ndarray, h_spectra: np.ndarray, weights: np.ndar
     return blocks
 
 
-def _refuse_non_finite_windows(system: SuperSystemDescriptor) -> None:
-    """Name the first NaN or inf sample of a live generator, as `mixed_dual_gramian` does."""
-    for j, layer in enumerate(system.layers):
-        for p, gen in enumerate(layer.generators):
-            bad = np.argwhere(~np.isfinite([w.values for w in gen.windows]))
-            if gen.weight != 0.0 and bad.size:
-                raise ValueError(f"layer {j} generator {p} window {bad[0, 0]} "
-                                 f"has a non-finite value at index {bad[0, 1]}")
-
-
-def _pass_spectra(f_system: SuperSystemDescriptor,
-                  h_system: SuperSystemDescriptor) -> np.ndarray:
-    """(S, L, P, N, |G|) spectra of the generators of the L layers that have any, in F
-    and then in H, or in F alone (S = 1) when `h_system` is `f_system`, zero-padded to
-    the largest count P: one window array, one transform."""
+def _pass_windows(f_system: SuperSystemDescriptor,
+                  h_system: SuperSystemDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, L, P, N, |G|) windows of the generators of the L layers that have any, in F
+    and then in H, or in F alone (S = 1) when `h_system` is `f_system`, zero-padded to the
+    largest count P, and their (L, P) weights, 0 at the padding: one window array."""
     systems = (f_system,) if h_system is f_system else (f_system, h_system)
-    counts = [len(layer.generators) for layer in f_system.layers if layer.generators]
-    group, n, width = f_system.group, f_system.channels, max(counts)
+    layers = [layer for layer in f_system.layers if layer.generators]
+    group, n = f_system.group, f_system.channels
+    width = max(len(layer.generators) for layer in layers)
     blank = [np.zeros(group.size, dtype=np.complex128)] * n
     values = np.array([row for system in systems for layer in system.layers if layer.generators
                        for row in [[w.values for w in gen.windows] for gen in layer.generators]
                        + [blank] * (width - len(layer.generators))])
-    return _transform(values.reshape(len(systems), len(counts), width, n, group.size), group)
+    weights = np.array([[gen.weight for gen in layer.generators]
+                        + [0.0] * (width - len(layer.generators)) for layer in layers])
+    return values.reshape(len(systems), len(layers), width, n, group.size), weights
 
 
 def _union_tables(joint: Subgroup, anns: Sequence[Subgroup],
@@ -187,7 +180,7 @@ def _union_tables(joint: Subgroup, anns: Sequence[Subgroup],
 def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor,
                 bounds: bool) -> tuple[FiberTable, tuple[float, float] | None]:
     """The fiber table of a pair and, when `bounds` (below the cap only), its upper frame
-    bounds B_F and B_H, from coset-block products of one transform (`_pass_spectra`).
+    bounds B_F and B_H, from coset-block products of one transform of `_pass_windows`.
 
     Below the cap one product runs over the cosets of the joint annihilator A of the layers.
     Summed over the layers j with a_k - a_i in A_j, entry [(n1, i), (n2, k)] of the (F, H)
@@ -196,70 +189,69 @@ def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
     eigenvalue.  Above the cap, where A can be the whole group, each layer's product runs
     over its own annihilator on views of its own generators' spectra, and `_summed_table`
     adds the parts.  Weight-0 generators fail the table with a NaN window, as in the
-    oracle, but leave the bounds to the live ones; a NaN or inf sample of a live generator
-    is named as the oracle names it.  From finite windows a non-finite table or block is
-    overflow.
+    oracle, but leave the bounds to the live ones; the first NaN or inf sample of a live
+    generator, in F and then in H, is named in the oracle's words.  From finite windows a
+    non-finite table or block is overflow.
     """
     require_matching_structure(f_system, h_system)
     group, n, layers = f_system.group, f_system.channels, f_system.layers
-    systems = (f_system,) if h_system is f_system else (f_system, h_system)
-
-    def windows() -> Iterator[Signal]:
-        return (w for system in systems for layer in system.layers
-                for gen in layer.generators for w in gen.windows)
-
+    above = _above_cap(n, group, DEFAULT_CAP)
+    bounds = bounds and not above  # above the cap `default_tolerance` takes the raw tolerance
     anns = [layer.subgroup.annihilator for layer in layers]
     occupied = [j for j, layer in enumerate(layers) if layer.generators]
-    if occupied:
-        spectra = _pass_spectra(f_system, h_system)
-        width = spectra.shape[2]
-        weights = np.array([[gen.weight for gen in layers[j].generators]
-                            + [0.0] * (width - len(layers[j].generators)) for j in occupied])
-    if _above_cap(n, group, DEFAULT_CAP):
+    if not occupied:
+        table = _summed_table(group, n, [ann.indices for ann in anns], [None] * len(layers))
+        return table, (0.0, 0.0) if bounds else None
+    values, weights = _pass_windows(f_system, h_system)
+    spectra = _transform(values, group)
+    del values  # rebuilt below only when a product is not finite
+    if above:
         def layer_fibers(j: int) -> np.ndarray | None:
             if j not in occupied:
                 return None
             i, count, ann = occupied.index(j), len(layers[j].generators), anns[j]
-            pair = spectra[:1, i:i + 1, :count], spectra[-1:, i:i + 1, :count]
-            blocks = _frame_blocks(*pair, weights[i:i + 1, :count], [ann], ann)
-            return blocks[0].take(ann._block_take(n))
+            gram = _coset_gramians(spectra[0, i, :count], spectra[-1, i, :count],
+                                   weights[i, :count], ann)
+            return gram.take(ann._block_take(n))
 
-        return _finite_fibers(lambda: _summed_table(
-            group, n, [ann.indices for ann in anns], map(layer_fibers, range(len(layers)))),
-            windows()), None
-    joint = anns[0]
-    for ann in anns[1:]:
-        joint = joint._join(ann)
-    offsets, layer_mask, take = _union_tables(joint, anns, n)
-    if not occupied:
-        stack = np.zeros((offsets.size, n, n, group.size), dtype=np.complex128)
-        return FiberTable(group, n, offsets, stack, layer_mask), (0.0, 0.0) if bounds else None
-    if len(systems) == 1:
-        pair = spectra, spectra
-    elif bounds:  # leading axis: (F, H), then (F, F) and (H, H)
-        pair = spectra[[0, 0, 1]], spectra[[1, 0, 1]]
+        table = _summed_table(group, n, [ann.indices for ann in anns],
+                              map(layer_fibers, range(len(layers))))
+        blocks = table.stack
     else:
-        pair = spectra[:1], spectra[1:]
-    blocks = _frame_blocks(*pair, weights, [anns[j] for j in occupied], joint)
-    table = FiberTable(group, n, offsets, blocks[0].take(take), layer_mask)
-    # Every entry of the (F, H) sum is masked to 0 or read into the table, so one
-    # test of the product covers the table and the bounds.
-    finite = np.isfinite(blocks).all()
-    if not finite and all(np.isfinite(w.values).all() for w in windows()):
-        _require_finite("fiber table", table.stack)  # as in `_finite_fibers`
-    if not bounds or not weights.any():
-        return table, (0.0, 0.0) if bounds else None
-    blocks = blocks[-len(systems):]
-    if not finite and not np.isfinite(blocks).all():
-        for system, block in zip(systems, blocks):
-            if not np.isfinite(block).all():
-                _refuse_non_finite_windows(system)
-        if not all(np.isfinite(w.values).all() for w in windows()):
+        joint = anns[0]
+        for ann in anns[1:]:
+            joint = joint._join(ann)
+        offsets, layer_mask, take = _union_tables(joint, anns, n)
+        if len(spectra) == 1:
+            pair = spectra, spectra
+        elif bounds:  # leading axis: (F, H), then (F, F) and (H, H)
+            pair = spectra[[0, 0, 1]], spectra[[1, 0, 1]]
+        else:
+            pair = spectra[:1], spectra[1:]
+        blocks = _frame_blocks(*pair, weights, [anns[j] for j in occupied], joint)
+        table = FiberTable(group, n, offsets, blocks[0].take(take), layer_mask)
+    # Every entry of the (F, H) sum is masked to 0 or read into the table, so one test of
+    # the product covers the table and the bounds.  A non-finite window sample, live or
+    # not, leaves its system's own block non-finite.
+    if not np.isfinite(blocks).all():
+        values = _pass_windows(f_system, h_system)[0]
+        finite = np.isfinite(values)
+        if finite.all():
+            _require_finite("fiber table", table.stack)
+            _require_finite("frame operator", blocks)
+        elif bounds and weights.any():
+            bad = np.argwhere(~finite & (weights != 0)[:, :, None, None])
+            if bad.size:
+                _, i, p, w, x = bad[0]
+                raise ValueError(f"layer {occupied[i]} generator {p} window {w} "
+                                 f"has a non-finite value at index {x}")
             alive = [SuperSystemDescriptor(group, n, [GtiLayer(layer.subgroup, [
                 gen for gen in layer.generators if gen.weight != 0.0]) for layer in s.layers])
-                for s in systems]
+                for s in (f_system, h_system)[:len(spectra)]]
             return table, _upper_bounds(alive[0], alive[-1])
-        _require_finite("frame operator", blocks)
+    if not bounds or not weights.any():
+        return table, (0.0, 0.0) if bounds else None
+    blocks = blocks[-len(spectra):]
     if blocks.shape[-1] == 1:
         # LAPACK returns a 1x1 eigenvalue as it stands but scales a larger problem
         # whose entries pass ~1e146 (or fall below ~1e-146), rounding on the way
@@ -307,20 +299,6 @@ def _summed_table(
     return FiberTable(group, channels, offsets, stack, member[:, offsets].T)
 
 
-def _finite_fibers(build: Callable[[], FiberTable], windows: Iterable[Signal]) -> FiberTable:
-    """The table `build` returns, formed with float64 overflow left as inf.
-
-    A non-finite fiber from finite windows is float64 overflow, refused with
-    a ValueError; non-finite windows leave their fibers to fail the verdict.
-    `windows` is read only when the table is not finite.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = build()
-    if not np.isfinite(table.stack).all() and all(np.isfinite(w.values).all() for w in windows):
-        _require_finite("fiber table", table.stack)
-    return table
-
-
 def fiber_table(
     f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
 ) -> FiberTable:
@@ -330,7 +308,7 @@ def fiber_table(
 
     Offset membership in each layer annihilator is decided by exact integer
     congruences, so the offset set is the exact union of the annihilators.
-    Overflow is refused as in `_finite_fibers`.
+    A non-finite table from finite windows is refused as float64 overflow.
     """
     return _block_pass(f_system, h_system, False)[0]
 
@@ -339,14 +317,14 @@ def _fibers_with_tolerance(
     f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor, tol: float | None
 ) -> tuple[FiberTable, float, float | None]:
     """The fiber table of a pair with the verdict's tolerance and Bessel bound: `tol`
-    (validated first) and no bound when given, else those of `default_tolerance`,
-    below the cap from the one coset-block pass that gives the table."""
+    (validated first) and no bound when given, else those of `default_tolerance`, from
+    the bounds of the one coset-block pass that gives the table where it returns any."""
     if tol is not None:
         _require_tolerance(tol)
         return fiber_table(f_system, h_system), tol, None
-    if _above_cap(f_system.channels, f_system.group, DEFAULT_CAP):
-        return fiber_table(f_system, h_system), *default_tolerance(f_system, h_system)
     table, upper = _block_pass(f_system, h_system, True)
+    if upper is None:
+        return table, *default_tolerance(f_system, h_system)
     return table, *_scaled_tolerance(*upper)
 
 
@@ -535,6 +513,7 @@ def quadratic_form_series(
     return QuadraticSeriesReport(values, dict(zip(fibers.offsets, w_hat.tolist())), residual)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below, not warned of
 def _structured_fibers(
     f_windows: Sequence[Sequence[Signal]],
     h_windows: Sequence[Sequence[Signal]],
@@ -550,7 +529,8 @@ def _structured_fibers(
     adjoint beta, then moves offset delta to beta(delta) and pulls the
     frequency back through beta^-1; no automorphisms is the Gabor case, one
     level with no relabelling.  Contributors are the dilation levels.
-    Overflow is refused as in `_finite_fibers`.
+    A non-finite table from finite windows is refused as float64 overflow,
+    as in `_block_pass`.
     """
     group = translation.parent
     if len(f_windows) != len(h_windows):
@@ -561,27 +541,27 @@ def _structured_fibers(
     if _validate_structure(h_windows, automorphisms, translation, modulation) != channels:
         raise ValueError("all window tuples must have the same channel count")
     tuples = [*f_windows, *h_windows]
-
-    def build() -> FiberTable:
-        spectra = np.stack([[dft(w).values for w in tup] for tup in tuples])
-        ann = translation.annihilator
-        p = len(f_windows)
-        base = _coset_gramians(spectra[:p], spectra[p:], np.ones(p), ann).take(
-            ann._block_take(channels))
-        if modulation is not None:
-            cosets = modulation.cosets
-            base[..., cosets] = base[..., cosets].sum(axis=-1, keepdims=True)
-        if automorphisms is None:
-            mask = np.ones((ann.order, 1), dtype=bool)
-            return FiberTable(group, channels, ann.indices, base, mask)
-        return _summed_table(
+    spectra = np.stack([[dft(w).values for w in tup] for tup in tuples])
+    ann = translation.annihilator
+    p = len(f_windows)
+    base = _coset_gramians(spectra[:p], spectra[p:], np.ones(p), ann).take(
+        ann._block_take(channels))
+    if modulation is not None:
+        cosets = modulation.cosets
+        base[..., cosets] = base[..., cosets].sum(axis=-1, keepdims=True)
+    if automorphisms is None:
+        table = FiberTable(group, channels, ann.indices, base, np.ones((ann.order, 1), dtype=bool))
+    else:
+        table = _summed_table(
             group,
             channels,
             [alpha.adjoint_perm[ann.indices] for alpha in automorphisms],
             (base[..., alpha.adjoint_inv_perm] for alpha in automorphisms),
         )
-
-    return _finite_fibers(build, (w for tup in tuples for w in tup))
+    if not np.isfinite(table.stack).all() and all(
+            np.isfinite(w.values).all() for tup in tuples for w in tup):
+        _require_finite("fiber table", table.stack)
+    return table
 
 
 def _structured_verdict(
@@ -642,7 +622,7 @@ def gabor_canonical_dual(window: Signal, translation: Subgroup, modulation: Subg
     window_hat = dft(window).values
     spectra = window_hat[_difference_table(group, modulation.indices)][:, None, :]
     ann = translation.annihilator
-    gramians = _frame_blocks(spectra[None], spectra[None], np.ones((1, len(spectra))), [ann], ann)
+    gramians = _coset_gramians(spectra, spectra, np.ones(len(spectra)), ann)
     _require_finite("gabor frame operator", gramians)
     eigs = np.linalg.eigvalsh(gramians)
     bounds = FrameBounds(max(0.0, float(eigs.min())), float(eigs.max()))

@@ -1033,6 +1033,61 @@ class TestBlockPass:
             _assert_definition_table(fiber_table(f_sys, h), f_sys, h)
 
 
+def _with_dead_generator(system, p):
+    """The system with generator p of its last layer at weight 0."""
+    *rest, last = system.layers
+    gens = list(last.generators)
+    gens[p] = WeightedGenerator(0.0, gens[p].windows)
+    return SuperSystemDescriptor(system.group, system.channels,
+                                 [*rest, GtiLayer(last.subgroup, gens)])
+
+
+class TestNonFiniteWindows:
+    """One rule for a NaN or inf window sample: below the cap a default tolerance names the
+    first live one, F before H, by the layer index of the descriptor; at a given tolerance,
+    and above the cap, the table is left non-finite and the verdict fails closed."""
+
+    def test_named_sample_keeps_the_layer_index(self):
+        g = make_group([8])
+        f_sys, h_sys = matched_random_pair(np.random.default_rng(11), g, 1, 1, 3)
+        f_sys, h_sys = (SuperSystemDescriptor(g, 1, [GtiLayer(full_subgroup(g), []), *s.layers])
+                        for s in (f_sys, h_sys))
+        f_sys.layers[1].generators[2].windows[0].values[5] = np.nan
+        message = "layer 1 generator 2 window 0 has a non-finite value at index 5"
+        for call in (check_super_duality, default_tolerance):
+            with pytest.raises(ValueError, match=message):
+                call(f_sys, h_sys)
+
+    def test_first_live_sample_named_f_before_h(self):
+        g = make_group([8])
+        f_sys, h_sys = matched_random_pair(np.random.default_rng(12), g, 2, 1, 3)
+        live_f, live_h = f_sys, h_sys
+        live_f.layers[0].generators[1].windows[1].values[6] = np.nan
+        live_h.layers[0].generators[0].windows[0].values[2] = np.inf
+        f_sys, h_sys = matched_random_pair(np.random.default_rng(13), g, 2, 1, 3)
+        dead_f, dead_h = _with_dead_generator(f_sys, 0), _with_dead_generator(h_sys, 0)
+        dead_f.layers[0].generators[0].windows[0].values[1] = np.nan
+        dead_h.layers[0].generators[2].windows[1].values[4] = np.nan
+        cases = [(live_f, live_h, "layer 0 generator 1 window 1 has a non-finite value at index 6"),
+                 (dead_f, dead_h, "layer 0 generator 2 window 1 has a non-finite value at index 4")]
+        for f_sys, h_sys, message in cases:
+            with pytest.raises(ValueError, match=message):
+                check_super_duality(f_sys, h_sys)
+            verdict = check_super_duality(f_sys, h_sys, tol=1e-9)
+            assert not verdict.passed and verdict.max_residual == np.inf
+
+    def test_above_the_cap_fails_closed(self):
+        g = make_group([512])
+        sub = subgroup_from_generators(g, [(4,)])
+        rng = np.random.default_rng(14)
+        f_sys, h_sys = (random_descriptor(rng, g, 1, 1, 2, subgroups=[sub]) for _ in range(2))
+        h_sys.layers[0].generators[1].windows[0].values[7] = np.nan
+        verdict = check_super_duality(f_sys, h_sys)
+        assert not verdict.passed and verdict.max_residual == np.inf
+        assert (verdict.tolerance, verdict.bessel_bound) == (1e-9, None)
+        assert not np.isfinite(fiber_table(f_sys, h_sys).stack).all()
+
+
 def _fresh(system):
     """The same system over newly built subgroups (no kept tables) and copied windows."""
     group = system.group
