@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CapExceededError, UncertifiedPairError
 from .fourier import Signal, _spectra, _transform
 from .groups import GroupSpec
-from .systems import SuperSystemDescriptor, require_matching_structure
+from .systems import SuperSystemDescriptor, _non_finite_sample, require_matching_structure
 
 DEFAULT_CAP = 256
 # The verdict tolerance before any scaling by frame bounds.
@@ -125,8 +125,7 @@ def analysis_coeffs(system: SuperSystemDescriptor, f: SuperSignal) -> Coefficien
             rows[:] = _transform(pairing, group, inverse=True)[:, layer.subgroup.indices]
         entries.append(rows)
     # Synthesis never reads the rows of zero-mass generators; the others must be finite.
-    _require_finite("analysis", *(rows[[gen.weight != 0.0 for gen in layer.generators]]
-                                  for rows, layer in zip(entries, system.layers)))
+    _require_finite("analysis", *(rows[layer.live] for rows, layer in zip(entries, system.layers)))
     return CoefficientMap(group, system.channels, entries)
 
 
@@ -154,10 +153,10 @@ def synthesis(system: SuperSystemDescriptor, coeffs: CoefficientMap) -> SuperSig
             raise ValueError(f"coefficient block {j} has shape {rows.shape}, expected "
                              f"({len(layer.generators)}, {layer.subgroup.order})")
         scales = np.array([layer.subgroup.covolume * gen.weight for gen in layer.generators])
-        live = np.flatnonzero(scales != 0.0)
-        if live.size == 0:
+        live = layer.live
+        if not live:
             continue
-        placed = np.zeros((live.size, group.size), dtype=np.complex128)
+        placed = np.zeros((len(live), group.size), dtype=np.complex128)
         placed[:, layer.subgroup.indices] = scales[live, None] * rows[live]
         g_hat = _spectra([layer.generators[p].windows for p in live], group)
         out_hat += np.einsum("pg,png->ng", _transform(placed, group), g_hat)
@@ -202,15 +201,15 @@ def mixed_dual_gramian(
     out = np.zeros((n * size, n * size), dtype=np.complex128)
     for lf, lh in zip(f_system.layers, h_system.layers):
         scales = lf.subgroup.covolume * np.array([gen.weight for gen in lf.generators])
-        live = np.flatnonzero(scales != 0.0)
-        if live.size == 0:
+        live = lf.live
+        if not live:
             continue
         table = lf.subgroup.translate_table
         # Generators go in groups of at most N|G| / |Gamma|, so that no
         # translate matrix holds more entries than `out` (all at once, a
         # full-lattice Gabor layer on Z256 would need 1 GB).
         step = max(1, n * size // table.shape[0])
-        for start in range(0, live.size, step):
+        for start in range(0, len(live), step):
             part = live[start:start + step]
             gens = [layer.generators[p] for layer in (lf, lh) for p in part]
             values = np.stack([[w.values for w in gen.windows] for gen in gens])
@@ -218,14 +217,10 @@ def mixed_dual_gramian(
             tg, th = values[:, :, table].transpose(0, 2, 1, 3).reshape(2, -1, n * size)
             out += (tg * np.repeat(scales[part], table.shape[0])[:, None]).T @ th.conj()
     if not np.isfinite(out).all():
-        # A NaN or inf sample of a live generator is named (windows of F before H);
-        # from finite windows the operator overflowed.
-        for j, (lf, lh) in enumerate(zip(f_system.layers, h_system.layers)):
-            for p, (gf, gh) in enumerate(zip(lf.generators, lh.generators)):
-                bad = np.argwhere(~np.isfinite([w.values for w in gf.windows + gh.windows]))
-                if gf.weight != 0.0 and bad.size:
-                    raise ValueError(f"layer {j} generator {p} window {bad[0, 0] % n} "
-                                     f"has a non-finite value at index {bad[0, 1]}")
+        # A NaN or inf sample of a live generator is named, else the operator overflowed.
+        sample = _non_finite_sample(f_system, h_system)
+        if sample is not None:
+            raise ValueError(sample)
         _require_finite("dense operator", out)
     return out
 
@@ -247,10 +242,10 @@ def default_tolerance(
     joint annihilator of its layers, not from the dense oracle `frame_bounds`."""
     if _above_cap(f_system.channels, f_system.group, DEFAULT_CAP):
         return RAW_TOLERANCE, None
-    # characterization imports this module, so the block bounds are imported here.
-    from .characterization import _upper_bounds
+    # characterization imports this module, so the coset-block pass is imported here.
+    from .characterization import _block_pass
 
-    return _scaled_tolerance(*_upper_bounds(f_system, h_system))
+    return _scaled_tolerance(*_block_pass(f_system, h_system, True)[1])
 
 
 def _scaled_tolerance(b_f: float, b_h: float) -> tuple[float, float]:

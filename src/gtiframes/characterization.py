@@ -55,10 +55,10 @@ from .groups import (
     _flat_index,
 )
 from .systems import (
-    GtiLayer,
     SuperSystemDescriptor,
     Verdict,
     Witness,
+    _non_finite_sample,
     _require_tolerance,
     _residual,
     _structured_system,
@@ -139,22 +139,21 @@ def _frame_blocks(f_spectra: np.ndarray, h_spectra: np.ndarray, weights: np.ndar
     return blocks
 
 
-def _pass_windows(f_system: SuperSystemDescriptor,
-                  h_system: SuperSystemDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """The (S, L, P, N, |G|) windows of the generators of the L layers that have any, in F
-    and then in H, or in F alone (S = 1) when `h_system` is `f_system`, zero-padded to the
+def _pass_windows(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor,
+                  live: dict[int, list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, L, P, N, |G|) windows of the live generators `live[j]` of the L layers j, in
+    F and then in H (F alone, S = 1, when `h_system` is `f_system`), zero-padded to the
     largest count P, and their (L, P) weights, 0 at the padding: one window array."""
     systems = (f_system,) if h_system is f_system else (f_system, h_system)
-    layers = [layer for layer in f_system.layers if layer.generators]
     group, n = f_system.group, f_system.channels
-    width = max(len(layer.generators) for layer in layers)
+    width = max(map(len, live.values()))
     blank = [np.zeros(group.size, dtype=np.complex128)] * n
-    values = np.array([row for system in systems for layer in system.layers if layer.generators
-                       for row in [[w.values for w in gen.windows] for gen in layer.generators]
-                       + [blank] * (width - len(layer.generators))])
-    weights = np.array([[gen.weight for gen in layer.generators]
-                        + [0.0] * (width - len(layer.generators)) for layer in layers])
-    return values.reshape(len(systems), len(layers), width, n, group.size), weights
+    values = np.array([row for system in systems for j, gens in live.items()
+                       for row in [[w.values for w in system.layers[j].generators[p].windows]
+                                   for p in gens] + [blank] * (width - len(gens))])
+    weights = np.array([[f_system.layers[j].generators[p].weight for p in gens]
+                        + [0.0] * (width - len(gens)) for j, gens in live.items()])
+    return values.reshape(len(systems), len(live), width, n, group.size), weights
 
 
 def _union_tables(joint: Subgroup, anns: Sequence[Subgroup],
@@ -188,28 +187,27 @@ def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
     The (F, F) and (H, H) sums are the frame operators' blocks; each bound is their largest
     eigenvalue.  Above the cap, where A can be the whole group, each layer's product runs
     over its own annihilator on views of its own generators' spectra, and `_summed_table`
-    adds the parts.  Weight-0 generators fail the table with a NaN window, as in the
-    oracle, but leave the bounds to the live ones; the first NaN or inf sample of a live
-    generator, in F and then in H, is named in the oracle's words.  From finite windows a
-    non-finite table or block is overflow.
+    adds the parts.  Only live generators (`GtiLayer.live`) enter; a layer with none joins
+    A and adds nothing.  A non-finite product from finite windows is overflow; otherwise
+    `bounds` names the first NaN or inf sample, and a table alone is left to fail closed.
     """
     require_matching_structure(f_system, h_system)
     group, n, layers = f_system.group, f_system.channels, f_system.layers
     above = _above_cap(n, group, DEFAULT_CAP)
     bounds = bounds and not above  # above the cap `default_tolerance` takes the raw tolerance
     anns = [layer.subgroup.annihilator for layer in layers]
-    occupied = [j for j, layer in enumerate(layers) if layer.generators]
-    if not occupied:
+    live = {j: gens for j, layer in enumerate(layers) if (gens := layer.live)}
+    if not live:
         table = _summed_table(group, n, [ann.indices for ann in anns], [None] * len(layers))
         return table, (0.0, 0.0) if bounds else None
-    values, weights = _pass_windows(f_system, h_system)
+    values, weights = _pass_windows(f_system, h_system, live)
     spectra = _transform(values, group)
-    del values  # rebuilt below only when a product is not finite
+    del values
     if above:
         def layer_fibers(j: int) -> np.ndarray | None:
-            if j not in occupied:
+            if j not in live:
                 return None
-            i, count, ann = occupied.index(j), len(layers[j].generators), anns[j]
+            i, count, ann = list(live).index(j), len(live[j]), anns[j]
             gram = _coset_gramians(spectra[0, i, :count], spectra[-1, i, :count],
                                    weights[i, :count], ann)
             return gram.take(ann._block_take(n))
@@ -228,29 +226,19 @@ def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
             pair = spectra[[0, 0, 1]], spectra[[1, 0, 1]]
         else:
             pair = spectra[:1], spectra[1:]
-        blocks = _frame_blocks(*pair, weights, [anns[j] for j in occupied], joint)
+        blocks = _frame_blocks(*pair, weights, [anns[j] for j in live], joint)
         table = FiberTable(group, n, offsets, blocks[0].take(take), layer_mask)
     # Every entry of the (F, H) sum is masked to 0 or read into the table, so one test of
-    # the product covers the table and the bounds.  A non-finite window sample, live or
-    # not, leaves its system's own block non-finite.
+    # the product covers the table and the bounds.
     if not np.isfinite(blocks).all():
-        values = _pass_windows(f_system, h_system)[0]
-        finite = np.isfinite(values)
-        if finite.all():
+        sample = _non_finite_sample(f_system, h_system)
+        if sample is None:
             _require_finite("fiber table", table.stack)
             _require_finite("frame operator", blocks)
-        elif bounds and weights.any():
-            bad = np.argwhere(~finite & (weights != 0)[:, :, None, None])
-            if bad.size:
-                _, i, p, w, x = bad[0]
-                raise ValueError(f"layer {occupied[i]} generator {p} window {w} "
-                                 f"has a non-finite value at index {x}")
-            alive = [SuperSystemDescriptor(group, n, [GtiLayer(layer.subgroup, [
-                gen for gen in layer.generators if gen.weight != 0.0]) for layer in s.layers])
-                for s in (f_system, h_system)[:len(spectra)]]
-            return table, _upper_bounds(alive[0], alive[-1])
-    if not bounds or not weights.any():
-        return table, (0.0, 0.0) if bounds else None
+        elif bounds:
+            raise ValueError(sample)
+    if not bounds:
+        return table, None
     blocks = blocks[-len(spectra):]
     if blocks.shape[-1] == 1:
         # LAPACK returns a 1x1 eigenvalue as it stands but scales a larger problem
@@ -262,13 +250,6 @@ def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
         blocks = padded
     tops = np.linalg.eigvalsh(blocks)[..., -1].max(axis=-1)
     return table, (float(tops[0]), float(tops[-1]))
-
-
-def _upper_bounds(f_system: SuperSystemDescriptor,
-                  h_system: SuperSystemDescriptor) -> tuple[float, float]:
-    """Upper frame bounds B_F and B_H of a pair below the cap from the pass of its default
-    verdict, so that verdict's tolerance equals `default_tolerance` bit for bit."""
-    return _block_pass(f_system, h_system, True)[1]
 
 
 def _summed_table(
@@ -435,15 +416,17 @@ def commutation_defect(
     matrix: np.ndarray | None = None,
 ) -> float:
     """max over group points x of the Frobenius norm of Theta T_x - T_x Theta,
-    computed on the dense mixed dual Gramian matrix; inf when it is not finite.
-    The translates of Theta are formed at most 2^16 entries (1 MiB) at a time."""
+    computed on the dense mixed dual Gramian matrix, or on `matrix` read as complex
+    values; inf when it is not finite.  The translates of Theta are formed at most
+    2^16 entries (1 MiB) at a time."""
     group = f_system.group
     n = f_system.channels
     size = group.size
     if matrix is None:
         matrix = mixed_dual_gramian(f_system, h_system)
-    elif np.shape(matrix) != (n * size, n * size):
-        raise ValueError(f"matrix has shape {np.shape(matrix)}, expected {(n * size, n * size)}")
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    if matrix.shape != (n * size, n * size):
+        raise ValueError(f"matrix has shape {matrix.shape}, expected {(n * size, n * size)}")
     # Row x is the channel-major permutation p of T_x, (T_x f)[i] = f[p[i]].  T_x is
     # unitary, so ||Theta T_x - T_x Theta|| = ||T_x Theta T_x^-1 - Theta||, and the
     # conjugate T_x Theta T_x^-1 is Theta[p[:, None], p].  T_-x = T_x^-1 gives -x the

@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import (
     DEFAULT_CAP,
+    SuperSignal,
     frame_bounds,
     gramian_identity_residual,
     mixed_dual_gramian,
@@ -217,7 +218,7 @@ def cmd_multiplex(args: argparse.Namespace) -> tuple[dict, int]:
             "rerun with --force to report anyway"
         )
 
-    def read_signals() -> "SuperSignal":
+    def read_signals() -> SuperSignal:
         if not args.signals:
             raise ConfigError(f"mode {args.mode} needs --signals")
         return super_signal_from_json(json.loads(Path(args.signals).read_text()))

@@ -86,6 +86,11 @@ class GtiLayer:
                 if w.group.orders != group.orders:
                     raise ValueError("window group does not match layer subgroup parent")
 
+    @property
+    def live(self) -> list[int]:
+        """Indices of the generators of nonzero mass: one of mass 0 is not in the system."""
+        return [p for p, gen in enumerate(self.generators) if gen.weight != 0.0]
+
 
 @dataclass(eq=False)
 class SuperSystemDescriptor:
@@ -165,6 +170,21 @@ class Verdict:
             tolerance=tolerance,
             bessel_bound=bessel_bound,
         )
+
+
+def _non_finite_sample(f_system: SuperSystemDescriptor,
+                       h_system: SuperSystemDescriptor) -> str | None:
+    """The first NaN or inf sample of a live generator, in F and then in H (F alone when
+    `h_system` is `f_system`), in words that name its system; None when there is none."""
+    for name, system in zip("FH", (f_system,) if h_system is f_system else (f_system, h_system)):
+        for j, layer in enumerate(system.layers):
+            for p in layer.live:
+                for w, window in enumerate(layer.generators[p].windows):
+                    bad = np.flatnonzero(~np.isfinite(window.values))
+                    if bad.size:
+                        return (f"{name}: layer {j} generator {p} window {w} "
+                                f"has a non-finite value at index {bad[0]}")
+    return None
 
 
 def _validate_structure(

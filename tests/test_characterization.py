@@ -43,7 +43,7 @@ from gtiframes import (
     identity_automorphism,
     subgroup_from_indices,
 )
-from gtiframes.characterization import _structured_fibers, _upper_bounds
+from gtiframes.characterization import _block_pass, _structured_fibers
 from gtiframes.sweeps import (
     all_small_subgroups,
     dual_pair,
@@ -494,6 +494,21 @@ class TestCommutation:
         with pytest.raises(ValueError, match=r"shape \(8, 8\), expected \(16, 16\)"):
             commutation_defect(f_sys, h_sys, matrix=matrix[:8, :8])
 
+    @pytest.mark.parametrize("convert", [
+        lambda m: m.astype(np.int64), lambda m: m.astype(np.float32),
+        lambda m: m.astype(np.float64), lambda m: m.tolist()],
+        ids=["int64", "float32", "float64", "list"])
+    def test_matrix_read_as_complex_values(self, convert):
+        # Z8: conjugating by T_x, x != 0, moves the one off-diagonal 1, so the defect is
+        # sqrt(2) whatever the dtype the matrix is given in.
+        g = make_group([8])
+        sys = delta_system(g)
+        matrix = np.zeros((8, 8))
+        matrix[0, 1] = 1.0
+        expected = commutation_defect(sys, sys, matrix=matrix.astype(np.complex128))
+        assert expected == pytest.approx(2 ** 0.5)
+        assert commutation_defect(sys, sys, matrix=convert(matrix)) == expected
+
     def test_matches_permutation_matrices_on_acceptance_corpus(self):
         cases = sweep_cases(seed=20240801)
         assert any(case.f_system.channels > 1 for case in cases)
@@ -939,7 +954,7 @@ class TestBlockBounds:
             for f_sys, h_sys in _variants(case.f_system, case.h_system):
                 dense_f = frame_bounds(f_sys).upper
                 dense_h = dense_f if h_sys is f_sys else frame_bounds(h_sys).upper
-                b_f, b_h = _upper_bounds(f_sys, h_sys)
+                b_f, b_h = _block_pass(f_sys, h_sys, True)[1]
                 np.testing.assert_allclose([b_f, b_h], [dense_f, dense_h], rtol=1e-13, atol=0)
                 tol, bessel = default_tolerance(f_sys, h_sys)
                 scale = max(1.0, (dense_f * dense_h) ** 0.5)
@@ -953,7 +968,7 @@ class TestBlockBounds:
     def test_no_live_generator_has_zero_bounds(self):
         case = sweep_cases(seed=5)[0]
         *_, (f_sys, h_sys) = _variants(case.f_system, case.h_system)
-        assert _upper_bounds(f_sys, h_sys) == (0.0, 0.0)
+        assert _block_pass(f_sys, h_sys, True)[1] == (0.0, 0.0)
         assert default_tolerance(f_sys, h_sys) == (1e-9, 0.0)
         assert (frame_bounds(f_sys).lower, frame_bounds(f_sys).upper) == (0.0, 0.0)
 
@@ -994,7 +1009,7 @@ class TestBlockPass:
             multi += len(f_sys.layers) > 1
             _assert_definition_table(fiber_table(f_sys, h_sys), f_sys, h_sys, case.name)
             tol, bessel = default_tolerance(f_sys, h_sys)
-            assert bessel == max(_upper_bounds(f_sys, h_sys))
+            assert bessel == max(_block_pass(f_sys, h_sys, True)[1])
             for check in (check_super_duality, check_orthogonality):
                 verdict = check(f_sys, h_sys)
                 assert (verdict.tolerance, verdict.bessel_bound) == (tol, bessel), case.name
@@ -1015,7 +1030,8 @@ class TestBlockPass:
         assert np.abs(table.stack[[1, 3]]).max() == 0.0
         _assert_definition_table(table, f_sys, h_sys)
         dense_f, dense_h = frame_bounds(f_sys).upper, frame_bounds(h_sys).upper
-        np.testing.assert_allclose(_upper_bounds(f_sys, h_sys), [dense_f, dense_h], rtol=1e-13)
+        np.testing.assert_allclose(_block_pass(f_sys, h_sys, True)[1], [dense_f, dense_h],
+                                   rtol=1e-13)
 
     @pytest.mark.parametrize("orders, channels", [((16, 32), 1), ((144,), 2), ((8, 8, 8), 1)],
                              ids=["Z16xZ32", "Z144-N2", "Z8xZ8xZ8"])
@@ -1042,10 +1058,48 @@ def _with_dead_generator(system, p):
                                  [*rest, GtiLayer(last.subgroup, gens)])
 
 
+def _with_nan_dead_generator(system):
+    """The system with one more generator in its first layer, of weight 0, whose windows
+    hold a NaN sample."""
+    group = system.group
+    first, *rest = system.layers
+    windows = []
+    for _ in range(system.channels):
+        values = np.ones(group.size, dtype=np.complex128)
+        values[1] = np.nan
+        windows.append(Signal(group, values))
+    dead = WeightedGenerator(0.0, tuple(windows))
+    return SuperSystemDescriptor(group, system.channels,
+                                 [GtiLayer(first.subgroup, [*first.generators, dead]), *rest])
+
+
 class TestNonFiniteWindows:
-    """One rule for a NaN or inf window sample: below the cap a default tolerance names the
-    first live one, F before H, by the layer index of the descriptor; at a given tolerance,
-    and above the cap, the table is left non-finite and the verdict fails closed."""
+    """One rule for a NaN or inf window sample of a live generator: below the cap a default
+    tolerance and the dense oracle name the first one, F before H, by the layer index of the
+    descriptor; at a given tolerance, and above the cap, the table is left non-finite and the
+    verdict fails closed.  A weight-0 generator is not part of its system: no route reads it."""
+
+    @pytest.mark.parametrize("orders, channels, layers", [((8,), 1, 1), ((2, 4), 2, 2),
+                                                          ((3, 3), 1, 3)])
+    def test_dead_generator_is_not_read(self, orders, channels, layers):
+        g = make_group(list(orders))
+        f_sys, h_sys = dual_pair(np.random.default_rng(3), g, channels, layers)
+        f_dead, h_dead = _with_nan_dead_generator(f_sys), _with_nan_dead_generator(h_sys)
+        clean, dead = fiber_table(f_sys, h_sys), fiber_table(f_dead, h_dead)
+        assert np.array_equal(dead.offset_indices, clean.offset_indices)
+        assert np.array_equal(dead.layer_mask, clean.layer_mask)
+        assert dead.stack.tobytes() == clean.stack.tobytes()
+        assert _block_pass(f_dead, h_dead, True)[1] == _block_pass(f_sys, h_sys, True)[1]
+        dense = mixed_dual_gramian(f_dead, h_dead)
+        frame = mixed_dual_gramian(f_dead, f_dead)
+        for tol in (None, 1e-9):
+            verdict = check_super_duality(f_dead, h_dead, tol=tol)
+            assert verdict == check_super_duality(f_sys, h_sys, tol=tol)
+            assert verdict.passed == (gramian_identity_residual(dense) <= verdict.tolerance)
+            assert verdict.passed
+            parseval = check_parseval_super(f_dead, tol=tol)
+            assert parseval == check_parseval_super(f_sys, tol=tol)
+            assert parseval.passed == (gramian_identity_residual(frame) <= parseval.tolerance)
 
     def test_named_sample_keeps_the_layer_index(self):
         g = make_group([8])
@@ -1068,11 +1122,14 @@ class TestNonFiniteWindows:
         dead_f, dead_h = _with_dead_generator(f_sys, 0), _with_dead_generator(h_sys, 0)
         dead_f.layers[0].generators[0].windows[0].values[1] = np.nan
         dead_h.layers[0].generators[2].windows[1].values[4] = np.nan
-        cases = [(live_f, live_h, "layer 0 generator 1 window 1 has a non-finite value at index 6"),
-                 (dead_f, dead_h, "layer 0 generator 2 window 1 has a non-finite value at index 4")]
+        cases = [(live_f, live_h, "F: layer 0 generator 1 window 1 has a non-finite value at "
+                                  "index 6"),
+                 (dead_f, dead_h, "H: layer 0 generator 2 window 1 has a non-finite value at "
+                                  "index 4")]
         for f_sys, h_sys, message in cases:
-            with pytest.raises(ValueError, match=message):
-                check_super_duality(f_sys, h_sys)
+            for call in (check_super_duality, default_tolerance, mixed_dual_gramian):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    call(f_sys, h_sys)
             verdict = check_super_duality(f_sys, h_sys, tol=1e-9)
             assert not verdict.passed and verdict.max_residual == np.inf
 

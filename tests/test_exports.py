@@ -102,3 +102,36 @@ def test_removed_parameters_stay_removed():
         signature = inspect.signature(fn).parameters
         for param in params:
             assert param not in signature, (fn.__name__, param)
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name a module reads: plain names, names inside string annotations, and the
+    names its `__all__` exports."""
+    nodes = list(ast.walk(tree))
+    annotations = [node.annotation for node in nodes if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in nodes
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    texts = [node.value for annotation in annotations if annotation
+             for node in ast.walk(annotation)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    parsed = [ast.parse(text, mode="eval") for text in texts]
+    read = {node.id for root in [tree, *parsed] for node in ast.walk(root)
+            if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return read
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    for path in sorted(Path(gtiframes.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        unused = imported - _names_read(tree)
+        assert not unused, (path.name, sorted(unused))
