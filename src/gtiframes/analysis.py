@@ -2,11 +2,13 @@
 
 The oracle works in the time domain from translate tables: the mixed dual
 Gramian, which for equal systems is the frame operator, and the frame
-bounds.  Translate tables are read nowhere else.  The verdict tolerance is
-scaled by upper frame bounds taken from coset blocks (`characterization`),
-not from the oracle, so the two stay independent.  Analysis and synthesis,
-and the multiplexing codec built on them for a certified dual pair, work by
-transforms over the group grid (correlation and convolution theorems).
+bounds.  No verdict translates; two dense diagnostics of `characterization`
+do (`commutation_defect` permutes Theta, `quadratic_form_series` gathers
+T_x f).  The verdict tolerance is scaled by upper frame bounds taken from
+coset blocks (`characterization`), not from the oracle, so the two stay
+independent.  Analysis and synthesis, and the multiplexing codec built on
+them for a certified dual pair, work by transforms over the group grid
+(correlation and convolution theorems).
 Synthesis carries the full measure weighting (covolume per layer, user mass
 per generator); analysis is the plain unweighted pairing, so the two compose
 to the weighted reproduction sum.
@@ -16,12 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 import numpy as np
 
 from .errors import CapExceededError, UncertifiedPairError
 from .fourier import Signal, _spectra, _transform
 from .groups import GroupSpec
-from .systems import SuperSystemDescriptor, _non_finite_sample, require_matching_structure
+from .systems import (SuperSystemDescriptor, _live_windows, _non_finite_cause,
+                      require_matching_structure)
 
 DEFAULT_CAP = 256
 # The verdict tolerance before any scaling by frame bounds.
@@ -125,7 +129,10 @@ def analysis_coeffs(system: SuperSystemDescriptor, f: SuperSignal) -> Coefficien
             rows[:] = _transform(pairing, group, inverse=True)[:, layer.subgroup.indices]
         entries.append(rows)
     # Synthesis never reads the rows of zero-mass generators; the others must be finite.
-    _require_finite("analysis", *(rows[layer.live] for rows, layer in zip(entries, system.layers)))
+    signal = ((f"signal channel {c}", s.values) for c, s in enumerate(f.channels))
+    if cause := _non_finite_cause(chain(signal, _live_windows(("system", system))), *(
+            ("analysis", rows[layer.live]) for rows, layer in zip(entries, system.layers))):
+        raise ValueError(cause)
     return CoefficientMap(group, system.channels, entries)
 
 
@@ -161,14 +168,12 @@ def synthesis(system: SuperSystemDescriptor, coeffs: CoefficientMap) -> SuperSig
         g_hat = _spectra([layer.generators[p].windows for p in live], group)
         out_hat += np.einsum("pg,png->ng", _transform(placed, group), g_hat)
     out = _transform(out_hat, group, inverse=True)
-    _require_finite("synthesis", out)
+    read = ((f"coefficients layer {j} row {p}", coeffs.entries[j][p])
+            for j, layer in enumerate(system.layers) for p in layer.live)
+    if cause := _non_finite_cause(chain(read, _live_windows(("system", system))),
+                                  ("synthesis", out)):
+        raise ValueError(cause)
     return SuperSignal.from_stacked(group, out)
-
-
-def _require_finite(what: str, *arrays: np.ndarray) -> None:
-    """Refuse a result that overflowed float64; numpy's warnings are off where it is computed."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError(f"{what} overflows float64: weights, windows or input values too large")
 
 
 def _above_cap(channels: int, group: GroupSpec, cap: int) -> bool:
@@ -202,8 +207,6 @@ def mixed_dual_gramian(
     for lf, lh in zip(f_system.layers, h_system.layers):
         scales = lf.subgroup.covolume * np.array([gen.weight for gen in lf.generators])
         live = lf.live
-        if not live:
-            continue
         table = lf.subgroup.translate_table
         # Generators go in groups of at most N|G| / |Gamma|, so that no
         # translate matrix holds more entries than `out` (all at once, a
@@ -216,12 +219,10 @@ def mixed_dual_gramian(
             # Row (p, i) of each half is the channel-major T_{gamma_i} of generator p.
             tg, th = values[:, :, table].transpose(0, 2, 1, 3).reshape(2, -1, n * size)
             out += (tg * np.repeat(scales[part], table.shape[0])[:, None]).T @ th.conj()
-    if not np.isfinite(out).all():
-        # A NaN or inf sample of a live generator is named, else the operator overflowed.
-        sample = _non_finite_sample(f_system, h_system)
-        if sample is not None:
-            raise ValueError(sample)
-        _require_finite("dense operator", out)
+    # A NaN or inf sample of a live generator is named, else the operator overflowed.
+    if cause := _non_finite_cause(_live_windows(("F:", f_system), ("H:", h_system)),
+                                  ("dense operator", out)):
+        raise ValueError(cause)
     return out
 
 

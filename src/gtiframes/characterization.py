@@ -28,7 +28,7 @@ pullbacks) without expanding the system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -39,7 +39,6 @@ from .analysis import (
     RAW_TOLERANCE,
     FrameBounds,
     _above_cap,
-    _require_finite,
     _scaled_tolerance,
     default_tolerance,
     mixed_dual_gramian,
@@ -58,7 +57,8 @@ from .systems import (
     SuperSystemDescriptor,
     Verdict,
     Witness,
-    _non_finite_sample,
+    _live_windows,
+    _non_finite_cause,
     _require_tolerance,
     _residual,
     _structured_system,
@@ -139,40 +139,37 @@ def _frame_blocks(f_spectra: np.ndarray, h_spectra: np.ndarray, weights: np.ndar
     return blocks
 
 
-def _pass_windows(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor,
-                  live: dict[int, list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The (S, L, P, N, |G|) windows of the live generators `live[j]` of the L layers j, in
-    F and then in H (F alone, S = 1, when `h_system` is `f_system`), zero-padded to the
-    largest count P, and their (L, P) weights, 0 at the padding: one window array."""
+def _pass_windows(f_system: SuperSystemDescriptor,
+                  h_system: SuperSystemDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, L, P, N, |G|) windows of the live generators of the L layers, in F and then
+    in H (F alone, S = 1, when `h_system` is `f_system`), zero-padded to the largest count
+    P >= 1, and their (L, P) weights, 0 at the padding: one window array, one row per layer."""
     systems = (f_system,) if h_system is f_system else (f_system, h_system)
     group, n = f_system.group, f_system.channels
-    width = max(map(len, live.values()))
+    live = [layer.live for layer in f_system.layers]
+    width = max(1, *map(len, live))
     blank = [np.zeros(group.size, dtype=np.complex128)] * n
-    values = np.array([row for system in systems for j, gens in live.items()
-                       for row in [[w.values for w in system.layers[j].generators[p].windows]
+    values = np.array([row for system in systems for layer, gens in zip(system.layers, live)
+                       for row in [[w.values for w in layer.generators[p].windows]
                                    for p in gens] + [blank] * (width - len(gens))])
-    weights = np.array([[f_system.layers[j].generators[p].weight for p in gens]
-                        + [0.0] * (width - len(gens)) for j, gens in live.items()])
+    weights = np.array([[layer.generators[p].weight for p in gens] + [0.0] * (width - len(gens))
+                        for layer, gens in zip(f_system.layers, live)])
     return values.reshape(len(systems), len(live), width, n, group.size), weights
 
 
 def _union_tables(joint: Subgroup, anns: Sequence[Subgroup],
                   channels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sorted union U of the annihilators `anns`, subgroups of `joint`, its (|U|, L)
-    layer mask and the rows of `joint._block_take(channels)` at U, kept on `joint`; a
-    single annihilator is `joint` itself and keeps nothing new."""
-    if len(anns) == 1:
-        return joint.indices, np.ones((joint.order, 1), dtype=bool), joint._block_take(channels)
-    key = tuple(ann.indices.tobytes() for ann in anns)
+    layer mask and the rows of `joint._block_take(channels)` at U, kept on `joint` as one
+    entry."""
+    def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        member = np.stack([ann._membership()[joint.indices] for ann in anns], axis=1)
+        rows = np.flatnonzero(member.any(axis=1))
+        take = joint._block_take(channels)
+        return (joint.indices[rows], member[rows],
+                take if rows.size == joint.order else take[rows])
 
-    def member() -> np.ndarray:
-        return np.stack([ann._membership()[joint.indices] for ann in anns], axis=1)
-
-    rows = joint._table(("union rows", *key), lambda: np.flatnonzero(member().any(axis=1)))
-    take = (joint._block_take(channels) if rows.size == joint.order else joint._table(
-        ("union take", channels, *key), lambda: joint._block_take(channels)[rows]))
-    return (joint._table(("union", *key), lambda: joint.indices[rows]),
-            joint._table(("union mask", *key), lambda: member()[rows]), take)
+    return joint._table(("union", channels, *(ann.indices.tobytes() for ann in anns)), build)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below, not warned of
@@ -187,38 +184,33 @@ def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
     The (F, F) and (H, H) sums are the frame operators' blocks; each bound is their largest
     eigenvalue.  Above the cap, where A can be the whole group, each layer's product runs
     over its own annihilator on views of its own generators' spectra, and `_summed_table`
-    adds the parts.  Only live generators (`GtiLayer.live`) enter; a layer with none joins
-    A and adds nothing.  A non-finite product from finite windows is overflow; otherwise
-    `bounds` names the first NaN or inf sample, and a table alone is left to fail closed.
+    adds the parts.  Only live generators (`GtiLayer.live`) enter; a layer with none is a
+    zero row of weight 0 that joins A.  A non-finite product from finite windows is
+    overflow; otherwise `bounds` names the first NaN or inf sample, and a table alone is
+    left to fail closed.
     """
     require_matching_structure(f_system, h_system)
     group, n, layers = f_system.group, f_system.channels, f_system.layers
     above = _above_cap(n, group, DEFAULT_CAP)
     bounds = bounds and not above  # above the cap `default_tolerance` takes the raw tolerance
     anns = [layer.subgroup.annihilator for layer in layers]
-    live = {j: gens for j, layer in enumerate(layers) if (gens := layer.live)}
-    if not live:
-        table = _summed_table(group, n, [ann.indices for ann in anns], [None] * len(layers))
-        return table, (0.0, 0.0) if bounds else None
-    values, weights = _pass_windows(f_system, h_system, live)
+    values, weights = _pass_windows(f_system, h_system)
     spectra = _transform(values, group)
     del values
     if above:
         def layer_fibers(j: int) -> np.ndarray | None:
-            if j not in live:
+            count, ann = len(layers[j].live), anns[j]
+            if not count:  # its zero product would be as large as a live layer's
                 return None
-            i, count, ann = list(live).index(j), len(live[j]), anns[j]
-            gram = _coset_gramians(spectra[0, i, :count], spectra[-1, i, :count],
-                                   weights[i, :count], ann)
+            gram = _coset_gramians(spectra[0, j, :count], spectra[-1, j, :count],
+                                   weights[j, :count], ann)
             return gram.take(ann._block_take(n))
 
         table = _summed_table(group, n, [ann.indices for ann in anns],
                               map(layer_fibers, range(len(layers))))
         blocks = table.stack
     else:
-        joint = anns[0]
-        for ann in anns[1:]:
-            joint = joint._join(ann)
+        joint = reduce(Subgroup._join, anns)
         offsets, layer_mask, take = _union_tables(joint, anns, n)
         if len(spectra) == 1:
             pair = spectra, spectra
@@ -226,17 +218,15 @@ def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
             pair = spectra[[0, 0, 1]], spectra[[1, 0, 1]]
         else:
             pair = spectra[:1], spectra[1:]
-        blocks = _frame_blocks(*pair, weights, [anns[j] for j in live], joint)
+        blocks = _frame_blocks(*pair, weights, anns, joint)
         table = FiberTable(group, n, offsets, blocks[0].take(take), layer_mask)
     # Every entry of the (F, H) sum is masked to 0 or read into the table, so one test of
     # the product covers the table and the bounds.
     if not np.isfinite(blocks).all():
-        sample = _non_finite_sample(f_system, h_system)
-        if sample is None:
-            _require_finite("fiber table", table.stack)
-            _require_finite("frame operator", blocks)
-        elif bounds:
-            raise ValueError(sample)
+        cause = _non_finite_cause(_live_windows(("F:", f_system), ("H:", h_system)),
+                                  ("fiber table", table.stack), ("frame operator", blocks))
+        if bounds:
+            raise ValueError(cause)
     if not bounds:
         return table, None
     blocks = blocks[-len(spectra):]
@@ -503,8 +493,9 @@ def _structured_fibers(
     automorphisms: Sequence[Automorphism] | None,
     translation: Subgroup,
     modulation: Subgroup | None,
-) -> FiberTable:
-    """Fibers of a structured system pair from base-window spectra only.
+) -> tuple[FiberTable, str | None]:
+    """Fibers of a structured system pair from base-window spectra only, and the first
+    NaN or inf window sample ("F: windows entry j window n ...") when they are not finite.
 
     The correlation of the base windows at the offsets delta of ann(Gamma)
     does not depend on the dilation: it is computed once and periodized over
@@ -523,8 +514,7 @@ def _structured_fibers(
     channels = _validate_structure(f_windows, automorphisms, translation, modulation)
     if _validate_structure(h_windows, automorphisms, translation, modulation) != channels:
         raise ValueError("all window tuples must have the same channel count")
-    tuples = [*f_windows, *h_windows]
-    spectra = np.stack([[dft(w).values for w in tup] for tup in tuples])
+    spectra = np.stack([[dft(w).values for w in tup] for tup in [*f_windows, *h_windows]])
     ann = translation.annihilator
     p = len(f_windows)
     base = _coset_gramians(spectra[:p], spectra[p:], np.ones(p), ann).take(
@@ -535,16 +525,13 @@ def _structured_fibers(
     if automorphisms is None:
         table = FiberTable(group, channels, ann.indices, base, np.ones((ann.order, 1), dtype=bool))
     else:
-        table = _summed_table(
-            group,
-            channels,
-            [alpha.adjoint_perm[ann.indices] for alpha in automorphisms],
-            (base[..., alpha.adjoint_inv_perm] for alpha in automorphisms),
-        )
-    if not np.isfinite(table.stack).all() and all(
-            np.isfinite(w.values).all() for tup in tuples for w in tup):
-        _require_finite("fiber table", table.stack)
-    return table
+        table = _summed_table(group, channels,
+                              [alpha.adjoint_perm[ann.indices] for alpha in automorphisms],
+                              (base[..., alpha.adjoint_inv_perm] for alpha in automorphisms))
+    samples = ((f"{name} windows entry {j} window {c}", w.values)
+               for name, windows in (("F:", f_windows), ("H:", h_windows))
+               for j, tup in enumerate(windows) for c, w in enumerate(tup))
+    return table, _non_finite_cause(samples, ("fiber table", table.stack))
 
 
 def _structured_verdict(
@@ -560,13 +547,16 @@ def _structured_verdict(
 
     The default tolerance needs frame bounds, so it expands both systems
     through `_structured_system` unless they are above `DEFAULT_CAP`, where
-    `default_tolerance` would take the raw tolerance anyway.
+    `default_tolerance` would take the raw tolerance anyway.  Before expanding it
+    refuses a NaN or inf window sample; otherwise such a table fails closed.
     """
-    table = _structured_fibers(f_windows, h_windows, automorphisms, translation, modulation)
+    table, cause = _structured_fibers(f_windows, h_windows, automorphisms, translation, modulation)
     bessel = None
     if tol is None and _above_cap(table.channels, table.group, DEFAULT_CAP):
         tol = RAW_TOLERANCE
     elif tol is None:
+        if cause:
+            raise ValueError(cause)
         tol, bessel = default_tolerance(
             _structured_system(f_windows, automorphisms, translation, modulation),
             _structured_system(h_windows, automorphisms, translation, modulation),
@@ -596,17 +586,15 @@ def gabor_canonical_dual(window: Signal, translation: Subgroup, modulation: Subg
     the Hermitian coset Gramian: bounds are its extreme eigenvalues (NotAFrameError
     when the lower one vanishes), and each block is solved on its coset."""
     group = window.group
-    # Refused here: transformed, a NaN or inf reads as overflow.
-    bad = np.flatnonzero(~np.isfinite(window.values))
-    if bad.size:
-        raise ValueError(f"gabor window has a non-finite value at index {int(bad[0])}")
     _validate_structure([[window]], None, translation, modulation)
     # (M_chi g)^(xi) = ghat(xi - chi): the modulated spectra, chi in index order.
     window_hat = dft(window).values
     spectra = window_hat[_difference_table(group, modulation.indices)][:, None, :]
     ann = translation.annihilator
     gramians = _coset_gramians(spectra, spectra, np.ones(len(spectra)), ann)
-    _require_finite("gabor frame operator", gramians)
+    if cause := _non_finite_cause([("gabor window", window.values)],
+                                  ("gabor frame operator", gramians)):
+        raise ValueError(cause)
     eigs = np.linalg.eigvalsh(gramians)
     bounds = FrameBounds(max(0.0, float(eigs.min())), float(eigs.max()))
     if not bounds.is_frame:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm, prod
 import operator
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -37,14 +37,17 @@ class _KeptTables:
 
     _tables: dict
 
-    def _table(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
-        """The table stored under `key`, built on first use and kept, read-only, when
-        it has at most _KEPT_TABLE_ENTRIES entries; a larger one is rebuilt per call."""
+    def _table(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """The table (or tuple of tables) stored under `key`, built on first use and kept,
+        read-only, when it has at most _KEPT_TABLE_ENTRIES entries in all; a larger one is
+        rebuilt per call."""
         table = self._tables.get(key)
         if table is None:
             table = build()
-            if table.size <= _KEPT_TABLE_ENTRIES:
-                table.flags.writeable = False
+            arrays = table if isinstance(table, tuple) else (table,)
+            if sum(a.size for a in arrays) <= _KEPT_TABLE_ENTRIES:
+                for a in arrays:
+                    a.flags.writeable = False
                 self._tables[key] = table
         return table
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -172,19 +172,29 @@ class Verdict:
         )
 
 
-def _non_finite_sample(f_system: SuperSystemDescriptor,
-                       h_system: SuperSystemDescriptor) -> str | None:
-    """The first NaN or inf sample of a live generator, in F and then in H (F alone when
-    `h_system` is `f_system`), in words that name its system; None when there is none."""
-    for name, system in zip("FH", (f_system,) if h_system is f_system else (f_system, h_system)):
+def _live_windows(*named: tuple[str, SuperSystemDescriptor]) -> Iterator[tuple[str, np.ndarray]]:
+    """The samples of every window of a live generator of each named system, labelled
+    "<name> layer j generator p window w", for `_non_finite_cause`."""
+    for name, system in named:
         for j, layer in enumerate(system.layers):
             for p in layer.live:
                 for w, window in enumerate(layer.generators[p].windows):
-                    bad = np.flatnonzero(~np.isfinite(window.values))
-                    if bad.size:
-                        return (f"{name}: layer {j} generator {p} window {w} "
-                                f"has a non-finite value at index {bad[0]}")
-    return None
+                    yield f"{name} layer {j} generator {p} window {w}", window.values
+
+
+def _non_finite_cause(inputs: Iterable[tuple[str, np.ndarray]],
+                      *results: tuple[str, np.ndarray]) -> str | None:
+    """None when every named result is finite, else the first NaN or inf of the labelled
+    inputs, read lazily, as "<label> has a non-finite value at index x"; with every input
+    finite, the first non-finite result overflowed float64 and is refused."""
+    bad = next((what for what, values in results if not np.isfinite(values).all()), None)
+    if bad is None:
+        return None
+    for label, values in inputs:
+        index = np.flatnonzero(~np.isfinite(values))
+        if index.size:
+            return f"{label} has a non-finite value at index {index[0]}"
+    raise ValueError(f"{bad} overflows float64: weights, windows or input values too large")
 
 
 def _validate_structure(

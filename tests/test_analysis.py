@@ -8,6 +8,7 @@ import pytest
 
 from gtiframes import (
     CapExceededError,
+    CoefficientMap,
     NotAFrameError,
     Signal,
     SuperSignal,
@@ -117,6 +118,39 @@ class TestAnalysisSynthesis:
         coeffs = analysis_coeffs(delta_system(g), big)
         with pytest.raises(ValueError, match="synthesis overflows"):
             synthesis(sys, coeffs)
+
+    def test_non_finite_input_named_not_called_overflow(self):
+        # A NaN or inf input is named where it sits; only finite inputs overflow.
+        g = make_group([8])
+        f_sys, h_sys = dual_pair(np.random.default_rng(0), g, 2)
+        signal = SuperSignal.from_stacked(g, np.random.default_rng(1).standard_normal((2, 8)))
+        values = signal.stacked()
+        values[1, 3] = np.nan
+        with pytest.raises(ValueError,
+                           match="^signal channel 1 has a non-finite value at index 3$"):
+            analysis_coeffs(f_sys, SuperSignal.from_stacked(g, values))
+        coeffs = analysis_coeffs(f_sys, signal)
+        coeffs.entries[0][1, 0] = np.inf
+        with pytest.raises(ValueError,
+                           match="^coefficients layer 0 row 1 has a non-finite value at index 0$"):
+            synthesis(h_sys, coeffs)
+        h_sys.layers[0].generators[2].windows[1].values[5] = np.nan
+        with pytest.raises(ValueError,
+                           match="^system layer 0 generator 2 window 1 has a non-finite value "
+                                 "at index 5$"):
+            analysis_coeffs(h_sys, signal)
+
+    def test_layer_of_dead_generators_adds_nothing(self):
+        # A layer whose generators all have weight 0 is not read, NaN samples and all.
+        g = make_group([8])
+        f_sys, _ = dual_pair(np.random.default_rng(5), g, 2, n_layers=2)
+        coeffs = analysis_coeffs(f_sys, random_super(np.random.default_rng(6), g, 2))
+        dead = [WeightedGenerator(0.0, (Signal(g, np.full(8, np.nan)), delta_signal(g)))] * 2
+        sub = subgroup_from_generators(g, [(2,)])
+        with_dead = SuperSystemDescriptor(g, 2, [*f_sys.layers, GtiLayer(sub, dead)])
+        coeffs_dead = CoefficientMap(g, 2, [*coeffs.entries, np.full((2, 4), np.nan)])
+        clean = synthesis(f_sys, coeffs).stacked()
+        assert synthesis(with_dead, coeffs_dead).stacked().tobytes() == clean.tobytes()
 
     def test_delta_system_roundtrip_identity(self):
         g = make_group([7])

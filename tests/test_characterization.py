@@ -736,7 +736,7 @@ class TestSpecializedChecks:
                     autos = None
                 if kind == "wavelet":
                     modulation = None
-                table = _structured_fibers(fw, hw, autos, translation, modulation)
+                table, _ = _structured_fibers(fw, hw, autos, translation, modulation)
                 levels = autos or [identity_automorphism(g)]
                 lam = modulation or subgroup_from_generators(g, [])
                 f_sys = wavepacket_system(fw, levels, translation, lam)
@@ -1132,6 +1132,26 @@ class TestNonFiniteWindows:
                     call(f_sys, h_sys)
             verdict = check_super_duality(f_sys, h_sys, tol=1e-9)
             assert not verdict.passed and verdict.max_residual == np.inf
+
+    def test_structured_verdicts_name_the_callers_window(self):
+        # Below the cap a default-tolerance structured verdict names the sample by its
+        # place in the window lists, before it expands anything: the expanded system
+        # would name Gabor generator 2, and a wavelet pair dilated by 3 index 3.
+        g = make_group([8])
+        gamma = subgroup_from_generators(g, [(2,)])
+        lam = subgroup_from_generators(g, [(4,)])
+        f_windows = [[random_signal(g, 1)], [random_signal(g, 2)]]
+        h_windows = [[random_signal(g, 3)], [random_signal(g, 4)]]
+        h_windows[1][0].values[1] = np.nan
+        message = "^H: windows entry 1 window 0 has a non-finite value at index 1$"
+        dilation = [automorphism_from_matrix(g, [[3]])]
+        for call in (lambda: check_gabor_duality(f_windows, h_windows, gamma, lam),
+                     lambda: check_wavelet_duality(f_windows, h_windows, dilation, gamma)):
+            with pytest.raises(ValueError, match=message):
+                call()
+        # At a given tolerance the table is left to fail closed.
+        verdict = check_gabor_duality(f_windows, h_windows, gamma, lam, tol=1e-9)
+        assert not verdict.passed and verdict.max_residual == np.inf
 
     def test_above_the_cap_fails_closed(self):
         g = make_group([512])

@@ -965,6 +965,14 @@ class TestMultiplexCommand:
         assert code == 2 and report is None
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("mode, message", [("encode", "mode encode needs --signals"),
+                                               ("decode", "mode decode needs --coeffs")])
+    def test_mode_without_its_input_file_exit_two(self, tmp_path, capsys, mode, message):
+        f_cfg, h_cfg, _ = self._dual_pair_files(tmp_path)
+        code, report, err = run_cli(capsys, "multiplex", f_cfg, h_cfg, "--mode", mode)
+        assert code == 2 and report is None
+        assert err == f"error: {message}\n"
+
     def test_overflowing_roundtrip_exit_two_naming_overflow(self, tmp_path, capsys):
         # Two samples of 1e308 overflow the transform; the report used to
         # say "max_relative_error": NaN, which is not JSON.

@@ -7,6 +7,7 @@ import pytest
 
 from gtiframes import (
     CoefficientMap,
+    ConfigError,
     FrameBounds,
     StructureMismatchError,
     SuperSignal,
@@ -24,6 +25,7 @@ from gtiframes import (
     synthesis,
 )
 from gtiframes.characterization import _structured_fibers
+from gtiframes.configio import coefficients_from_json, parse_config, vector_to_json
 from gtiframes.systems import (
     GtiLayer,
     SuperSystemDescriptor,
@@ -59,6 +61,12 @@ def split():
 def structured(f_windows, h_windows):
     lattice = full_subgroup(Z4)
     return _structured_fibers(f_windows, h_windows, None, lattice, lattice)
+
+
+def config(**fields):
+    """A one-layer, one-channel configuration on Z4, with `fields` replaced."""
+    layer = {"subgroup_generators": [[1]], "generators": [{"windows": ["delta"]}]}
+    return parse_config({"group": [4], "channels": 1, "layers": [layer], **fields})
 
 
 REFUSALS = {
@@ -137,6 +145,24 @@ REFUSALS = {
          "window lists have different lengths (1 vs 2)"),
         (ValueError, lambda: structured([(d4,)], [(d4, d4)]),
          "all window tuples must have the same channel count"),
+    ],
+    "parse_config": [
+        (ConfigError, lambda: config(layers=[{"subgroup_generators": [[1]],
+                                              "generators": [{"windows": ["bogus"]}]}]),
+         "layer 0 generator 0 window 0: unknown window shorthand 'bogus'"),
+        (ConfigError, lambda: parse_config({"group": [4], "layers": []}),
+         "configuration is missing the 'channels' field"),
+        (ConfigError, lambda: parse_config({"group": [8], "channels": 1, "wavelet": {
+            "windows": [["delta"]], "automorphism_matrices": [], "translation_generators": [[4]]}}),
+         "wavelet automorphism_matrices: expected a nonempty list of automorphism matrices"),
+        (ConfigError, lambda: config(layers=[]), "'layers' must be a nonempty list"),
+        (ConfigError, lambda: config(layers=[{"subgroup_generators": [[1]], "generators": []}]),
+         "layer 0: 'generators' must be a nonempty list"),
+    ],
+    "coefficients_from_json": [
+        (ConfigError, lambda: coefficients_from_json({"group": [4], "layers": [
+            {"entries": [vector_to_json(np.zeros(4))]}, {"entries": []}]}),
+         "coefficients layer 1 has no entries"),
     ],
     "GroupSpec.reduce": [
         (ValueError, lambda: Z2Z3.reduce((1,)), "expected 2 residues, got 1"),
