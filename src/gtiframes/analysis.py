@@ -112,7 +112,8 @@ def _check_signal_match(system: SuperSystemDescriptor, f: SuperSignal) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below, not warned of
 def analysis_coeffs(system: SuperSystemDescriptor, f: SuperSignal) -> CoefficientMap:
-    """Plain pairings <f, T_gamma g> summed over channels, no weights applied.
+    """Plain pairings <f, T_gamma g> summed over channels, no weights applied; the row
+    of a zero-mass generator, which is not in the system, is zero.
 
     By the correlation theorem the pairing over all translates x of G is
     idft(sum_n conj(ghat_n) * fhat_n)(x); the subgroup's entries are read off.
@@ -122,16 +123,15 @@ def analysis_coeffs(system: SuperSystemDescriptor, f: SuperSignal) -> Coefficien
     f_hat = _transform(f.stacked(), group)
     entries = []
     for layer in system.layers:
-        rows = np.empty((len(layer.generators), layer.subgroup.order), dtype=np.complex128)
-        if layer.generators:
-            g_hat = _spectra([gen.windows for gen in layer.generators], group)
+        rows = np.zeros((len(layer.generators), layer.subgroup.order), dtype=np.complex128)
+        if live := layer.live:
+            g_hat = _spectra([layer.generators[p].windows for p in live], group)
             pairing = np.einsum("png,ng->pg", g_hat.conj(), f_hat)
-            rows[:] = _transform(pairing, group, inverse=True)[:, layer.subgroup.indices]
+            rows[live] = _transform(pairing, group, inverse=True)[:, layer.subgroup.indices]
         entries.append(rows)
-    # Synthesis never reads the rows of zero-mass generators; the others must be finite.
     signal = ((f"signal channel {c}", s.values) for c, s in enumerate(f.channels))
-    if cause := _non_finite_cause(chain(signal, _live_windows(("system", system))), *(
-            ("analysis", rows[layer.live]) for rows, layer in zip(entries, system.layers))):
+    if cause := _non_finite_cause(chain(signal, _live_windows(("system", system))),
+                                  *(("analysis", rows) for rows in entries)):
         raise ValueError(cause)
     return CoefficientMap(group, system.channels, entries)
 

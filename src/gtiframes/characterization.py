@@ -185,9 +185,9 @@ def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
     eigenvalue.  Above the cap, where A can be the whole group, each layer's product runs
     over its own annihilator on views of its own generators' spectra, and `_summed_table`
     adds the parts.  Only live generators (`GtiLayer.live`) enter; a layer with none is a
-    zero row of weight 0 that joins A.  A non-finite product from finite windows is
-    overflow; otherwise `bounds` names the first NaN or inf sample, and a table alone is
-    left to fail closed.
+    zero row of weight 0 that joins A below the cap and adds its zero product above it.
+    A non-finite product from finite windows is overflow; otherwise `bounds` names the
+    first NaN or inf sample, and a table alone is left to fail closed.
     """
     require_matching_structure(f_system, h_system)
     group, n, layers = f_system.group, f_system.channels, f_system.layers
@@ -198,10 +198,8 @@ def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
     spectra = _transform(values, group)
     del values
     if above:
-        def layer_fibers(j: int) -> np.ndarray | None:
+        def layer_fibers(j: int) -> np.ndarray:
             count, ann = len(layers[j].live), anns[j]
-            if not count:  # its zero product would be as large as a live layer's
-                return None
             gram = _coset_gramians(spectra[0, j, :count], spectra[-1, j, :count],
                                    weights[j, :count], ann)
             return gram.take(ann._block_take(n))
@@ -246,10 +244,10 @@ def _summed_table(
     group: GroupSpec,
     channels: int,
     keys: Sequence[np.ndarray],
-    parts: Iterable[np.ndarray | None],
+    parts: Iterable[np.ndarray],
 ) -> FiberTable:
-    """Add each part's (len(keys[j]), N, N, |G|) fibers (None: zeros) at its
-    offset indices keys[j], into one table over the sorted union of the keys.
+    """Add each part's (len(keys[j]), N, N, |G|) fibers at its offset indices
+    keys[j], into one table over the sorted union of the keys.
 
     Parts are fresh arrays owned by the caller; a first part whose keys are
     already the sorted union becomes the stack and the rest add into it."""
@@ -259,14 +257,13 @@ def _summed_table(
     offsets = np.flatnonzero(member.any(axis=0))
     stack = None
     for k, part in zip(keys, parts):
-        if stack is None and part is not None and np.array_equal(k, offsets):
+        if stack is None and np.array_equal(k, offsets):
             stack = part
             continue
         # Allocated once the first part is done and its temporaries are freed.
         if stack is None:
             stack = np.zeros((offsets.size, channels, channels, group.size), dtype=np.complex128)
-        if part is not None:
-            stack[np.searchsorted(offsets, k)] += part
+        stack[np.searchsorted(offsets, k)] += part
     return FiberTable(group, channels, offsets, stack, member[:, offsets].T)
 
 
@@ -548,8 +545,11 @@ def _structured_verdict(
     The default tolerance needs frame bounds, so it expands both systems
     through `_structured_system` unless they are above `DEFAULT_CAP`, where
     `default_tolerance` would take the raw tolerance anyway.  Before expanding it
-    refuses a NaN or inf window sample; otherwise such a table fails closed.
+    refuses a NaN or inf window sample; otherwise such a table fails closed.  A given
+    `tol` is validated before anything is transformed.
     """
+    if tol is not None:
+        _require_tolerance(tol)
     table, cause = _structured_fibers(f_windows, h_windows, automorphisms, translation, modulation)
     bessel = None
     if tol is None and _above_cap(table.channels, table.group, DEFAULT_CAP):

@@ -87,7 +87,7 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def cmd_info(args: argparse.Namespace) -> tuple[dict, int]:
-    system, doc = load_config(args.config, seed=args.seed)
+    system, doc = load_config(args.config)
     layers = []
     for layer in system.layers:
         ann = layer.subgroup.annihilator
@@ -128,7 +128,7 @@ def _fiber_dump(f_system, h_system) -> dict:
 
 
 def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
-    f_system, f_doc = load_config(args.config_f, seed=args.seed)
+    f_system, f_doc = load_config(args.config_f)
     report: dict = {
         "command": f"check {args.kind}",
         "config_digest_f": config_digest(f_doc),
@@ -139,7 +139,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     elif args.kind == "parseval":
         raise ConfigError("parseval takes a single configuration")
     else:
-        h_system, h_doc = load_config(args.config_h, seed=args.seed)
+        h_system, h_doc = load_config(args.config_h)
         report["config_digest_h"] = config_digest(h_doc)
 
     start = time.perf_counter()
@@ -171,7 +171,7 @@ def cmd_gabor_dual(args: argparse.Namespace) -> tuple[dict, int]:
         raise ConfigError("gabor-dual needs a structured 'gabor' configuration")
     if channels != 1:
         raise ConfigError("gabor-dual is defined for single-channel configurations")
-    windows, _, translation, modulation = _structured_spec(group, channels, kind, sec, args.seed)
+    windows, _, translation, modulation = _structured_spec(group, channels, kind, sec)
     if len(windows) != 1:
         raise ConfigError("gabor-dual needs exactly one base window")
     window = windows[0][0]
@@ -201,8 +201,8 @@ def cmd_gabor_dual(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_multiplex(args: argparse.Namespace) -> tuple[dict, int]:
-    f_system, f_doc = load_config(args.config_f, seed=args.seed)
-    h_system, h_doc = load_config(args.config_h, seed=args.seed)
+    f_system, f_doc = load_config(args.config_f)
+    h_system, h_doc = load_config(args.config_h)
     require_matching_structure(f_system, h_system)
     report: dict = {
         "command": f"multiplex {args.mode}",
@@ -281,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Each flag goes to the subcommands that read it.
     every = argparse.ArgumentParser(add_help=False)
-    every.add_argument("--seed", type=int, default=0,
-                       help="seed for bare 'random' window shorthands")
     every.add_argument("--output", default=None, help="also write the report here")
     verdict = argparse.ArgumentParser(add_help=False)
     verdict.add_argument("--tol", type=_tolerance, default=None,

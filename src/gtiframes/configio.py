@@ -74,11 +74,11 @@ def vector_from_json(doc: Any, expected_len: int, where: str) -> np.ndarray:
     return re + 1j * im
 
 
-def window_from_value(group: GroupSpec, value: Any, where: str, seed: int = 0) -> Signal:
+def window_from_value(group: GroupSpec, value: Any, where: str) -> Signal:
     """Expand a window entry: explicit re/im object or a shorthand string.
 
     Shorthands: "delta", "constant", "indicator:<json generator list>",
-    "random:<seed>" (bare "random" uses the --seed flag value).
+    "random:<seed>" (bare "random" is seed 0).
     """
     if isinstance(value, str):
         if value == "delta":
@@ -93,7 +93,7 @@ def window_from_value(group: GroupSpec, value: Any, where: str, seed: int = 0) -
                 raise ConfigError(f"{where}: bad indicator shorthand {value!r}: {exc}") from exc
             return indicator_signal(group, sub)
         if value == "random":
-            return random_signal(group, seed)
+            return random_signal(group, 0)
         if value.startswith("random:"):
             try:
                 return random_signal(group, int(value[len("random:"):]))
@@ -112,15 +112,13 @@ def _subgroup_from_doc(group: GroupSpec, gens: Any, where: str) -> Subgroup:
         raise ConfigError(f"{where}: bad subgroup generators: {exc}") from exc
 
 
-def _window_tuple(
-    group: GroupSpec, doc: Any, channels: int, where: str, seed: int
-) -> tuple[Signal, ...]:
+def _window_tuple(group: GroupSpec, doc: Any, channels: int, where: str) -> tuple[Signal, ...]:
     """One window per channel; messages name the tuple `where` and its windows
     `where window n`."""
     if not isinstance(doc, list) or len(doc) != channels:
         raise ConfigError(f"{where}: expected {channels} channel windows")
     return tuple(
-        window_from_value(group, w, f"{where} window {n}", seed) for n, w in enumerate(doc)
+        window_from_value(group, w, f"{where} window {n}") for n, w in enumerate(doc)
     )
 
 
@@ -159,7 +157,7 @@ def _config_section(doc: Any) -> tuple[GroupSpec, int, str, Any]:
 
 
 def _structured_spec(
-    group: GroupSpec, channels: int, kind: str, sec: dict, seed: int
+    group: GroupSpec, channels: int, kind: str, sec: dict
 ) -> tuple[list[tuple[Signal, ...]], list | None, Subgroup, Subgroup | None]:
     """The windows, automorphisms, translation and modulation of a 'gabor',
     'wavelet' or 'wavepacket' section, in that order; Gabor sections have no
@@ -167,7 +165,7 @@ def _structured_spec(
     windows_doc = sec.get("windows")
     if not isinstance(windows_doc, list) or not windows_doc:
         raise ConfigError(f"{kind} windows: expected a nonempty list of window tuples")
-    windows = [_window_tuple(group, tup, channels, f"{kind} windows entry {j}", seed)
+    windows = [_window_tuple(group, tup, channels, f"{kind} windows entry {j}")
                for j, tup in enumerate(windows_doc)]
     autos = None
     if kind != "gabor":
@@ -182,12 +180,12 @@ def _structured_spec(
     return windows, autos, translation, modulation
 
 
-def parse_config(doc: dict, seed: int = 0) -> SuperSystemDescriptor:
+def parse_config(doc: dict) -> SuperSystemDescriptor:
     """Turn a configuration document into a descriptor."""
     group, channels, kind, sec = _config_section(doc)
     if kind == "layers":
-        return _parse_layers(group, channels, sec, seed)
-    return _structured_system(*_structured_spec(group, channels, kind, sec, seed))
+        return _parse_layers(group, channels, sec)
+    return _structured_system(*_structured_spec(group, channels, kind, sec))
 
 
 def _automorphisms_from_doc(group: GroupSpec, doc: Any, where: str):
@@ -202,7 +200,7 @@ def _automorphisms_from_doc(group: GroupSpec, doc: Any, where: str):
     return autos
 
 
-def _parse_layers(group: GroupSpec, channels: int, doc: Any, seed: int) -> SuperSystemDescriptor:
+def _parse_layers(group: GroupSpec, channels: int, doc: Any) -> SuperSystemDescriptor:
     if not isinstance(doc, list) or not doc:
         raise ConfigError("'layers' must be a nonempty list")
     layers = []
@@ -233,7 +231,7 @@ def _parse_layers(group: GroupSpec, channels: int, doc: Any, seed: int) -> Super
             if weight < 0:
                 raise ConfigError(f"layer {j} generator {p}: negative weight {weight}")
             windows = _window_tuple(group, gen_doc.get("windows"), channels,
-                                    f"layer {j} generator {p}", seed)
+                                    f"layer {j} generator {p}")
             gens.append(WeightedGenerator(weight, windows))
         layers.append(GtiLayer(sub, gens))
     return SuperSystemDescriptor(group, channels, layers)
@@ -269,9 +267,9 @@ def _config_doc(path: str | Path) -> Any:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def load_config(path: str | Path, seed: int = 0) -> tuple[SuperSystemDescriptor, dict]:
+def load_config(path: str | Path) -> tuple[SuperSystemDescriptor, dict]:
     doc = _config_doc(path)
-    return parse_config(doc, seed=seed), doc
+    return parse_config(doc), doc
 
 
 def config_digest(doc: dict) -> str:

@@ -1,6 +1,7 @@
 """Dense oracle computations: analysis/synthesis, frame operator, Gramians,
 canonical duals, multiplexing."""
 
+import json
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from gtiframes import (
     synthesis,
 )
 from gtiframes.characterization import _block_pass, _coset_gramians
+from gtiframes.configio import coefficients_from_json, coefficients_to_json
 from gtiframes.fourier import _spectra
 from gtiframes.sweeps import (
     _fiberwise_pair_layer,
@@ -537,6 +539,23 @@ class TestCanonicalDual:
 
 
 class TestMultiplex:
+    def test_dead_generator_row_is_zero_and_strict_json(self):
+        # A weight-0 generator is not in the system: its coefficient row is zero, so
+        # its NaN windows leave a file that strict JSON writes and the codec reads back.
+        g = make_group([8])
+        f_sys, h_sys = dual_pair(np.random.default_rng(0), g, 2)
+        dead = WeightedGenerator(0.0, (Signal(g, np.full(8, np.nan)),) * 2)
+        f_dead, h_dead = (SuperSystemDescriptor(g, 2, [
+            GtiLayer(s.layers[0].subgroup, [*s.layers[0].generators, dead]), *s.layers[1:]])
+            for s in (f_sys, h_sys))
+        signals = random_super(np.random.default_rng(1), g, 2)
+        coeffs = multiplex_encode((f_dead, h_dead), signals)
+        assert coeffs.entries[0][-1].tobytes() == bytes(coeffs.entries[0][-1].nbytes)
+        text = json.dumps(coefficients_to_json(coeffs), allow_nan=False)
+        back = multiplex_decode((f_dead, h_dead), coefficients_from_json(json.loads(text)))
+        clean = multiplex_decode((f_sys, h_sys), multiplex_encode((f_sys, h_sys), signals))
+        assert back.stacked().tobytes() == clean.stacked().tobytes()
+
     def test_trivial_parseval_pair_exact_recovery(self):
         g = make_group([4])
         sys = channel_split_parseval(g)

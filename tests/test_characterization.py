@@ -638,6 +638,21 @@ class TestSpecializedChecks:
             _structured_check(kind, [[window]], [[window]], lattice, lattice, tol=1.0)
 
     @pytest.mark.parametrize("kind", ["gabor", "wavelet", "wavepacket"])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_given_tolerance_refused_before_any_transform(self, kind, tol, monkeypatch):
+        import gtiframes.characterization as characterization
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a window was transformed before the tolerance was checked")
+
+        g = make_group([12])
+        lattice = subgroup_from_generators(g, [(2,)])
+        window = random_signal(g, 5)
+        monkeypatch.setattr(characterization, "dft", refuse)
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            _structured_check(kind, [[window]], [[window]], lattice, lattice, tol=tol)
+
+    @pytest.mark.parametrize("kind", ["gabor", "wavelet", "wavepacket"])
     def test_nan_window_fails_closed(self, kind):
         g = make_group([16])
         lattice = subgroup_from_generators(g, [(4,)])

@@ -157,6 +157,12 @@ class TestConfigIO:
         again = parse_config(doc)
         assert np.array_equal(wins[3], again.layers[0].generators[3].windows[0].values)
 
+    def test_bare_random_is_seed_zero(self):
+        doc = {"group": [6], "channels": 1, "layers": [{"subgroup_generators": [[2]],
+               "generators": [{"windows": ["random"]}, {"windows": ["random:0"]}]}]}
+        bare, zero = (gen.windows[0].values for gen in parse_config(doc).layers[0].generators)
+        assert bare.tobytes() == zero.tobytes()
+
     def test_bad_window_length_names_location(self):
         from gtiframes import ConfigError
 
@@ -467,15 +473,28 @@ class TestCheckCommand:
             "group": [6],
             "channels": 1,
             "layers": [
-                {"subgroup_generators": [[2]], "generators": [{"windows": ["random"]}]}
+                {"subgroup_generators": [[2]], "generators": [{"windows": ["random:9"]}]}
             ],
         }
         cfg = write_json(tmp_path / "r.json", doc)
-        _, rep1, _ = run_cli(capsys, "check", "parseval", cfg, "--seed", "9")
-        _, rep2, _ = run_cli(capsys, "check", "parseval", cfg, "--seed", "9")
+        _, rep1, _ = run_cli(capsys, "check", "parseval", cfg)
+        _, rep2, _ = run_cli(capsys, "check", "parseval", cfg)
         rep1.pop("timing_seconds")
         rep2.pop("timing_seconds")
         assert rep1 == rep2
+
+    @pytest.mark.parametrize("argv", [["info", "c.json"], ["check", "parseval", "c.json"],
+                                      ["gabor-dual", "c.json"],
+                                      ["multiplex", "f.json", "h.json"]],
+                             ids=["info", "check", "gabor-dual", "multiplex"])
+    def test_seed_is_not_an_option(self, capsys, argv):
+        # Seeds live in the config ("random:N"), where its digest names them.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "9"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --seed 9" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_fiber_dump(self, tmp_path, capsys):
         # Two channels, layers on <2> and <4> of Z8: offsets 0, 2, 4 and 6.

@@ -19,7 +19,7 @@ from gtiframes import (
     multiplex_encode,
     quadratic_form_series,
 )
-from gtiframes.configio import super_signal_from_json
+from gtiframes.configio import load_config, parse_config, super_signal_from_json, window_from_value
 from gtiframes.sweeps import (
     _fiberwise_pair_layer,
     dual_pair,
@@ -97,6 +97,10 @@ def test_removed_parameters_stay_removed():
         # A signals document's own group is read and checked against the system.
         super_signal_from_json: ["group"],
         matched_random_pair: ["random_weights"],
+        # A bare "random" window is seed 0; "random:N" names any other seed in the config.
+        parse_config: ["seed"],
+        load_config: ["seed"],
+        window_from_value: ["seed"],
     }
     for fn, params in removed.items():
         signature = inspect.signature(fn).parameters
