@@ -30,6 +30,7 @@ def main() -> int:
 
     start = time.perf_counter()
     cases = sweep_cases(seed=args.seed)
+    built = time.perf_counter()
     stats = {"cases": 0, "dual_pass": 0, "orth_pass": 0,
              "dual_agree": 0, "orth_agree": 0, "commute_agree": 0}
     for case in cases:
@@ -56,10 +57,11 @@ def main() -> int:
                 f"residual={verdict.max_residual:10.3e} oracle={dual_oracle:10.3e} "
                 f"defect={defect:10.3e}"
             )
-    elapsed = time.perf_counter() - start
+    end = time.perf_counter()
 
     n = stats["cases"]
-    print(f"\n{n} cases in {elapsed:.1f}s (seed {args.seed})")
+    print(f"\n{n} cases in {end - start:.1f}s (seed {args.seed})")
+    print(f"  corpus built in {built - start:.3f}s, cases checked in {end - built:.3f}s")
     print(f"  duality verdicts passing:        {stats['dual_pass']:4d}")
     print(f"  orthogonality verdicts passing:  {stats['orth_pass']:4d}")
     print(f"  duality verdict == oracle:       {stats['dual_agree']:4d}/{n}")

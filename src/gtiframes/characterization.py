@@ -185,7 +185,8 @@ def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
     eigenvalue.  Above the cap, where A can be the whole group, each layer's product runs
     over its own annihilator on views of its own generators' spectra, and `_summed_table`
     adds the parts.  Only live generators (`GtiLayer.live`) enter; a layer with none is a
-    zero row of weight 0 that joins A below the cap and adds its zero product above it.
+    zero row of weight 0 that joins A below the cap, and above it adds its offsets to the
+    table, with zero fibers, but no product.
     A non-finite product from finite windows is overflow; otherwise `bounds` names the
     first NaN or inf sample, and a table alone is left to fail closed.
     """
@@ -205,7 +206,8 @@ def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
             return gram.take(ann._block_take(n))
 
         table = _summed_table(group, n, [ann.indices for ann in anns],
-                              map(layer_fibers, range(len(layers))))
+                              ((j, layer_fibers(j)) for j, layer in enumerate(layers)
+                               if layer.live))
         blocks = table.stack
     else:
         joint = reduce(Subgroup._join, anns)
@@ -244,10 +246,11 @@ def _summed_table(
     group: GroupSpec,
     channels: int,
     keys: Sequence[np.ndarray],
-    parts: Iterable[np.ndarray],
+    parts: Iterable[tuple[int, np.ndarray]],
 ) -> FiberTable:
-    """Add each part's (len(keys[j]), N, N, |G|) fibers at its offset indices
-    keys[j], into one table over the sorted union of the keys.
+    """Add each part (j, fibers) of (len(keys[j]), N, N, |G|) fibers at its offset
+    indices keys[j], into one table over the sorted union of the keys; a j that no
+    part names holds zero fibers at its offsets.
 
     Parts are fresh arrays owned by the caller; a first part whose keys are
     already the sorted union becomes the stack and the rest add into it."""
@@ -255,15 +258,17 @@ def _summed_table(
     for j, k in enumerate(keys):
         member[j, k] = True
     offsets = np.flatnonzero(member.any(axis=0))
+    shape = (offsets.size, channels, channels, group.size)
     stack = None
-    for k, part in zip(keys, parts):
-        if stack is None and np.array_equal(k, offsets):
+    for j, part in parts:
+        if stack is None and np.array_equal(keys[j], offsets):
             stack = part
             continue
-        # Allocated once the first part is done and its temporaries are freed.
-        if stack is None:
-            stack = np.zeros((offsets.size, channels, channels, group.size), dtype=np.complex128)
-        stack[np.searchsorted(offsets, k)] += part
+        if stack is None:  # allocated once the first part is done and its temporaries are freed
+            stack = np.zeros(shape, dtype=np.complex128)
+        stack[np.searchsorted(offsets, keys[j])] += part
+    if stack is None:  # no part
+        stack = np.zeros(shape, dtype=np.complex128)
     return FiberTable(group, channels, offsets, stack, member[:, offsets].T)
 
 
@@ -524,7 +529,8 @@ def _structured_fibers(
     else:
         table = _summed_table(group, channels,
                               [alpha.adjoint_perm[ann.indices] for alpha in automorphisms],
-                              (base[..., alpha.adjoint_inv_perm] for alpha in automorphisms))
+                              enumerate(base[..., alpha.adjoint_inv_perm]
+                                        for alpha in automorphisms))
     samples = ((f"{name} windows entry {j} window {c}", w.values)
                for name, windows in (("F:", f_windows), ("H:", h_windows))
                for j, tup in enumerate(windows) for c, w in enumerate(tup))

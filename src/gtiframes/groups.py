@@ -68,7 +68,7 @@ class GroupSpec(_KeptTables):
         if self.size > ENUMERATION_CAP:
             raise ValueError(f"group size {self.size} exceeds cap {ENUMERATION_CAP}")
 
-    @property
+    @cached_property
     def size(self) -> int:
         return prod(self.orders)
 

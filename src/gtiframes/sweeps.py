@@ -6,6 +6,11 @@ stacking the window spectra of one coset into a matrix, duality of a pair
 means (H* W G) = identity there, so drawing G at random and solving for H
 with the weighted pseudo-inverse yields exact dual pairs; projecting onto
 the orthocomplement of the column space yields exact orthogonal pairs.
+
+Draw order: one standard normal draw per system build (per layer where a subgroup
+draw sits between layers) and one per engineered layer's coset stack, laid out as
+per-window `random_signal` calls (real part, then imaginary part) and per-coset
+draws would read the stream, so every corpus is bit for bit theirs at every seed.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fourier import Signal, _transform, random_signal
+from .fourier import Signal, _transform
 from .groups import (
     Automorphism,
     GroupSpec,
@@ -84,8 +89,23 @@ def random_subgroup(rng: np.random.Generator, group: GroupSpec,
     return pool[int(rng.integers(len(pool)))]
 
 
+def _normal_rows(rng: np.random.Generator, group: GroupSpec, shape: tuple[int, ...]) -> np.ndarray:
+    """(*shape, |G|) complex standard normal rows from one draw: row by row the
+    `random_signal` of that many calls in C order, real part then imaginary part."""
+    draw = rng.standard_normal((*shape, 2, group.size))
+    return (draw[..., 0, :] + 1j * draw[..., 1, :]) / np.sqrt(2.0)
+
+
 def _random_windows(rng: np.random.Generator, group: GroupSpec, channels: int) -> tuple[Signal, ...]:
-    return tuple(random_signal(group, rng) for _ in range(channels))
+    return tuple(Signal(group, v) for v in _normal_rows(rng, group, (channels,)))
+
+
+def _layer(group: GroupSpec, sub: Subgroup, weights: np.ndarray | list[float],
+           windows: np.ndarray) -> GtiLayer:
+    """The layer on `sub` whose generator p has weight weights[p] and the rows of the
+    (P, N, |G|) `windows[p]` as its windows, each a view of its own row."""
+    return GtiLayer(sub, [WeightedGenerator(float(w), tuple(Signal(group, v) for v in row))
+                          for w, row in zip(weights, windows)])
 
 
 def random_descriptor(
@@ -97,14 +117,14 @@ def random_descriptor(
     subgroups: list[Subgroup] | None = None,
 ) -> SuperSystemDescriptor:
     """Unit-weight layers with independent random windows."""
-    layers = []
-    for j in range(n_layers):
-        sub = subgroups[j] if subgroups is not None else random_subgroup(rng, group)
-        gens = [
-            WeightedGenerator(1.0, _random_windows(rng, group, channels))
-            for _ in range(gens_per_layer)
-        ]
-        layers.append(GtiLayer(sub, gens))
+    ones = [1.0] * gens_per_layer
+    if subgroups is not None:
+        windows = _normal_rows(rng, group, (n_layers, gens_per_layer, channels))
+        layers = [_layer(group, sub, ones, w) for sub, w in zip(subgroups, windows)]
+    else:  # each layer's subgroup is drawn before its windows
+        layers = [_layer(group, random_subgroup(rng, group), ones,
+                         _normal_rows(rng, group, (gens_per_layer, channels)))
+                  for _ in range(n_layers)]
     return SuperSystemDescriptor(group, channels, layers)
 
 
@@ -119,22 +139,15 @@ def matched_random_pair(
     """Two structure-matched descriptors with independent random windows and
     shared random weights in [0.5, 2)."""
     if full_group_layers:
-        subgroups = [full_subgroup(group) for _ in range(n_layers)]
+        whole = next(s for s in all_small_subgroups(group) if s.covolume == 1)
+        subgroups = [whole] * n_layers
     else:
         subgroups = [random_subgroup(rng, group) for _ in range(n_layers)]
-    weights = [
-        [float(rng.uniform(0.5, 2.0)) for _ in range(gens_per_layer)]
-        for _ in range(n_layers)
-    ]
+    weights = rng.uniform(0.5, 2.0, size=(n_layers, gens_per_layer))
     def build() -> SuperSystemDescriptor:
-        layers = []
-        for j in range(n_layers):
-            gens = [
-                WeightedGenerator(weights[j][p], _random_windows(rng, group, channels))
-                for p in range(gens_per_layer)
-            ]
-            layers.append(GtiLayer(subgroups[j], gens))
-        return SuperSystemDescriptor(group, channels, layers)
+        windows = _normal_rows(rng, group, (n_layers, gens_per_layer, channels))
+        return SuperSystemDescriptor(group, channels, [
+            _layer(group, sub, w, rows) for sub, w, rows in zip(subgroups, weights, windows)])
     return build(), build()
 
 
@@ -147,37 +160,27 @@ def _fiberwise_pair_layer(
 ) -> tuple[GtiLayer, GtiLayer]:
     """One layer of an exact dual (or orthogonal) pair over the subgroup,
     with random weights in [0.5, 2).  An orthogonal pair takes one generator
-    more than the coset width, so that the orthocomplement is not trivial."""
+    more than the coset width, so that the orthocomplement is not trivial.
+    Every coset is solved in one batched call over the stack of cosets."""
     cosets = sub.annihilator.cosets
     width = channels * sub.annihilator.order
     n_gens = width + int(orthogonal)
     weights = rng.uniform(0.5, 2.0, size=n_gens)
-    g_hat = np.zeros((n_gens, channels, group.size), dtype=np.complex128)
-    h_hat = np.zeros_like(g_hat)
-    for coset in cosets:
-        gm = (
-            rng.standard_normal((n_gens, width)) + 1j * rng.standard_normal((n_gens, width))
-        ) / np.sqrt(2.0)
-        gram = gm.conj().T @ gm
-        if orthogonal:
-            proj = gm @ np.linalg.solve(gram, gm.conj().T)
-            rand = (
-                rng.standard_normal((n_gens, width)) + 1j * rng.standard_normal((n_gens, width))
-            )
-            hm = (np.eye(n_gens) - proj) @ rand / weights[:, None]
-        else:
-            hm = gm @ np.linalg.inv(gram) / weights[:, None]
-        # Column n * |A| + i of a coset block is channel n at the coset's i-th index.
-        g_hat[:, :, coset] = gm.reshape(n_gens, channels, -1)
-        h_hat[:, :, coset] = hm.reshape(n_gens, channels, -1)
-    def layer_from(hats: np.ndarray) -> GtiLayer:
-        windows = _transform(hats, group, inverse=True)
-        gens = [
-            WeightedGenerator(float(weights[p]), tuple(Signal(group, w) for w in windows[p]))
-            for p in range(n_gens)
-        ]
-        return GtiLayer(sub, gens)
-    return layer_from(g_hat), layer_from(h_hat)
+    # Per coset: real and imaginary parts of G, then (orthogonal) of the matrix projected for H.
+    draw = rng.standard_normal((len(cosets), 2 + 2 * orthogonal, n_gens, width))
+    gm = (draw[:, 0] + 1j * draw[:, 1]) / np.sqrt(2.0)
+    gram = gm.conj().swapaxes(-1, -2) @ gm
+    if orthogonal:
+        proj = gm @ np.linalg.solve(gram, gm.conj().swapaxes(-1, -2))
+        hm = (np.eye(n_gens) - proj) @ (draw[:, 2] + 1j * draw[:, 3]) / weights[:, None]
+    else:
+        hm = gm @ np.linalg.inv(gram) / weights[:, None]
+    # Column n * |A| + i of a coset block is channel n at the coset's i-th index.
+    blocks = np.stack([gm, hm]).reshape(2, len(cosets), n_gens, channels, -1)
+    hats = np.zeros((2, n_gens, channels, group.size), dtype=np.complex128)
+    hats[..., cosets] = blocks.transpose(0, 2, 3, 1, 4)
+    lf, lh = (_layer(group, sub, weights, w) for w in _transform(hats, group, inverse=True))
+    return lf, lh
 
 
 def dual_pair(

@@ -1063,6 +1063,30 @@ class TestBlockPass:
         for h in (h_sys, f_sys):
             _assert_definition_table(fiber_table(f_sys, h), f_sys, h)
 
+    def test_above_the_cap_a_dead_layer_adds_offsets_but_no_product(self):
+        # Z16xZ32 at N = 2: a live layer on the whole group (annihilator {0}) and an
+        # all-weight-0 layer on the trivial subgroup (annihilator G).  The table holds
+        # |G| offsets of zero fibers besides offset 0; building a product on G for the
+        # dead layer would more than triple the peak.
+        g, n = make_group([16, 32]), 2
+        live = matched_random_pair(np.random.default_rng(3), g, n, 1, 2, full_group_layers=True)
+        trivial = subgroup_from_generators(g, [])
+        f_sys, h_sys = (SuperSystemDescriptor(g, n, [s.layers[0], GtiLayer(trivial, [
+            WeightedGenerator(0.0, gen.windows) for gen in s.layers[0].generators])])
+            for s in live)
+        expected = np.zeros((g.size, n, n, g.size), dtype=np.complex128)
+        expected[0] += fiber_table(*live).stack[0]
+        tracemalloc.start()
+        try:
+            table = fiber_table(f_sys, h_sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.offset_indices.tolist() == list(range(g.size))
+        assert table.layer_mask.tolist() == [[True, True]] + [[False, True]] * (g.size - 1)
+        assert table.stack.tobytes() == expected.tobytes()
+        assert peak <= 1.25 * table.stack.nbytes
+
 
 def _with_dead_generator(system, p):
     """The system with generator p of its last layer at weight 0."""

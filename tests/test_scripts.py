@@ -1,7 +1,10 @@
 """The scripts' exit codes: the multiplexing demo fails when the codec does not
-recover its input, and the Gabor dual experiment runs past the dense cap."""
+recover its input, the Gabor dual experiment runs past the dense cap, and the
+sweep fails when a verdict disagrees with the dense oracle."""
 
+import dataclasses
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from gtiframes import SuperSignal
 
 DEMO = Path(__file__).resolve().parent.parent / "scripts" / "multiplex_demo.py"
 GABOR = DEMO.with_name("gabor_dual_experiment.py")
+SWEEP = DEMO.with_name("run_sweep.py")
 
 
 def load_script(path: Path):
@@ -61,3 +65,21 @@ def test_gabor_dual_experiment_skips_bounds_above_the_dense_cap(monkeypatch, cap
     sparse = [row for row in rows if float(row.split()[2]) < 1]
     assert len(sparse) == 45
     assert all(row.endswith("not a frame") for row in sparse)
+
+
+@pytest.mark.parametrize("flip, code", [(False, 0), (True, 1)], ids=["agree", "disagree"])
+def test_run_sweep_exit_code_and_stage_times(monkeypatch, capsys, flip, code):
+    sweep = load_script(SWEEP)
+    check = sweep.check_super_duality
+
+    def verdict(f_system, h_system):
+        out = check(f_system, h_system)
+        return dataclasses.replace(out, passed=not out.passed) if flip else out
+
+    monkeypatch.setattr(sweep, "check_super_duality", verdict)
+    monkeypatch.setattr(sys, "argv", ["run_sweep.py"])
+    assert sweep.main() == code
+    out = capsys.readouterr().out
+    assert "216 cases in" in out and "(seed 20240801)" in out
+    assert re.search(r"^  corpus built in \d+\.\d{3}s, cases checked in \d+\.\d{3}s$", out, re.M)
+    assert ("full agreement" in out, "DISAGREEMENT FOUND" in out) == (not flip, flip)
