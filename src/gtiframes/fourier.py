@@ -24,7 +24,9 @@ class _GroupVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.complex128).reshape(-1)
+        values = self.values  # a 1-D complex128 array is kept as it is, not re-viewed
+        if type(values) is not np.ndarray or values.dtype != np.complex128 or values.ndim != 1:
+            self.values = np.asarray(values, dtype=np.complex128).reshape(-1)
         if self.values.size != self.group.size:
             kind = type(self).__name__.lower()
             raise ValueError(

@@ -7,8 +7,8 @@ means (H* W G) = identity there, so drawing G at random and solving for H
 with the weighted pseudo-inverse yields exact dual pairs; projecting onto
 the orthocomplement of the column space yields exact orthogonal pairs.
 
-Draw order: one standard normal draw per system build (per layer where a subgroup
-draw sits between layers) and one per engineered layer's coset stack, laid out as
+Draw order: one standard normal draw per system build (per layer in
+`random_descriptor`) and one per engineered layer's coset stack, laid out as
 per-window `random_signal` calls (real part, then imaginary part) and per-coset
 draws would read the stream, so every corpus is bit for bit theirs at every seed.
 """
@@ -16,7 +16,7 @@ draws would read the stream, so every corpus is bit for bit theirs at every seed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -104,8 +104,10 @@ def _layer(group: GroupSpec, sub: Subgroup, weights: np.ndarray | list[float],
            windows: np.ndarray) -> GtiLayer:
     """The layer on `sub` whose generator p has weight weights[p] and the rows of the
     (P, N, |G|) `windows[p]` as its windows, each a view of its own row."""
-    return GtiLayer(sub, [WeightedGenerator(float(w), tuple(Signal(group, v) for v in row))
-                          for w, row in zip(weights, windows)])
+    rows = map(Signal, repeat(group), windows.reshape(-1, group.size))
+    # zip over N references to one iterator groups N consecutive rows per generator.
+    return GtiLayer(sub, list(map(WeightedGenerator, map(float, weights),
+                                  zip(*[rows] * windows.shape[1]))))
 
 
 def random_descriptor(
@@ -117,14 +119,11 @@ def random_descriptor(
     subgroups: list[Subgroup] | None = None,
 ) -> SuperSystemDescriptor:
     """Unit-weight layers with independent random windows."""
-    ones = [1.0] * gens_per_layer
-    if subgroups is not None:
-        windows = _normal_rows(rng, group, (n_layers, gens_per_layer, channels))
-        layers = [_layer(group, sub, ones, w) for sub, w in zip(subgroups, windows)]
-    else:  # each layer's subgroup is drawn before its windows
-        layers = [_layer(group, random_subgroup(rng, group), ones,
-                         _normal_rows(rng, group, (gens_per_layer, channels)))
-                  for _ in range(n_layers)]
+    layers = []
+    for j in range(n_layers):
+        sub = subgroups[j] if subgroups is not None else random_subgroup(rng, group)
+        layers.append(_layer(group, sub, [1.0] * gens_per_layer,
+                             _normal_rows(rng, group, (gens_per_layer, channels))))
     return SuperSystemDescriptor(group, channels, layers)
 
 

@@ -6,7 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gtiframes.sweeps import sweep_cases
+from gtiframes import make_group, random_signal
+from gtiframes.sweeps import all_small_subgroups, random_descriptor, random_subgroup, sweep_cases
 
 from helpers import loop_sweep_cases
 
@@ -31,3 +32,18 @@ def test_corpus_matches_per_window_draws(seed):
         windows = [w.values for layer in _layers(case) for gen in layer.generators
                    for w in gen.windows]
         assert not any(np.shares_memory(a, b) for a, b in combinations(windows, 2)), case.name
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["drawn-subgroups", "given-subgroups"])
+def test_random_descriptor_matches_per_window_draws(given):
+    group = make_group((4, 6))
+    subgroups = all_small_subgroups(group)[:3] if given else None
+    system = random_descriptor(np.random.default_rng(11), group, 2, 3, 2, subgroups=subgroups)
+    rng = np.random.default_rng(11)
+    for j, layer in enumerate(system.layers):
+        sub = subgroups[j] if given else random_subgroup(rng, group)
+        assert layer.subgroup.indices.tolist() == sub.indices.tolist()
+        for gen in layer.generators:
+            assert gen.weight == 1.0
+            assert ([w.values.tobytes() for w in gen.windows]
+                    == [random_signal(group, rng).values.tobytes() for _ in range(2)])
