@@ -14,7 +14,7 @@ dense mixed dual Gramian of `analysis` is the independent oracle for both.
 Fibers come from coset blocks: on each coset c + A of an annihilator A, the
 window spectra form one block per system, and the Gramian H_c* W F_c holds
 the fibers at every offset of A at once.  One pass builds every expanded
-table from one transform of the pair's windows.  Below the dense cap its one
+table from one in-place transform of the pair's windows.  Below the dense cap its one
 product runs over the joint annihilator A = A_1 + ... + A_L: each layer's
 Gramian, kept where a_k - a_i lies in A_j and summed, is the fiber table,
 and the (F, F) and (H, H) sums are the frame operators' blocks, whose
@@ -27,6 +27,7 @@ pullbacks) without expanding the system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import product
@@ -101,22 +102,33 @@ class FiberTable:
 
 
 def _coset_gramians(f_spectra: np.ndarray, h_spectra: np.ndarray, weights: np.ndarray,
-                    ann: Subgroup) -> np.ndarray:
+                    ann: Subgroup, work: np.ndarray | None = None) -> np.ndarray:
     """(..., C, N|A|, N|A|) Gramians H_c* W F_c on the cosets c + A of A, from the
-    (..., P, N, |G|) spectra of P generators in F and in H, plain weights, no covolume:
-    entry [(n1, i), (n2, j)] is sum_p weights[p] conj(Hhat_p,n1(c + a_i)) Fhat_p,n2(c + a_j).
+    (..., P, N, |G|) spectra of P generators in F and in H and their (..., P) weights, plain,
+    no covolume: entry [(n1, i), (n2, j)] is
+    sum_p weights[p] conj(Hhat_p,n1(c + a_i)) Fhat_p,n2(c + a_j).
+
+    The F and then the H blocks are gathered generator-major, (..., P, C, N|A|), into the
+    head of the flat complex buffer `work` when it is given (into fresh arrays otherwise),
+    and the H blocks are conjugated and weighted in place: the product allocates nothing
+    besides its result.
     """
     *lead, p, n, size = f_spectra.shape
     cols = ann._coset_columns(n)
-    # (..., C, N|A|, P): row (n, i) at c + a_i.
-    f_blocks = f_spectra.reshape(*lead, p, n * size).swapaxes(-1, -2)[..., cols, :]
-    h_blocks = h_spectra.reshape(*lead, p, n * size).swapaxes(-1, -2)[..., cols, :]
+    out = (None, None) if work is None else (
+        work[:2 * f_spectra.size].reshape(2, *lead, p, *cols.shape))
+    # mode="clip" lets np.take write straight into `out` (the default mode buffers it);
+    # every column index is in range, so nothing is clipped.
+    f_blocks = np.take(f_spectra.reshape(*lead, p, n * size), cols, axis=-1, mode="clip",
+                       out=out[0])
+    h_blocks = np.take(h_spectra.reshape(*lead, p, n * size), cols, axis=-1, mode="clip",
+                       out=out[1])
     np.conjugate(h_blocks, out=h_blocks)
-    # One batched BLAS product, summed over the generators in the kernel's order
-    # (so to rounding); an overflow is left as inf for the caller, whose
-    # np.errstate keeps it from warning, to refuse or fail on.
-    h_blocks *= weights
-    return np.matmul(h_blocks, f_blocks.swapaxes(-1, -2))
+    # One batched BLAS product of (..., C, N|A|, P) by (..., C, P, N|A|), summed over
+    # the generators in the kernel's order (so to rounding); an overflow is left as inf
+    # for the caller, whose np.errstate keeps it from warning, to refuse or fail on.
+    h_blocks *= weights[..., None, None]
+    return np.matmul(h_blocks.swapaxes(-3, -2).swapaxes(-2, -1), f_blocks.swapaxes(-3, -2))
 
 
 def _frame_blocks(f_spectra: np.ndarray, h_spectra: np.ndarray, weights: np.ndarray,
@@ -128,7 +140,7 @@ def _frame_blocks(f_spectra: np.ndarray, h_spectra: np.ndarray, weights: np.ndar
     as inf for the caller, whose np.errstate keeps it from warning, to refuse or fail on."""
     n, order = f_spectra.shape[-2], joint.order
     blocks = None
-    gram = _coset_gramians(f_spectra, h_spectra, weights[:, None, None, :], joint)
+    gram = _coset_gramians(f_spectra, h_spectra, weights, joint)
     for j, ann in enumerate(anns):
         part = gram[..., j, :, :, :]
         if ann.order != order:
@@ -139,22 +151,30 @@ def _frame_blocks(f_spectra: np.ndarray, h_spectra: np.ndarray, weights: np.ndar
     return blocks
 
 
-def _pass_windows(f_system: SuperSystemDescriptor,
-                  h_system: SuperSystemDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """The (S, L, P, N, |G|) windows of the live generators of the L layers, in F and then
-    in H (F alone, S = 1, when `h_system` is `f_system`), zero-padded to the largest count
-    P >= 1, and their (L, P) weights, 0 at the padding: one window array, one row per layer."""
+def _pass_windows(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor,
+                  workspace: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One complex buffer for a block pass, in two parts, and the (L, P) weights of the L
+    layers' live generators, 0 at the padding.  The first part holds the (S, L, P, N, |G|)
+    windows of the live generators of each layer, in F and then in H (F alone, S = 1,
+    when `h_system` is `f_system`), written straight into it and zero-padded to the
+    largest count P >= 1: one row per layer.  The second, flat part is the workspace of
+    `_coset_gramians` when `workspace`, room for the F and the H coset blocks of the largest
+    live layer, 2 P' N |G| entries for its P' live generators, and empty otherwise."""
     systems = (f_system,) if h_system is f_system else (f_system, h_system)
     group, n = f_system.group, f_system.channels
     live = [layer.live for layer in f_system.layers]
     width = max(1, *map(len, live))
-    blank = [np.zeros(group.size, dtype=np.complex128)] * n
-    values = np.array([row for system in systems for layer, gens in zip(system.layers, live)
-                       for row in [[w.values for w in layer.generators[p].windows]
-                                   for p in gens] + [blank] * (width - len(gens))])
+    shape = (len(systems), len(live), width, n, group.size)
+    size = math.prod(shape)
+    buffer = np.empty(size + workspace * 2 * max(map(len, live)) * n * group.size,
+                      dtype=np.complex128)
+    pad = [np.zeros(group.size, dtype=np.complex128)] * n
+    np.concatenate([v for system in systems for layer, gens in zip(system.layers, live)
+                    for v in [w.values for p in gens for w in layer.generators[p].windows]
+                    + pad * (width - len(gens))], out=buffer[:size])
     weights = np.array([[layer.generators[p].weight for p in gens] + [0.0] * (width - len(gens))
                         for layer, gens in zip(f_system.layers, live)])
-    return values.reshape(len(systems), len(live), width, n, group.size), weights
+    return buffer[:size].reshape(shape), buffer[size:], weights
 
 
 def _union_tables(joint: Subgroup, anns: Sequence[Subgroup],
@@ -184,7 +204,10 @@ def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
     The (F, F) and (H, H) sums are the frame operators' blocks; each bound is their largest
     eigenvalue.  Above the cap, where A can be the whole group, each layer's product runs
     over its own annihilator on views of its own generators' spectra, and `_summed_table`
-    adds the parts.  Only live generators (`GtiLayer.live`) enter; a layer with none is a
+    adds the parts.  There the pass allocates one buffer (`_pass_windows`): the windows
+    are transformed in place in its first part, and each layer's F and H coset blocks are
+    gathered into its second; besides it only the layers' Gramians and the table are
+    allocated.  Only live generators (`GtiLayer.live`) enter; a layer with none is a
     zero row of weight 0 that joins A below the cap, and above it adds its offsets to the
     table, with zero fibers, but no product.
     A non-finite product from finite windows is overflow; otherwise `bounds` names the
@@ -195,14 +218,13 @@ def _block_pass(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor
     above = _above_cap(n, group, DEFAULT_CAP)
     bounds = bounds and not above  # above the cap `default_tolerance` takes the raw tolerance
     anns = [layer.subgroup.annihilator for layer in layers]
-    values, weights = _pass_windows(f_system, h_system)
-    spectra = _transform(values, group)
-    del values
+    values, work, weights = _pass_windows(f_system, h_system, above)
+    spectra = _transform(values, group, out=values)
     if above:
         def layer_fibers(j: int) -> np.ndarray:
             count, ann = len(layers[j].live), anns[j]
             gram = _coset_gramians(spectra[0, j, :count], spectra[-1, j, :count],
-                                   weights[j, :count], ann)
+                                   weights[j, :count], ann, work)
             return gram.take(ann._block_take(n))
 
         table = _summed_table(group, n, [ann.indices for ann in anns],

@@ -92,14 +92,21 @@ def idft_naive(spec: Spectrum) -> Signal:
     return Signal(spec.group, _naive_transform(spec.values, spec.group, inverse=True))
 
 
-def _transform(values: np.ndarray, group: GroupSpec, inverse: bool = False) -> np.ndarray:
-    """dft (or idft) of every flat vector stacked along the leading axes."""
+def _transform(values: np.ndarray, group: GroupSpec, inverse: bool = False,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """dft (or idft) of every flat vector stacked along the leading axes, written into
+    `out` when it is given (a C-contiguous complex array of the shape of `values`).
+    `out` may be `values` itself: numpy.fft transforms each line through its own
+    buffer, so the transform in place allocates nothing and equals the copying one
+    bit for bit."""
     lead = values.shape[:-1]
     grid = values.reshape(lead + group.orders)
     # Giving both s and axes skips numpy's own shape lookup (a cost per call).
     axes = tuple(range(-group.ndim, 0))
     fft = np.fft.ifftn if inverse else np.fft.fftn
-    return fft(grid, s=group.orders, axes=axes).reshape(lead + (group.size,))
+    if out is not None:
+        out = out.reshape(grid.shape)
+    return fft(grid, s=group.orders, axes=axes, out=out).reshape(lead + (group.size,))
 
 
 def _spectra(tuples: Sequence[Sequence[Signal]], group: GroupSpec) -> np.ndarray:

@@ -151,29 +151,42 @@ def make_group(orders: Sequence[int]) -> GroupSpec:
     return GroupSpec(tuple(_integer(n, "cyclic order") for n in items))
 
 
-def _phase_rows(group: GroupSpec, duals: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """(k, |G|) integer phases p[i, y] = sum_m xi_im * y_m * (|G|/n_m) mod |G| of
-    k dual elements xi_i against every group element y, in index order.
+def _phase_rows(group: GroupSpec, duals: Sequence[Sequence[int]] | np.ndarray,
+                periods: Sequence[int] | None = None) -> np.ndarray:
+    """(k, T) integer phases p[i, y] = sum_m xi_im * y_m * (|G|/n_m) mod |G| of
+    k dual elements xi_i against every y of the grid [0, t_1) x ... x [0, t_d) of
+    `periods`, in index order; None is the whole group, T = |G|.
 
-    Axis m contributes a (k, n_m) table that depends on y_m alone; the tables
-    are summed by broadcasting over the group grid and reduced once (each
-    entry is below n_m * |G|, so the sum stays far below 2**63).
+    Axis m contributes a (k, t_m) table that depends on y_m alone; the tables
+    are summed by broadcasting over the grid and reduced once (each entry is
+    below n_m * |G|, so the sum stays far below 2**63).
     """
     duals = np.asarray(duals, dtype=np.int64).reshape(-1, group.ndim)
     k, size = len(duals), group.size
+    periods = group.orders if periods is None else periods
     out = np.zeros((k,) + (1,) * group.ndim, dtype=np.int64)
-    for m, n in enumerate(group.orders):
-        axis = (duals[:, m, None] % n) * (np.arange(n, dtype=np.int64) * (size // n))
-        out = out + axis.reshape((k,) + (1,) * m + (n,) + (1,) * (group.ndim - m - 1))
-    return out.reshape(k, size) % size
+    for m, (n, t) in enumerate(zip(group.orders, periods)):
+        axis = (duals[:, m, None] % n) * (np.arange(t, dtype=np.int64) * (size // n))
+        out = out + axis.reshape((k,) + (1,) * m + (t,) + (1,) * (group.ndim - m - 1))
+    return out.reshape(k, prod(periods)) % size
 
 
-def _character_rows(group: GroupSpec, duals: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """(k, |G|) characters of k dual elements at every group element: the
-    phases of `_phase_rows` gathered from the |G| roots of unity, which equals
-    exp(2*pi*i*p/|G|) evaluated elementwise bit for bit."""
+def _periods(group: GroupSpec, duals: np.ndarray) -> tuple[int, ...]:
+    """Per axis m, t_m = n_m / gcd(n_m, xi_m of every row of the (k, d) `duals`): each
+    of their characters repeats along axis m with period t_m, since xi_m * y_m mod n_m
+    depends on y_m mod t_m alone."""
+    return tuple(n // gcd(n, *column) for n, column in zip(group.orders, duals.T.tolist()))
+
+
+def _character_rows(group: GroupSpec, duals: Sequence[Sequence[int]] | np.ndarray,
+                    periods: Sequence[int] | None = None) -> np.ndarray:
+    """(k, T) characters of k dual elements at every point of the grid of `periods`
+    (of `_phase_rows`; None is the whole group): the phases gathered from the |G|
+    roots of unity, which equals exp(2*pi*i*p/|G|) evaluated elementwise bit for bit.
+    With the `_periods` of the duals, a row at y is its whole-group row at every x
+    with x_m = y_m mod t_m."""
     roots = np.exp(2j * np.pi * np.arange(group.size) / group.size)
-    return roots[_phase_rows(group, duals)]
+    return roots[_phase_rows(group, duals, periods)]
 
 
 def character_column(group: GroupSpec, xi: Sequence[int]) -> np.ndarray:
@@ -278,9 +291,10 @@ class Subgroup(_KeptTables):
             res = group.residue_matrix()[self.indices]
             moved = col[_flat_index(group, res[:, None, :] + res[None, :, :])].take(col, axis=1)
             channel = np.arange(channels) * order
-            point = moved + (row * width + col) * width
+            # In place: a table past the kept size is rebuilt per call.
+            moved += (row * width + col) * width
             pair = channel[:, None] * width + channel[None, :]
-            return point[:, None, None, :] + pair[:, :, None]
+            return moved[:, None, None, :] + pair[:, :, None]
         return self._table(("take", channels), build)
 
     def _join(self, other: "Subgroup") -> "Subgroup":

@@ -13,11 +13,14 @@ systems are the case with no automorphisms (alpha = id) and wavelet systems
 the case with no modulation (Lambda = {0}); one validator checks and one
 expander, `_structured_system`, expands all three kinds.  Expansion is
 array-at-once: the modulated windows M_chi psi_j of every (j, chi) are one
-(P, N, |G|) product of the modulation subgroup's character table (from
-`groups`, one phase table for all chi) with the stacked windows, and each
-dilation level is one gather of that stack through alpha's permutation.
-Each value equals the per-element `modulate`/`dilate` result bit for bit;
-generators are wrapped as views into the stack.
+(P, N, |G|) product of the modulation subgroup's characters with the stacked
+windows, and each dilation level is one gather of that stack through alpha's
+permutation.  A character of Lambda is constant on the cosets of its
+annihilator, so along axis m it repeats with period
+t_m = n_m / gcd(n_m, xi_m of every chi): `groups` gives the characters of all
+chi on that period grid alone, and the product broadcasts them over the
+group.  Each value equals the per-element `modulate`/`dilate` result bit for
+bit; generators are wrapped as views into the stack.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .groups import (
     GroupSpec,
     Subgroup,
     _character_rows,
+    _periods,
     character_column,
 )
 
@@ -236,17 +240,28 @@ def _structured_system(
     """Expand {D_alpha T_gamma M_chi psi_j} into weight-1 layers.
 
     The generators M_chi psi_j over (j, chi), chi over the modulation subgroup
-    in index order, are one character table times the windows; None
-    modulation (wavelets) leaves the windows as they are.  Each automorphism
-    alpha gives one layer: one gather D_alpha of that stack, translated along
-    alpha^{-1}(Gamma).  None automorphisms (Gabor) give one layer on Gamma.
+    in index order, are one character table times the windows: the table holds
+    the characters on one period t_m of each axis (`groups._periods`), and the
+    windows, folded as n_m/t_m repeats of t_m points per axis, meet it by
+    broadcasting, so each sample is multiplied by the same root of unity as in
+    the whole-group table.  None modulation (wavelets) leaves the windows as
+    they are.  Each automorphism alpha gives one layer: one gather D_alpha of
+    that stack, translated along alpha^{-1}(Gamma).  None automorphisms (Gabor)
+    give one layer on Gamma.
     """
     channels = _validate_structure(windows, automorphisms, translation, modulation)
     group = translation.parent
     stack = np.stack([[w.values for w in tup] for tup in windows])
     if modulation is not None:
-        chars = _character_rows(group, group.residue_matrix()[modulation.indices])
-        stack = (chars[None, :, None, :] * stack[:, None, :, :]).reshape(-1, *stack.shape[1:])
+        duals = group.residue_matrix()[modulation.indices]
+        periods = _periods(group, duals)
+        chars = _character_rows(group, duals, periods)
+        # The (P, N, |G|) windows as (P, 1, N, n_1/t_1, t_1, ..., n_d/t_d, t_d) against
+        # the (k, t_1, ..., t_d) characters spread as (1, k, 1, 1, t_1, ..., 1, t_d).
+        folded = [x for n, t in zip(group.orders, periods) for x in (n // t, t)]
+        spread = [x for t in periods for x in (1, t)]
+        stack = chars.reshape(1, -1, 1, *spread) * stack.reshape(len(stack), 1, channels, *folded)
+        stack = stack.reshape(-1, channels, group.size)
     levels = [(translation, stack)] if automorphisms is None else [
         (alpha.inverse_image(translation), stack[..., alpha.perm]) for alpha in automorphisms
     ]

@@ -43,7 +43,8 @@ from gtiframes import (
     identity_automorphism,
     subgroup_from_indices,
 )
-from gtiframes.characterization import _block_pass, _structured_fibers
+from gtiframes.analysis import RAW_TOLERANCE
+from gtiframes.characterization import FiberTable, _block_pass, _structured_fibers
 from gtiframes.sweeps import (
     all_small_subgroups,
     dual_pair,
@@ -1086,6 +1087,59 @@ class TestBlockPass:
         assert table.layer_mask.tolist() == [[True, True]] + [[False, True]] * (g.size - 1)
         assert table.stack.tobytes() == expected.tobytes()
         assert peak <= 1.25 * table.stack.nbytes
+
+    @staticmethod
+    def _gabor_wide_pair(corrupt: bool):
+        """A Gabor pair on Z1024 over Gamma = <16> and Lambda = <32>, of one window on 32
+        points and its painless dual h = g / (a M sum_k |g(x - k a)|^2), one dual sample
+        scaled by 1 + 1e-3 when `corrupt`: above the cap, 32 generators on one layer."""
+        g, a, m = make_group([1024]), 16, 32
+        rng = np.random.default_rng(3)
+        window = np.zeros(g.size, dtype=np.complex128)
+        window[:m] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        dual = window / (a * m * sum(np.abs(np.roll(window, k * a)) ** 2
+                                     for k in range(g.size // a)))
+        if corrupt:
+            dual[rng.integers(m)] *= 1 + 1e-3
+        gamma = subgroup_from_generators(g, [(a,)])
+        lam = subgroup_from_generators(g, [(g.size // m,)])
+        return tuple(gabor_system([[Signal(g, w)]], gamma, lam) for w in (window, dual))
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["painless", "corrupted"])
+    def test_above_the_cap_gabor_pair_from_one_workspace(self, corrupt):
+        # The workspace pass (windows transformed in place, F and H blocks gathered into
+        # one buffer) against the fiber definition, for the pair and for F with itself;
+        # the duality verdict is the reference verdict of the definition's table.
+        f_sys, h_sys = self._gabor_wide_pair(corrupt)
+        assert f_sys.group.size * f_sys.channels > 256
+        for h in (h_sys, f_sys):
+            _assert_definition_table(fiber_table(f_sys, h), f_sys, h)
+            offsets, mask, stack = definition_fiber_table(f_sys, h)
+            reference = loop_fiber_verdict(FiberTable(f_sys.group, 1, offsets, stack, mask),
+                                           RAW_TOLERANCE, 10, True)
+            verdict = check_super_duality(f_sys, h)
+            assert verdict.passed == reference.passed
+            assert verdict.passed == (h is h_sys and not corrupt)
+            scale = max(1.0, reference.max_residual)
+            assert abs(verdict.max_residual - reference.max_residual) <= 1e-13 * scale
+
+    def test_above_the_cap_gabor_pass_peak(self):
+        # One buffer holds the 32 packed windows, transformed in place, and the layer's
+        # F and H coset blocks; besides it the pass holds the layer's Gramian, the table
+        # and the table's int64 `take` index (rebuilt per call, half the table's bytes).
+        f_sys, h_sys = self._gabor_wide_pair(False)
+        fiber_table(f_sys, h_sys)  # kept index tables are built outside the trace
+        tracemalloc.start()
+        try:
+            table = fiber_table(f_sys, h_sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size, count, order = f_sys.group.size, 32, 16  # |G|, generators, |A| = |<64>|
+        windows = blocks = 2 * count * size * 16
+        gramian = (size // order) * order * order * 16
+        assert table.stack.nbytes == order * size * 16
+        assert peak <= windows + blocks + gramian + 1.5 * table.stack.nbytes + 64 * 1024
 
 
 def _with_dead_generator(system, p):

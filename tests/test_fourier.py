@@ -130,3 +130,29 @@ def test_indicator_window_spectrum():
     for i in range(g.size):
         expected = 4.0 if i in sub.annihilator.indices else 0.0
         assert spec.values[i] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("orders, inverse", [((1024,), False), ((16, 64), False),
+                                             ((4, 6, 8), True)],
+                         ids=["Z1024", "Z16xZ64", "Z4xZ6xZ8-inverse"])
+def test_transform_in_place_allocates_nothing_and_matches(orders, inverse):
+    # A stack of 32 windows transformed into itself equals the copying transform bit
+    # for bit, and holds no second stack: numpy.fft runs each line through its own
+    # buffer, a few KiB.
+    import tracemalloc
+
+    from gtiframes.fourier import _transform
+
+    g = make_group(list(orders))
+    rng = np.random.default_rng(g.size)
+    values = rng.standard_normal((2, 16, g.size)) + 1j * rng.standard_normal((2, 16, g.size))
+    expected = _transform(values, g, inverse=inverse)
+    tracemalloc.start()
+    try:
+        got = _transform(values, g, inverse=inverse, out=values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(got, values)
+    assert got.tobytes() == expected.tobytes()
+    assert peak < values.nbytes // 16

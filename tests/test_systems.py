@@ -41,6 +41,13 @@ EXPANSION_CASES = [
     ((3, 3), [(1, 0)], [(0, 1)], [[[1, 1], [0, 1]]]),
     ((4, 4), [(2, 0)], [(0, 1), (2, 2)], [[[1, 1], [0, 1]], [[3, 0], [0, 1]]]),
     ((1024,), [(16,)], [(32,)], [[[3]]]),
+    # Characters repeat along axis m with period n_m / gcd(n_m, xi_m of every chi):
+    # (4, 4) on Z12xZ8, (3, 2) on Z6xZ10, (1, 1) for the trivial Lambda and the
+    # orders (4, 6) for the whole group.
+    ((12, 8), [(2, 0)], [(3, 2)], [[[1, 3], [0, 1]], [[5, 0], [2, 1]]]),
+    ((6, 10), [(0, 2)], [(2, 0), (0, 5)], [[[1, 3], [0, 1]], [[1, 0], [5, 3]]]),
+    ((6, 4), [(2, 0)], [], [[[1, 3], [2, 1]]]),
+    ((4, 6), [(1, 0)], [(1, 0), (0, 1)], [[[1, 2], [3, 1]]]),
 ]
 
 
