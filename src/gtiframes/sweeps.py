@@ -6,17 +6,21 @@ stacking the window spectra of one coset into a matrix, duality of a pair
 means (H* W G) = identity there, so drawing G at random and solving for H
 with the weighted pseudo-inverse yields exact dual pairs; projecting onto
 the orthocomplement of the column space yields exact orthogonal pairs.
+`dual_pair` and `orthogonal_pair` are one construction, `_engineered_pair`;
+its coset blocks are laid out as the annihilator's `_coset_columns`, and
+every window array here becomes a layer through `systems._layer`.
 
 Draw order: one standard normal draw per system build (per layer in
 `random_descriptor`) and one per engineered layer's coset stack, laid out as
 per-window `random_signal` calls (real part, then imaginary part) and per-coset
 draws would read the stream, so every corpus is bit for bit theirs at every seed.
+`sweep_cases` draws each case's channel count, then what its builder draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .groups import (
     make_group,
     subgroup_from_generators,
 )
-from .systems import GtiLayer, SuperSystemDescriptor, WeightedGenerator
+from .systems import GtiLayer, SuperSystemDescriptor, _layer
 
 SWEEP_GROUP_ORDERS: tuple[tuple[int, ...], ...] = (
     (4,),
@@ -100,16 +104,6 @@ def _random_windows(rng: np.random.Generator, group: GroupSpec, channels: int) -
     return tuple(Signal(group, v) for v in _normal_rows(rng, group, (channels,)))
 
 
-def _layer(group: GroupSpec, sub: Subgroup, weights: np.ndarray | list[float],
-           windows: np.ndarray) -> GtiLayer:
-    """The layer on `sub` whose generator p has weight weights[p] and the rows of the
-    (P, N, |G|) `windows[p]` as its windows, each a view of its own row."""
-    rows = map(Signal, repeat(group), windows.reshape(-1, group.size))
-    # zip over N references to one iterator groups N consecutive rows per generator.
-    return GtiLayer(sub, list(map(WeightedGenerator, map(float, weights),
-                                  zip(*[rows] * windows.shape[1]))))
-
-
 def random_descriptor(
     rng: np.random.Generator,
     group: GroupSpec,
@@ -160,13 +154,14 @@ def _fiberwise_pair_layer(
     """One layer of an exact dual (or orthogonal) pair over the subgroup,
     with random weights in [0.5, 2).  An orthogonal pair takes one generator
     more than the coset width, so that the orthocomplement is not trivial.
-    Every coset is solved in one batched call over the stack of cosets."""
-    cosets = sub.annihilator.cosets
-    width = channels * sub.annihilator.order
+    Every coset is solved in one batched call over the stack of cosets, and the
+    blocks are scattered through the annihilator's `_coset_columns`."""
+    ann = sub.annihilator
+    width = channels * ann.order
     n_gens = width + int(orthogonal)
     weights = rng.uniform(0.5, 2.0, size=n_gens)
     # Per coset: real and imaginary parts of G, then (orthogonal) of the matrix projected for H.
-    draw = rng.standard_normal((len(cosets), 2 + 2 * orthogonal, n_gens, width))
+    draw = rng.standard_normal((len(ann.cosets), 2 + 2 * orthogonal, n_gens, width))
     gm = (draw[:, 0] + 1j * draw[:, 1]) / np.sqrt(2.0)
     gram = gm.conj().swapaxes(-1, -2) @ gm
     if orthogonal:
@@ -174,12 +169,32 @@ def _fiberwise_pair_layer(
         hm = (np.eye(n_gens) - proj) @ (draw[:, 2] + 1j * draw[:, 3]) / weights[:, None]
     else:
         hm = gm @ np.linalg.inv(gram) / weights[:, None]
-    # Column n * |A| + i of a coset block is channel n at the coset's i-th index.
-    blocks = np.stack([gm, hm]).reshape(2, len(cosets), n_gens, channels, -1)
-    hats = np.zeros((2, n_gens, channels, group.size), dtype=np.complex128)
-    hats[..., cosets] = blocks.transpose(0, 2, 3, 1, 4)
-    lf, lh = (_layer(group, sub, weights, w) for w in _transform(hats, group, inverse=True))
+    hats = np.zeros((2, n_gens, channels * group.size), dtype=np.complex128)
+    hats[..., ann._coset_columns(channels)] = np.stack([gm, hm]).swapaxes(1, 2)
+    hats = _transform(hats.reshape(2, n_gens, channels, group.size), group, inverse=True)
+    lf, lh = (_layer(group, sub, weights, w) for w in hats)
     return lf, lh
+
+
+def _engineered_pair(rng: np.random.Generator, group: GroupSpec, channels: int, n_layers: int,
+                     orthogonal: bool) -> tuple[SuperSystemDescriptor, SuperSystemDescriptor]:
+    """The masses (split by a Dirichlet draw when n_layers > 1), then per layer a subgroup
+    of index at most max(1, 4 // channels), or max(1, 3 // channels) when orthogonal, and
+    its `_fiberwise_pair_layer`, both sides scaled in place by the square root of its mass."""
+    masses = rng.dirichlet(np.ones(n_layers)) if n_layers > 1 else np.array([1.0])
+    f_layers: list[GtiLayer] = []
+    h_layers: list[GtiLayer] = []
+    for mass in masses:
+        sub = random_subgroup(rng, group, max_index=max(1, (3 if orthogonal else 4) // channels))
+        scale = float(np.sqrt(mass))
+        for layer, side in zip(_fiberwise_pair_layer(rng, group, sub, channels, orthogonal),
+                               (f_layers, h_layers)):
+            for gen in layer.generators:
+                for w in gen.windows:
+                    w.values *= scale
+            side.append(layer)
+    return (SuperSystemDescriptor(group, channels, f_layers),
+            SuperSystemDescriptor(group, channels, h_layers))
 
 
 def dual_pair(
@@ -194,25 +209,7 @@ def dual_pair(
     max(1, 4 // channels); layers are scaled by split masses summing to one,
     which keeps the combined pair dual.
     """
-    masses = rng.dirichlet(np.ones(n_layers)) if n_layers > 1 else np.array([1.0])
-    f_layers = []
-    h_layers = []
-    for j in range(n_layers):
-        sub = random_subgroup(rng, group, max_index=max(1, 4 // channels))
-        lf, lh = _fiberwise_pair_layer(rng, group, sub, channels, orthogonal=False)
-        scale = float(np.sqrt(masses[j]))
-        for gen in lf.generators:
-            for w in gen.windows:
-                w.values *= scale
-        for gen in lh.generators:
-            for w in gen.windows:
-                w.values *= scale
-        f_layers.append(lf)
-        h_layers.append(lh)
-    return (
-        SuperSystemDescriptor(group, channels, f_layers),
-        SuperSystemDescriptor(group, channels, h_layers),
-    )
+    return _engineered_pair(rng, group, channels, n_layers, orthogonal=False)
 
 
 def orthogonal_pair(
@@ -221,12 +218,7 @@ def orthogonal_pair(
     channels: int,
 ) -> tuple[SuperSystemDescriptor, SuperSystemDescriptor]:
     """An exact orthogonal pair (zero mixed dual Gramian), single layer."""
-    sub = random_subgroup(rng, group, max_index=max(1, 3 // channels))
-    lf, lh = _fiberwise_pair_layer(rng, group, sub, channels, orthogonal=True)
-    return (
-        SuperSystemDescriptor(group, channels, [lf]),
-        SuperSystemDescriptor(group, channels, [lh]),
-    )
+    return _engineered_pair(rng, group, channels, 1, orthogonal=True)
 
 
 def random_automorphism(rng: np.random.Generator, group: GroupSpec) -> Automorphism:
@@ -261,38 +253,32 @@ def sweep_cases(seed: int = 20240801, per_group: dict[str, int] | None = None) -
 
     Default mix per group: 13 fully random pairs, 4 pairs whose layers all sit
     on the full group (so their Gramians are always translation-commuting),
-    6 engineered dual pairs and 4 engineered orthogonal pairs.
+    6 engineered dual pairs and 4 engineered orthogonal pairs.  `per_group` overrides
+    these counts by kind; any other key raises ValueError.
     """
     counts = {"random": 13, "full_group": 4, "dual": 6, "orthogonal": 4}
-    if per_group:
-        counts.update(per_group)
+    unknown = sorted(set(per_group or ()) - counts.keys())
+    if unknown:
+        raise ValueError(f"unknown per_group keys {unknown}; the kinds are {list(counts)}")
+    counts.update(per_group or {})
     rng = np.random.default_rng(seed)
+    # Kind -> (name tag, the pair for a group and a drawn channel count n), in corpus order.
+    builders = {
+        "random": ("random", lambda group, n: matched_random_pair(
+            rng, group, n, n_layers=int(rng.integers(1, 4)),
+            gens_per_layer=int(rng.integers(1, 5)))),
+        "full_group": ("full", lambda group, n: matched_random_pair(
+            rng, group, n, n_layers=int(rng.integers(1, 3)),
+            gens_per_layer=int(rng.integers(1, 5)), full_group_layers=True)),
+        "dual": ("dual", lambda group, n: dual_pair(
+            rng, group, n, n_layers=int(rng.integers(1, 3)))),
+        "orthogonal": ("orth", lambda group, n: orthogonal_pair(rng, group, n)),
+    }
     cases = []
     for orders in SWEEP_GROUP_ORDERS:
         group = make_group(orders)
-        for i in range(counts["random"]):
-            channels = int(rng.integers(1, 4))
-            f, h = matched_random_pair(
-                rng, group, channels,
-                n_layers=int(rng.integers(1, 4)),
-                gens_per_layer=int(rng.integers(1, 5)),
-            )
-            cases.append(SweepCase(f"{group}-random-{i}", "random", f, h))
-        for i in range(counts["full_group"]):
-            channels = int(rng.integers(1, 4))
-            f, h = matched_random_pair(
-                rng, group, channels,
-                n_layers=int(rng.integers(1, 3)),
-                gens_per_layer=int(rng.integers(1, 5)),
-                full_group_layers=True,
-            )
-            cases.append(SweepCase(f"{group}-full-{i}", "full_group", f, h))
-        for i in range(counts["dual"]):
-            channels = int(rng.integers(1, 4))
-            f, h = dual_pair(rng, group, channels, n_layers=int(rng.integers(1, 3)))
-            cases.append(SweepCase(f"{group}-dual-{i}", "dual", f, h))
-        for i in range(counts["orthogonal"]):
-            channels = int(rng.integers(1, 4))
-            f, h = orthogonal_pair(rng, group, channels)
-            cases.append(SweepCase(f"{group}-orth-{i}", "orthogonal", f, h))
+        for kind, (tag, build) in builders.items():
+            for i in range(counts[kind]):
+                f, h = build(group, int(rng.integers(1, 4)))
+                cases.append(SweepCase(f"{group}-{tag}-{i}", kind, f, h))
     return cases

@@ -20,13 +20,15 @@ annihilator, so along axis m it repeats with period
 t_m = n_m / gcd(n_m, xi_m of every chi): `groups` gives the characters of all
 chi on that period grid alone, and the product broadcasts them over the
 group.  Each value equals the per-element `modulate`/`dilate` result bit for
-bit; generators are wrapped as views into the stack.
+bit.  `_layer` is the one wrapper of a (P, N, |G|) window array as a layer,
+here and in `sweeps`: every generator's windows are row views of the array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -94,6 +96,16 @@ class GtiLayer:
     def live(self) -> list[int]:
         """Indices of the generators of nonzero mass: one of mass 0 is not in the system."""
         return [p for p, gen in enumerate(self.generators) if gen.weight != 0.0]
+
+
+def _layer(group: GroupSpec, sub: Subgroup, weights: Iterable[float],
+           windows: np.ndarray) -> GtiLayer:
+    """The layer on `sub` whose generator p has weight weights[p] and the rows of the
+    (P, N, |G|) `windows[p]` as its windows, each a view of its own row."""
+    rows = map(Signal, repeat(group), windows.reshape(-1, group.size))
+    # zip over N references to one iterator groups N consecutive rows per generator.
+    return GtiLayer(sub, list(map(WeightedGenerator, map(float, weights),
+                                  zip(*[rows] * windows.shape[1]))))
 
 
 @dataclass(eq=False)
@@ -265,12 +277,8 @@ def _structured_system(
     levels = [(translation, stack)] if automorphisms is None else [
         (alpha.inverse_image(translation), stack[..., alpha.perm]) for alpha in automorphisms
     ]
-    layers = [
-        GtiLayer(sub, [WeightedGenerator(1.0, tuple(Signal(group, w) for w in gen))
-                       for gen in values])
-        for sub, values in levels
-    ]
-    return SuperSystemDescriptor(group, channels, layers)
+    return SuperSystemDescriptor(group, channels, [
+        _layer(group, sub, repeat(1.0, len(values)), values) for sub, values in levels])
 
 
 def gabor_system(

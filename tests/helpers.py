@@ -331,6 +331,62 @@ def definition_fiber_table(f_system: SuperSystemDescriptor, h_system: SuperSyste
     return offsets, mask, stack
 
 
+def _loop_pair_layer(rng, group, sub, channels, orthogonal):
+    """One engineered layer pair: one Gram solve per annihilator coset, one inverse
+    transform per window array."""
+    ann = sub.annihilator
+    width = channels * ann.order
+    n_gens = width + int(orthogonal)
+    weights = rng.uniform(0.5, 2.0, size=n_gens)
+    g_hat = np.zeros((n_gens, channels, group.size), dtype=np.complex128)
+    h_hat = np.zeros_like(g_hat)
+    for coset in ann.cosets:
+        gm = (rng.standard_normal((n_gens, width))
+              + 1j * rng.standard_normal((n_gens, width))) / np.sqrt(2.0)
+        gram = gm.conj().T @ gm
+        if orthogonal:
+            proj = gm @ np.linalg.solve(gram, gm.conj().T)
+            rand = (rng.standard_normal((n_gens, width))
+                    + 1j * rng.standard_normal((n_gens, width)))
+            hm = (np.eye(n_gens) - proj) @ rand / weights[:, None]
+        else:
+            hm = gm @ np.linalg.inv(gram) / weights[:, None]
+        g_hat[:, :, coset] = gm.reshape(n_gens, channels, -1)
+        h_hat[:, :, coset] = hm.reshape(n_gens, channels, -1)
+
+    def layer(hats):
+        values = np.fft.ifftn(hats.reshape(n_gens, channels, *group.orders),
+                              axes=tuple(range(2, 2 + group.ndim)))
+        values = values.reshape(n_gens, channels, group.size)
+        return GtiLayer(sub, [WeightedGenerator(float(w), tuple(Signal(group, v) for v in row))
+                              for w, row in zip(weights, values)])
+    return layer(g_hat), layer(h_hat)
+
+
+def loop_dual_pair(rng, group, channels, n_layers):
+    """`sweeps.dual_pair` one layer and one coset at a time: Dirichlet masses, then per
+    layer a subgroup of index at most max(1, 4 // channels) and its pair, every window of
+    both sides scaled by the square root of the layer's mass."""
+    masses = rng.dirichlet(np.ones(n_layers)) if n_layers > 1 else np.array([1.0])
+    pair = ([], [])
+    for mass in masses:
+        sub = random_subgroup(rng, group, max_index=max(1, 4 // channels))
+        for side, layer in zip(pair, _loop_pair_layer(rng, group, sub, channels, False)):
+            for gen in layer.generators:
+                for w in gen.windows:
+                    w.values *= float(np.sqrt(mass))
+            side.append(layer)
+    return tuple(SuperSystemDescriptor(group, channels, side) for side in pair)
+
+
+def loop_orthogonal_pair(rng, group, channels):
+    """`sweeps.orthogonal_pair` one coset at a time, on a subgroup of index at most
+    max(1, 3 // channels)."""
+    sub = random_subgroup(rng, group, max_index=max(1, 3 // channels))
+    return tuple(SuperSystemDescriptor(group, channels, [layer])
+                 for layer in _loop_pair_layer(rng, group, sub, channels, True))
+
+
 def loop_sweep_cases(seed: int) -> list[SweepCase]:
     """The standard corpus built one draw at a time: `random_signal` per window, one
     Gram solve per annihilator coset, one inverse transform per window array and
@@ -354,52 +410,6 @@ def loop_sweep_cases(seed: int) -> list[SweepCase]:
                 for sub, ws in zip(subs, weights)])
         return build(), build()
 
-    def coset_layer(group, sub, channels, orthogonal):
-        ann = sub.annihilator
-        width = channels * ann.order
-        n_gens = width + int(orthogonal)
-        weights = rng.uniform(0.5, 2.0, size=n_gens)
-        g_hat = np.zeros((n_gens, channels, group.size), dtype=np.complex128)
-        h_hat = np.zeros_like(g_hat)
-        for coset in ann.cosets:
-            gm = (rng.standard_normal((n_gens, width))
-                  + 1j * rng.standard_normal((n_gens, width))) / np.sqrt(2.0)
-            gram = gm.conj().T @ gm
-            if orthogonal:
-                proj = gm @ np.linalg.solve(gram, gm.conj().T)
-                rand = (rng.standard_normal((n_gens, width))
-                        + 1j * rng.standard_normal((n_gens, width)))
-                hm = (np.eye(n_gens) - proj) @ rand / weights[:, None]
-            else:
-                hm = gm @ np.linalg.inv(gram) / weights[:, None]
-            g_hat[:, :, coset] = gm.reshape(n_gens, channels, -1)
-            h_hat[:, :, coset] = hm.reshape(n_gens, channels, -1)
-
-        def layer(hats):
-            values = np.fft.ifftn(hats.reshape(n_gens, channels, *group.orders),
-                                  axes=tuple(range(2, 2 + group.ndim)))
-            values = values.reshape(n_gens, channels, group.size)
-            return GtiLayer(sub, [WeightedGenerator(float(w), tuple(Signal(group, v) for v in row))
-                                  for w, row in zip(weights, values)])
-        return layer(g_hat), layer(h_hat)
-
-    def dual(group, channels, n_layers):
-        masses = rng.dirichlet(np.ones(n_layers)) if n_layers > 1 else np.array([1.0])
-        pair = ([], [])
-        for mass in masses:
-            sub = random_subgroup(rng, group, max_index=max(1, 4 // channels))
-            for side, layer in zip(pair, coset_layer(group, sub, channels, False)):
-                for gen in layer.generators:
-                    for w in gen.windows:
-                        w.values *= float(np.sqrt(mass))
-                side.append(layer)
-        return tuple(SuperSystemDescriptor(group, channels, side) for side in pair)
-
-    def orthogonal(group, channels):
-        sub = random_subgroup(rng, group, max_index=max(1, 3 // channels))
-        return tuple(SuperSystemDescriptor(group, channels, [layer])
-                     for layer in coset_layer(group, sub, channels, True))
-
     cases = []
     for orders in SWEEP_GROUP_ORDERS:
         group = make_group(orders)
@@ -414,10 +424,10 @@ def loop_sweep_cases(seed: int) -> list[SweepCase]:
             cases.append(SweepCase(f"{group}-full-{i}", "full_group", f, h))
         for i in range(6):
             channels = int(rng.integers(1, 4))
-            f, h = dual(group, channels, int(rng.integers(1, 3)))
+            f, h = loop_dual_pair(rng, group, channels, int(rng.integers(1, 3)))
             cases.append(SweepCase(f"{group}-dual-{i}", "dual", f, h))
         for i in range(4):
             channels = int(rng.integers(1, 4))
-            f, h = orthogonal(group, channels)
+            f, h = loop_orthogonal_pair(rng, group, channels)
             cases.append(SweepCase(f"{group}-orth-{i}", "orthogonal", f, h))
     return cases

@@ -1088,6 +1088,26 @@ class TestBlockPass:
         assert table.stack.tobytes() == expected.tobytes()
         assert peak <= 1.25 * table.stack.nbytes
 
+    def test_above_the_cap_no_live_generator_gives_zero_table(self):
+        # Z16xZ32 at N = 1, two layers on <(1,0)> and <(0,4)> of weight-0 generators only:
+        # no layer adds a part, and the table is the 32 + 64 - 4 = 92 offsets of the two
+        # annihilators' union, all zero.  Duality then misses the identity by 1.
+        g = make_group([16, 32])
+        f_sys, h_sys = (SuperSystemDescriptor(g, 1, [
+            GtiLayer(subgroup_from_generators(g, [gen]),
+                     [WeightedGenerator(0.0, (random_signal(g, side + 2 * p),)) for p in range(2)])
+            for gen in [(1, 0), (0, 4)]]) for side in (0, 1))
+        assert g.size * f_sys.channels > 256
+        table = fiber_table(f_sys, h_sys)
+        offsets, mask, stack = definition_fiber_table(f_sys, h_sys)
+        assert offsets.size == 92 and not stack.any()
+        assert table.offset_indices.tobytes() == offsets.tobytes()
+        assert table.layer_mask.tobytes() == mask.tobytes()
+        assert table.stack.tobytes() == stack.tobytes()
+        dual = check_super_duality(f_sys, h_sys)
+        assert (dual.passed, dual.max_residual, dual.tolerance) == (False, 1.0, RAW_TOLERANCE)
+        assert check_orthogonality(f_sys, h_sys).passed
+
     @staticmethod
     def _gabor_wide_pair(corrupt: bool):
         """A Gabor pair on Z1024 over Gamma = <16> and Lambda = <32>, of one window on 32

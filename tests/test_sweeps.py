@@ -7,13 +7,36 @@ import numpy as np
 import pytest
 
 from gtiframes import make_group, random_signal
-from gtiframes.sweeps import all_small_subgroups, random_descriptor, random_subgroup, sweep_cases
+from gtiframes.sweeps import (
+    all_small_subgroups,
+    dual_pair,
+    orthogonal_pair,
+    random_descriptor,
+    random_subgroup,
+    sweep_cases,
+)
 
-from helpers import loop_sweep_cases
+from helpers import loop_dual_pair, loop_orthogonal_pair, loop_sweep_cases
 
 
-def _layers(case):
-    return [layer for system in (case.f_system, case.h_system) for layer in system.layers]
+def _layers(pair):
+    return [layer for system in pair for layer in system.layers]
+
+
+def _assert_same_pairs(got, want, name):
+    """Subgroups, weights and window bytes equal layer by layer, and no two windows
+    sharing memory (the engineered pairs scale each window in place)."""
+    assert [s.channels for s in got] == [s.channels for s in want], name
+    for layer, ref_layer in zip(_layers(got), _layers(want), strict=True):
+        assert layer.subgroup.indices.tolist() == ref_layer.subgroup.indices.tolist(), name
+        assert ([gen.weight for gen in layer.generators]
+                == [gen.weight for gen in ref_layer.generators]), name
+        for gen, ref_gen in zip(layer.generators, ref_layer.generators, strict=True):
+            assert ([w.values.tobytes() for w in gen.windows]
+                    == [w.values.tobytes() for w in ref_gen.windows]), name
+    windows = [w.values for layer in _layers(got) for gen in layer.generators
+               for w in gen.windows]
+    assert not any(np.shares_memory(a, b) for a, b in combinations(windows, 2)), name
 
 
 @pytest.mark.parametrize("seed", [20240801, 7, 5])
@@ -21,17 +44,33 @@ def test_corpus_matches_per_window_draws(seed):
     got, want = sweep_cases(seed=seed), loop_sweep_cases(seed)
     assert [(c.name, c.kind) for c in got] == [(c.name, c.kind) for c in want]
     for case, ref in zip(got, want):
-        for layer, ref_layer in zip(_layers(case), _layers(ref), strict=True):
-            assert layer.subgroup.indices.tolist() == ref_layer.subgroup.indices.tolist()
-            assert ([gen.weight for gen in layer.generators]
-                    == [gen.weight for gen in ref_layer.generators]), case.name
-            for gen, ref_gen in zip(layer.generators, ref_layer.generators, strict=True):
-                assert ([w.values.tobytes() for w in gen.windows]
-                        == [w.values.tobytes() for w in ref_gen.windows]), case.name
-        # dual_pair scales each window in place, which must not reach another window.
-        windows = [w.values for layer in _layers(case) for gen in layer.generators
-                   for w in gen.windows]
-        assert not any(np.shares_memory(a, b) for a, b in combinations(windows, 2)), case.name
+        _assert_same_pairs((case.f_system, case.h_system), (ref.f_system, ref.h_system),
+                           case.name)
+
+
+@pytest.mark.parametrize("orders", [(12,), (2, 4)], ids=["Z12", "Z2xZ4"])
+def test_engineered_pairs_match_per_coset_builds(orders):
+    # Outside the corpus mix: channels 1-3, and dual pairs of up to three layers.  Both
+    # index rules (4 // N and 3 // N) and the scaling of both sides are pinned.
+    group = make_group(orders)
+    for channels in (1, 2, 3):
+        for seed in range(4):
+            for n_layers in (1, 2, 3):
+                name = f"dual N={channels} layers={n_layers} seed={seed}"
+                _assert_same_pairs(
+                    dual_pair(np.random.default_rng(seed), group, channels, n_layers=n_layers),
+                    loop_dual_pair(np.random.default_rng(seed), group, channels, n_layers), name)
+            _assert_same_pairs(
+                orthogonal_pair(np.random.default_rng(seed), group, channels),
+                loop_orthogonal_pair(np.random.default_rng(seed), group, channels),
+                f"orthogonal N={channels} seed={seed}")
+
+
+def test_unknown_per_group_kind_refused():
+    with pytest.raises(ValueError, match=r"unknown per_group keys \['orthogonals'\]"):
+        sweep_cases(per_group={"orthogonals": 0})
+    cases = sweep_cases(per_group={"random": 0, "full_group": 0, "dual": 0, "orthogonal": 1})
+    assert [c.kind for c in cases] == ["orthogonal"] * 8
 
 
 @pytest.mark.parametrize("given", [False, True], ids=["drawn-subgroups", "given-subgroups"])
