@@ -3,14 +3,14 @@ abelian groups: exact group arithmetic, transforms, system constructors,
 dense oracles and fiber-based verdicts, plus a multiplexing codec."""
 
 from .analysis import (
-    CoefficientMap, FrameBounds, SuperSignal, analysis_coeffs, default_tolerance, frame_bounds,
-    gramian_identity_residual, mixed_dual_gramian, multiplex_decode, multiplex_encode, synthesis,
+    CoefficientMap, FrameBounds, SuperSignal, analysis_coeffs, commutation_defect,
+    default_tolerance, frame_bounds, gramian_identity_residual, mixed_dual_gramian,
+    multiplex_decode, multiplex_encode, synthesis,
 )
 from .characterization import (
     FiberTable, QuadraticSeriesReport, check_gabor_duality, check_orthogonality,
     check_parseval_super, check_super_duality, check_wavelet_duality, check_wavepacket_duality,
-    commutation_defect, fiber_table, gabor_canonical_dual, multiplier_symbol,
-    quadratic_form_series,
+    fiber_table, gabor_canonical_dual, multiplier_symbol, quadratic_form_series,
 )
 from .errors import (
     CapExceededError, ConfigError, GtiError, NotAFrameError, NotAMultiplierError,
@@ -32,14 +32,14 @@ from .systems import (
 
 __all__ = [
     # analysis
-    "CoefficientMap", "FrameBounds", "SuperSignal", "analysis_coeffs", "default_tolerance",
-    "frame_bounds", "gramian_identity_residual", "mixed_dual_gramian", "multiplex_decode",
-    "multiplex_encode", "synthesis",
+    "CoefficientMap", "FrameBounds", "SuperSignal", "analysis_coeffs", "commutation_defect",
+    "default_tolerance", "frame_bounds", "gramian_identity_residual", "mixed_dual_gramian",
+    "multiplex_decode", "multiplex_encode", "synthesis",
     # characterization
     "FiberTable", "QuadraticSeriesReport", "check_gabor_duality", "check_orthogonality",
     "check_parseval_super", "check_super_duality", "check_wavelet_duality",
-    "check_wavepacket_duality", "commutation_defect", "fiber_table", "gabor_canonical_dual",
-    "multiplier_symbol", "quadratic_form_series",
+    "check_wavepacket_duality", "fiber_table", "gabor_canonical_dual", "multiplier_symbol",
+    "quadratic_form_series",
     # errors
     "CapExceededError", "ConfigError", "GtiError", "NotAFrameError", "NotAMultiplierError",
     "StructureMismatchError", "UncertifiedPairError",

@@ -1,14 +1,14 @@
 """Frame computations: the dense-matrix oracle and the multiplexing codec.
 
 The oracle works in the time domain from translate tables: the mixed dual
-Gramian, which for equal systems is the frame operator, and the frame
-bounds.  No verdict translates; two dense diagnostics of `characterization`
-do (`commutation_defect` permutes Theta, `quadratic_form_series` gathers
-T_x f).  The verdict tolerance is scaled by upper frame bounds taken from
-coset blocks (`characterization`), not from the oracle, so the two stay
-independent.  Analysis and synthesis, and the multiplexing codec built on
-them for a certified dual pair, work by transforms over the group grid
-(correlation and convolution theorems).
+Gramian Theta, which for equal systems is the frame operator, the frame
+bounds and the dense diagnostics (`commutation_defect` conjugates Theta by
+translates, the dense route of `quadratic_form_series` applies it to each
+T_x f).  No verdict translates.  The verdict tolerance is scaled by upper
+frame bounds taken from coset blocks (`characterization`), not from the
+oracle, so the two stay independent.  Analysis and synthesis, and the
+multiplexing codec built on them for a certified dual pair, work by
+transforms over the group grid (correlation and convolution theorems).
 Synthesis carries the full measure weighting (covolume per layer, user mass
 per generator); analysis is the plain unweighted pairing, so the two compose
 to the weighted reproduction sum.
@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import CapExceededError, UncertifiedPairError
 from .fourier import Signal, _spectra, _transform
-from .groups import GroupSpec
-from .systems import (SuperSystemDescriptor, _live_windows, _non_finite_cause,
+from .groups import GroupSpec, _difference_table
+from .systems import (SuperSystemDescriptor, _live_windows, _non_finite_cause, _residual,
                       require_matching_structure)
 
 DEFAULT_CAP = 256
@@ -262,6 +262,55 @@ def _scaled_tolerance(b_f: float, b_h: float) -> tuple[float, float]:
 def gramian_identity_residual(matrix: np.ndarray) -> float:
     """Entrywise max deviation from the identity."""
     return float(np.abs(matrix - np.eye(matrix.shape[0])).max())
+
+
+def commutation_defect(
+    f_system: SuperSystemDescriptor,
+    h_system: SuperSystemDescriptor,
+    matrix: np.ndarray | None = None,
+) -> float:
+    """max over group points x of the Frobenius norm of Theta T_x - T_x Theta,
+    computed on the dense mixed dual Gramian matrix, or on `matrix` read as complex
+    values; inf when it is not finite.  The translates of Theta are formed at most
+    2^16 entries (1 MiB) at a time."""
+    group = f_system.group
+    n = f_system.channels
+    size = group.size
+    if matrix is None:
+        matrix = mixed_dual_gramian(f_system, h_system)
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    if matrix.shape != (n * size, n * size):
+        raise ValueError(f"matrix has shape {matrix.shape}, expected {(n * size, n * size)}")
+    # Row x is the channel-major permutation p of T_x, (T_x f)[i] = f[p[i]].  T_x is
+    # unitary, so ||Theta T_x - T_x Theta|| = ||T_x Theta T_x^-1 - Theta||, and the
+    # conjugate T_x Theta T_x^-1 is Theta[p[:, None], p].  T_-x = T_x^-1 gives -x the
+    # norm of x: rows x <= -x (column 0 of row x is -x) are visited, x = 0 (norm 0)
+    # only in the trivial group.
+    def half(table: np.ndarray) -> np.ndarray:
+        return table[np.flatnonzero(np.arange(size) <= table[:, 0])[min(1, size - 1):]]
+
+    shifts = group._table(("half translates",), lambda: half(_difference_table(group)))
+    perms = (shifts[:, None, :] + size * np.arange(n)[:, None]).reshape(len(shifts), -1)
+    step = max(1, (1 << 16) // matrix.size)
+    norms = np.empty(len(perms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(perms), step):
+            p = perms[start:start + step]
+            moved = matrix[p[:, :, None], p[:, None, :]]
+            moved -= matrix
+            flat = moved.view(np.float64).reshape(len(p), -1)
+            norms[start:start + step] = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+    return _residual(float(norms.max()))  # max keeps a NaN norm
+
+
+def _translate_quadratic_form(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor,
+                              f: Signal, matrix: np.ndarray | None) -> np.ndarray:
+    """x -> <Theta T_x f, T_x f> for a single-channel pair, on the dense mixed dual Gramian
+    Theta or on `matrix`: the dense route of `quadratic_form_series`."""
+    if matrix is None:
+        matrix = mixed_dual_gramian(f_system, h_system)
+    shifts = f.values[_difference_table(f.group)]  # row x is T_x f
+    return np.einsum("xi,xi->x", shifts.conj(), shifts @ matrix.T)
 
 
 def _require_certified(f_system: SuperSystemDescriptor, h_system: SuperSystemDescriptor) -> None:

@@ -41,8 +41,8 @@ from .analysis import (
     FrameBounds,
     _above_cap,
     _scaled_tolerance,
+    _translate_quadratic_form,
     default_tolerance,
-    mixed_dual_gramian,
 )
 from .errors import NotAFrameError, NotAMultiplierError
 from .fourier import Signal, Spectrum, _transform, dft
@@ -424,45 +424,6 @@ def multiplier_symbol(
     return Spectrum(table.group, table.stack[0, channel, channel].copy())
 
 
-def commutation_defect(
-    f_system: SuperSystemDescriptor,
-    h_system: SuperSystemDescriptor,
-    matrix: np.ndarray | None = None,
-) -> float:
-    """max over group points x of the Frobenius norm of Theta T_x - T_x Theta,
-    computed on the dense mixed dual Gramian matrix, or on `matrix` read as complex
-    values; inf when it is not finite.  The translates of Theta are formed at most
-    2^16 entries (1 MiB) at a time."""
-    group = f_system.group
-    n = f_system.channels
-    size = group.size
-    if matrix is None:
-        matrix = mixed_dual_gramian(f_system, h_system)
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (n * size, n * size):
-        raise ValueError(f"matrix has shape {matrix.shape}, expected {(n * size, n * size)}")
-    # Row x is the channel-major permutation p of T_x, (T_x f)[i] = f[p[i]].  T_x is
-    # unitary, so ||Theta T_x - T_x Theta|| = ||T_x Theta T_x^-1 - Theta||, and the
-    # conjugate T_x Theta T_x^-1 is Theta[p[:, None], p].  T_-x = T_x^-1 gives -x the
-    # norm of x: rows x <= -x (column 0 of row x is -x) are visited, x = 0 (norm 0)
-    # only in the trivial group.
-    def half(table: np.ndarray) -> np.ndarray:
-        return table[np.flatnonzero(np.arange(size) <= table[:, 0])[min(1, size - 1):]]
-
-    shifts = group._table(("half translates",), lambda: half(_difference_table(group)))
-    perms = (shifts[:, None, :] + size * np.arange(n)[:, None]).reshape(len(shifts), -1)
-    step = max(1, (1 << 16) // matrix.size)
-    norms = np.empty(len(perms))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(perms), step):
-            p = perms[start:start + step]
-            moved = matrix[p[:, :, None], p[:, None, :]]
-            moved -= matrix
-            flat = moved.view(np.float64).reshape(len(p), -1)
-            norms[start:start + step] = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
-    return _residual(float(norms.max()))  # max keeps a NaN norm
-
-
 @dataclass(eq=False)
 class QuadraticSeriesReport:
     """The translation quadratic form of a pair against its fiber series."""
@@ -479,8 +440,8 @@ def quadratic_form_series(
     matrix: np.ndarray | None = None,
     fibers: FiberTable | None = None,
 ) -> QuadraticSeriesReport:
-    """Compare x -> <Theta T_x f, T_x f> (dense route) with its almost periodic
-    series sum over offsets of <offset, x> * w_hat(offset), where
+    """Compare x -> <Theta T_x f, T_x f> (the dense route of `analysis`) with its
+    almost periodic series sum over offsets of <offset, x> * w_hat(offset), where
 
         w_hat(offset) = (1/|G|) sum_xi fhat(xi) conj(fhat(xi + offset)) fiber(xi).
     """
@@ -488,12 +449,9 @@ def quadratic_form_series(
         raise ValueError("the series diagnostic is defined for single-channel systems")
     if f.group.orders != f_system.group.orders:
         raise ValueError("signal group does not match system group")
-    if matrix is None:
-        matrix = mixed_dual_gramian(f_system, h_system)
+    values = _translate_quadratic_form(f_system, h_system, f, matrix)
     group = f.group
     size = group.size
-    shifts = f.values[_difference_table(group)]  # row x is T_x f
-    values = np.einsum("xi,xi->x", shifts.conj(), shifts @ matrix.T)
     if fibers is None:
         fibers = fiber_table(f_system, h_system)
     f_hat = dft(f).values

@@ -140,9 +140,15 @@ def indicator_signal(group: GroupSpec, sub: Subgroup) -> Signal:
     return Signal(group, values)
 
 
+def _normal_rows(rng: np.random.Generator, group: GroupSpec, shape: tuple[int, ...]) -> np.ndarray:
+    """(*shape, |G|) complex standard normal rows from one draw: row by row the
+    `random_signal` of that many calls in C order, real part then imaginary part."""
+    draw = rng.standard_normal((*shape, 2, group.size))
+    return (draw[..., 0, :] + 1j * draw[..., 1, :]) / np.sqrt(2.0)
+
+
 def random_signal(group: GroupSpec, rng: np.random.Generator | int) -> Signal:
     """Complex standard normal signal, deterministic for a fixed seed."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(int(rng))
-    values = rng.standard_normal(group.size) + 1j * rng.standard_normal(group.size)
-    return Signal(group, values / np.sqrt(2.0))
+    return Signal(group, _normal_rows(rng, group, ()))

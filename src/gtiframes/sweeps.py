@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fourier import Signal, _transform
+from .fourier import Signal, _normal_rows, _transform
 from .groups import (
     Automorphism,
     GroupSpec,
@@ -91,13 +91,6 @@ def random_subgroup(rng: np.random.Generator, group: GroupSpec,
     if max_index is not None:
         pool = [s for s in pool if s.covolume <= max_index]
     return pool[int(rng.integers(len(pool)))]
-
-
-def _normal_rows(rng: np.random.Generator, group: GroupSpec, shape: tuple[int, ...]) -> np.ndarray:
-    """(*shape, |G|) complex standard normal rows from one draw: row by row the
-    `random_signal` of that many calls in C order, real part then imaginary part."""
-    draw = rng.standard_normal((*shape, 2, group.size))
-    return (draw[..., 0, :] + 1j * draw[..., 1, :]) / np.sqrt(2.0)
 
 
 def _random_windows(rng: np.random.Generator, group: GroupSpec, channels: int) -> tuple[Signal, ...]:
@@ -254,12 +247,16 @@ def sweep_cases(seed: int = 20240801, per_group: dict[str, int] | None = None) -
     Default mix per group: 13 fully random pairs, 4 pairs whose layers all sit
     on the full group (so their Gramians are always translation-commuting),
     6 engineered dual pairs and 4 engineered orthogonal pairs.  `per_group` overrides
-    these counts by kind; any other key raises ValueError.
+    these counts by kind; any other key, or a count that is not a non-negative int
+    (bools included), raises ValueError.
     """
     counts = {"random": 13, "full_group": 4, "dual": 6, "orthogonal": 4}
     unknown = sorted(set(per_group or ()) - counts.keys())
     if unknown:
         raise ValueError(f"unknown per_group keys {unknown}; the kinds are {list(counts)}")
+    for kind, count in (per_group or {}).items():
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ValueError(f"per_group[{kind!r}] is {count!r}, not a non-negative int")
     counts.update(per_group or {})
     rng = np.random.default_rng(seed)
     # Kind -> (name tag, the pair for a group and a drawn channel count n), in corpus order.

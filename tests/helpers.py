@@ -18,6 +18,7 @@ from gtiframes import (
     SuperSystemDescriptor,
     delta_signal,
     full_subgroup,
+    inner,
     make_group,
     random_signal,
 )
@@ -241,6 +242,16 @@ def loop_commutation_defect(system: SuperSystemDescriptor, matrix: np.ndarray) -
         t = np.kron(np.eye(system.channels), shift)
         worst = max(worst, float(np.linalg.norm(matrix @ t - t @ matrix)))
     return worst
+
+
+def loop_translate_quadratic_form(f: Signal, matrix: np.ndarray) -> np.ndarray:
+    """x -> <Theta T_x f, T_x f> by a python loop over the group points, with T_x from
+    `systems.translate` and the pairing from `fourier.inner`."""
+    values = []
+    for x in f.group.elements():
+        shifted = translate(x, f)
+        values.append(inner(Signal(f.group, matrix @ shifted.values), shifted))
+    return np.array(values)
 
 
 def loop_fiber_verdict(table, tol: float, top_k: int, dual: bool) -> Verdict:

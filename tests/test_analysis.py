@@ -33,6 +33,7 @@ from gtiframes import (
     subgroup_from_generators,
     synthesis,
 )
+from gtiframes.analysis import _translate_quadratic_form
 from gtiframes.characterization import _block_pass, _coset_gramians
 from gtiframes.configio import coefficients_from_json, coefficients_to_json
 from gtiframes.fourier import _spectra
@@ -51,6 +52,7 @@ from helpers import (
     delta_system,
     loop_analysis_entry,
     loop_mixed_dual_gramian,
+    loop_translate_quadratic_form,
     random_super,
 )
 
@@ -427,6 +429,20 @@ class TestMixedDualGramian:
             e = SuperSignal.from_stacked(g, basis.reshape(2, g.size))
             applied = synthesis(f_sys, analysis_coeffs(h_sys, e)).stacked().reshape(-1)
             assert np.abs(applied - matrix[:, col]).max() < 1e-10
+
+    @pytest.mark.parametrize("seed", [20240801, 7, 5])
+    def test_translate_quadratic_form_matches_loop(self, seed):
+        # The dense route of quadratic_form_series, on its default matrix, against
+        # explicit translates and pairings on every single-channel corpus case.
+        cases = [c for c in sweep_cases(seed=seed) if c.f_system.channels == 1]
+        assert cases
+        for i, case in enumerate(cases):
+            f = random_signal(case.f_system.group, i)
+            got = _translate_quadratic_form(case.f_system, case.h_system, f, None)
+            want = loop_translate_quadratic_form(
+                f, mixed_dual_gramian(case.f_system, case.h_system))
+            assert got.shape == want.shape, case.name
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), case.name
 
 
 class TestCanonicalDual:

@@ -139,3 +139,18 @@ def test_no_module_imports_a_name_it_never_uses():
                 imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
         unused = imported - _names_read(tree)
         assert not unused, (path.name, sorted(unused))
+
+
+def test_dense_oracle_lives_in_analysis_alone():
+    # The fiber module neither imports nor reads the dense Gramian, its bounds or the
+    # translate tables they are built from; the dense diagnostics are defined in analysis.
+    tree = ast.parse(Path(gtiframes.characterization.__file__).read_text())
+    read = _names_read(tree) | {node.attr for node in ast.walk(tree)
+                                if isinstance(node, ast.Attribute)}
+    read |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    dense = {"mixed_dual_gramian", "frame_bounds", "gramian_identity_residual",
+             "translate_table"}
+    assert not read & dense, sorted(read & dense)
+    assert commutation_defect.__module__ == "gtiframes.analysis"
+    assert quadratic_form_series.__module__ == "gtiframes.characterization"

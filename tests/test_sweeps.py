@@ -73,6 +73,13 @@ def test_unknown_per_group_kind_refused():
     assert [c.kind for c in cases] == ["orthogonal"] * 8
 
 
+@pytest.mark.parametrize("count", [-2, True, False, 1.5, "2", None, np.int64(2)],
+                         ids=["-2", "True", "False", "1.5", "str", "None", "int64"])
+def test_per_group_count_that_is_not_a_non_negative_int_refused(count):
+    with pytest.raises(ValueError, match=r"per_group\['dual'\] is .*not a non-negative int"):
+        sweep_cases(per_group={"dual": count})
+
+
 @pytest.mark.parametrize("given", [False, True], ids=["drawn-subgroups", "given-subgroups"])
 def test_random_descriptor_matches_per_window_draws(given):
     group = make_group((4, 6))
