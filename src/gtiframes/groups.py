@@ -24,11 +24,10 @@ Element = tuple[int, ...]
 
 # Enumeration-based operations refuse to run past this size.
 ENUMERATION_CAP = 1 << 22
-# A group or subgroup keeps an index table of at most this many entries (64 KiB of
-# int64).  Rebuilding a larger one costs little next to the transforms and products
-# of a pass over that many points, and keeping it would hold its memory for the
-# instance's life.
-_KEPT_TABLE_ENTRIES = 1 << 13
+# A group or subgroup keeps an index table of at most this many entries (256 KiB of
+# int64).  A larger one is rebuilt per call: keeping it would hold its memory for the
+# instance's life (a kept lattice lives as long as its group).
+_KEPT_TABLE_ENTRIES = 1 << 15
 
 
 class _KeptTables:
@@ -36,6 +35,13 @@ class _KeptTables:
     second subgroup), built on first use and kept in its `_tables`."""
 
     _tables: dict
+
+    def _kept(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """The object stored under `key`, built on first use and kept whatever its size."""
+        kept = self._tables.get(key)
+        if kept is None:
+            kept = self._tables[key] = build()
+        return kept
 
     def _table(self, key: tuple, build: Callable[[], Any]) -> Any:
         """The table (or tuple of tables) stored under `key`, built on first use and kept,
@@ -194,10 +200,10 @@ def character_column(group: GroupSpec, xi: Sequence[int]) -> np.ndarray:
     return _character_rows(group, [group.reduce(xi)])[0]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Subgroup(_KeptTables):
-    """A subgroup stored as its full sorted element set plus a generator list,
-    with the index tables of `_KeptTables`."""
+    """A subgroup stored as its full sorted element set (read-only) plus a generator
+    list, with the index tables of `_KeptTables`."""
 
     parent: GroupSpec
     generators: tuple[Element, ...]
@@ -205,7 +211,11 @@ class Subgroup(_KeptTables):
     _tables: dict[tuple, object] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+        # A read-only copy: a kept subgroup cannot change under its tables, and a
+        # caller's own array stays writable.
+        indices = np.array(self.indices, dtype=np.int64)
+        indices.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
 
     @property
     def order(self) -> int:
@@ -227,14 +237,14 @@ class Subgroup(_KeptTables):
     def annihilator(self) -> "Subgroup":
         return annihilator(self.parent, self)
 
-    @cached_property
+    @property
     def translate_table(self) -> np.ndarray:
         """Index table T with T[i, x] = index(x - gamma_i), one row per subgroup element.
 
         values[T[i]] is then the translate by gamma_i of a signal stored as a
         flat vector, for every element of the subgroup at once.
         """
-        return _difference_table(self.parent, self.indices)
+        return self._table(("translate",), lambda: _difference_table(self.parent, self.indices))
 
     @cached_property
     def cosets(self) -> np.ndarray:
@@ -302,13 +312,11 @@ class Subgroup(_KeptTables):
         holds K, else kept per element set of K."""
         if self._membership()[other.indices].all():
             return self
-        key = ("join", other.indices.tobytes())
-        joined = self._tables.get(key)
-        if joined is None:
+        def build() -> "Subgroup":
             res = self.parent.residue_matrix()
             sums = _flat_index(self.parent, res[self.indices][:, None, :] + res[other.indices])
-            joined = self._tables[key] = subgroup_from_indices(self.parent, sums.ravel())
-        return joined
+            return subgroup_from_indices(self.parent, sums.ravel())
+        return self._kept(("join", other.indices.tobytes()), build)
 
     def _difference_mask(self, sub: "Subgroup") -> np.ndarray:
         """(|H|, |H|) mask whose entry [i, k] says whether h_k - h_i lies in `sub`."""
@@ -363,20 +371,24 @@ def _greedy_generators(group: GroupSpec, indices: np.ndarray) -> tuple[Element, 
 
 
 def subgroup_from_generators(group: GroupSpec, gens: Sequence[Sequence[int]]) -> Subgroup:
-    """Additive closure of the generators; always contains 0."""
+    """Additive closure of the generators; always contains 0.  The group keeps one
+    subgroup, with its tables, per tuple of reduced generators."""
     gen_tuples = tuple(group.reduce(g) for g in gens)
-    indices = np.zeros(1, dtype=np.int64)
-    for g in gen_tuples:
-        indices = _extend(group, indices, g)
-    return Subgroup(group, gen_tuples, indices)
+    def build() -> Subgroup:
+        indices = np.zeros(1, dtype=np.int64)
+        for g in gen_tuples:
+            indices = _extend(group, indices, g)
+        return Subgroup(group, gen_tuples, indices)
+    return group._kept(("generated", gen_tuples), build)
 
 
 def subgroup_from_indices(group: GroupSpec, indices: Iterable[int]) -> Subgroup:
-    """Wrap an element set already known to be a subgroup."""
+    """Wrap an element set already known to be a subgroup.  The group keeps one
+    subgroup, with its tables, per element set."""
     arr = np.sort(np.fromiter(indices, dtype=np.int64))
     arr = arr[np.diff(arr, prepend=-1) > 0]
-    gens = _greedy_generators(group, arr)
-    return Subgroup(group, gens, arr)
+    return group._kept(("set", arr.tobytes()),
+                       lambda: Subgroup(group, _greedy_generators(group, arr), arr))
 
 
 def full_subgroup(group: GroupSpec) -> Subgroup:

@@ -7,6 +7,7 @@ every criterion that references "the sweep" runs against it.
 """
 
 import time
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +161,7 @@ def test_criterion_3_translation_commutation_equivalence(sweep):
         if r.f_system.channels != 1 or r.off_translation > r.duality.tolerance:
             continue
         symbol = multiplier_symbol(r.f_system, r.h_system, tol=r.duality.tolerance)
-        rng = np.random.default_rng(hash(r.name) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(r.name.encode()))
         for _ in range(10):
             f = random_signal(r.f_system.group, rng)
             direct = r.gramian @ f.values
@@ -200,7 +201,7 @@ def test_criterion_4_quadratic_series_identity(sweep):
     for r in results:
         size = r.f_system.group.size
         bessel = r.duality.bessel_bound or 1.0
-        rng = np.random.default_rng(hash(r.name) % 2**31)
+        rng = np.random.default_rng(zlib.crc32(r.name.encode()) % 2**31)
         for n in range(r.f_system.channels):
             f_rest = _restricted_system(r.f_system, n)
             h_rest = _restricted_system(r.h_system, n)

@@ -1279,8 +1279,9 @@ class TestNonFiniteWindows:
 
 
 def _fresh(system):
-    """The same system over newly built subgroups (no kept tables) and copied windows."""
-    group = system.group
+    """The same system over newly built subgroups (no kept tables) of a newly built
+    group, which keeps no subgroup yet, and copied windows."""
+    group = make_group(system.group.orders)
     subgroups: dict[int, object] = {}
 
     def fresh_subgroup(sub):

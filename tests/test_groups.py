@@ -173,6 +173,56 @@ class TestSubgroups:
         # Row for gamma=2 shifts by two positions.
         row = list(sub.elements()).index((2,))
         assert list(values[table[row]]) == [2.0, 3.0, 0.0, 1.0]
+        # Kept, read-only, under the rule of the other index tables; a table past
+        # _KEPT_TABLE_ENTRIES (here 64 x 1024 entries) is rebuilt per call.
+        assert sub.translate_table is table and not table.flags.writeable
+        wide = subgroup_from_generators(make_group([1024]), [(16,)])
+        assert wide.translate_table is not wide.translate_table
+        assert np.array_equal(wide.translate_table, wide.translate_table)
+
+
+class TestKeptSubgroups:
+    """A group keeps its subgroups by reduced generators and by element set, so
+    asking again for a lattice returns it with every table it has built."""
+
+    def test_one_subgroup_per_reduced_generator_tuple(self):
+        g = make_group([1024])
+        sub = subgroup_from_generators(g, [(16,)])
+        assert subgroup_from_generators(g, [(1040,)]) is sub
+        assert subgroup_from_generators(g, [(np.int64(16),)]) is sub
+        # Other generators of the same lattice are another subgroup of the same set.
+        other = subgroup_from_generators(g, [(48,)])
+        assert other is not sub and other.same_set(sub) and other.generators == ((48,),)
+
+    def test_one_subgroup_per_element_set(self):
+        g = make_group([1024])
+        sub = subgroup_from_indices(g, [0, 256, 512, 768])
+        assert subgroup_from_indices(g, np.array([768, 0, 512, 256, 0])) is sub
+        lattice = subgroup_from_generators(g, [(16,)])
+        assert lattice.annihilator is annihilator(g, lattice)
+        fresh = make_group([1024])
+        assert fresh == g and subgroup_from_indices(fresh, sub.indices) is not sub
+        assert subgroup_from_generators(fresh, [(16,)]) is not lattice
+
+    def test_indices_are_read_only(self):
+        g = make_group([8])
+        caller = np.array([0, 2, 4, 6])
+        sub = subgroup_from_indices(g, caller)
+        with pytest.raises(ValueError):
+            sub.indices[1] = 3
+        with pytest.raises(AttributeError):
+            sub.indices = caller
+        caller[1] = 3  # the caller's own array stays writable
+        assert subgroup_from_generators(g, [(2,)]).indices.tolist() == [0, 2, 4, 6]
+
+    def test_keep_limit_boundary(self):
+        ann = subgroup_from_generators(make_group([1024]), [(16,)]).annihilator
+        take = ann._block_take(1)
+        assert take.size == 16384 and ann._block_take(1) is take
+        ann = subgroup_from_generators(make_group([2048]), [(8,)]).annihilator
+        take = ann._block_take(2)
+        assert take.size == 65536 and ann._block_take(2) is not take
+        assert np.array_equal(ann._block_take(2), take)
 
 
 def _automorphisms(g):
